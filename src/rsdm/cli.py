@@ -135,7 +135,7 @@ def fmt(value: Decimal, config: CliConfig) -> str:
     """Decimal-string rendering at settlement precision."""
     quantum = Decimal(1).scaleb(-config.settlement_decimals)
     with localcontext(numeric.CONTEXT) as ctx:
-        ctx.prec = max(ctx.prec, len(value.as_tuple().digits) + 2)
+        ctx.prec = max(ctx.prec, value.adjusted() + config.settlement_decimals + 2)
         return str(value.quantize(quantum, rounding=ROUND_HALF_EVEN))
 
 

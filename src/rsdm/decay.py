@@ -140,8 +140,8 @@ def residual_weight(spec: RsdmSpec, elapsed_days: int) -> Quantity:
     """Residual collateral weight of one token after ``elapsed_days``.
 
     Exact value of initial_weight * decay_factor**elapsed_days, computed
-    by exponentiation-by-squaring on scaled integers. Unrounded: the
-    caller decides if and when to settle.
+    by exponentiation by squaring in numeric's exact decimal context.
+    Unrounded: the caller decides if and when to settle.
     """
     _check_elapsed(spec, elapsed_days)
     factor = exact_pow(spec.daily_decay_factor, elapsed_days)

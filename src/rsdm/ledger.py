@@ -159,10 +159,11 @@ def empty_state() -> LedgerState:
 # ---------------------------------------------------------------------------
 
 
-def _compute_redeem(
-    state: LedgerState, event: LedgerEvent
-) -> tuple[RsdmSpec, Decimal, Decimal]:
-    """Validate a redeem event; return (spec, payout, issuer accrual delta)."""
+def _compute_redeem(state: LedgerState, event: LedgerEvent) -> tuple[Decimal, Decimal]:
+    """Validate a redeem event; return (payout, issuer accrual delta).
+
+    A payout stated on the event must equal the computed one.
+    """
     spec = state.specs.get(event.series_id)
     if spec is None:
         raise UnknownSeries(f"series {event.series_id!r} has never been issued")
@@ -184,13 +185,18 @@ def _compute_redeem(
     residual_total = exact_mul(quote.residual.value, Decimal(event.token_count))
     if residual_total < spec.min_redemption_grams:
         raise BelowMinimumRedemption(
-            f"residual {residual_total} g is below the series minimum "
+            f"residual {settle(residual_total):f} g is below the series minimum "
             f"of {spec.min_redemption_grams} g"
         )
     payout = settle(exact_mul(quote.payout.value, Decimal(event.token_count)))
+    if event.payout_grams is not None and event.payout_grams != payout:
+        raise LedgerError(
+            f"redeem event states payout {event.payout_grams} g but the series "
+            f"arithmetic yields {payout} g"
+        )
     face_total = exact_mul(spec.initial_weight, Decimal(event.token_count))
     accrual = exact_sub(face_total, payout)  # decay plus fee, kept in vault
-    return spec, payout, accrual
+    return payout, accrual
 
 
 def append_event(state: LedgerState, event: LedgerEvent) -> LedgerState:
@@ -199,6 +205,15 @@ def append_event(state: LedgerState, event: LedgerEvent) -> LedgerState:
     Any rejection raises a LedgerError subclass and leaves the input
     state untouched (value semantics: the input is never mutated).
     """
+    return _apply(state, event, None)
+
+
+def _apply(
+    state: LedgerState, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None
+) -> LedgerState:
+    """The event step behind ``append_event`` and ``redeem``. ``redeemed``
+    is a redeem event's (payout, accrual) from ``_compute_redeem`` on this
+    state, or None to compute it here."""
     if event.sequence != state.last_sequence + 1:
         raise SequenceGap(
             f"expected sequence {state.last_sequence + 1}, got {event.sequence}"
@@ -264,12 +279,7 @@ def append_event(state: LedgerState, event: LedgerEvent) -> LedgerState:
         balances[dst] = balances.get(dst, 0) + event.token_count
 
     elif event.kind is EventKind.REDEEM:
-        spec, payout, accrual = _compute_redeem(state, event)
-        if event.payout_grams is not None and event.payout_grams != payout:
-            raise LedgerError(
-                f"redeem event states payout {event.payout_grams} g but the series "
-                f"arithmetic yields {payout} g"
-            )
+        payout, accrual = redeemed or _compute_redeem(state, event)
         key = (event.party, event.series_id)
         balances[key] = state.balance(event.party, event.series_id) - event.token_count
         vault[event.series_id] = exact_sub(vault[event.series_id], payout)
@@ -353,9 +363,9 @@ def redeem(
         party=party,
         token_count=token_count,
     )
-    _, payout, _ = _compute_redeem(state, probe)
+    payout, accrual = _compute_redeem(state, probe)
     event = replace(probe, payout_grams=payout)
-    return append_event(state, event), Quantity(payout, GRAM), event
+    return _apply(state, event, (payout, accrual)), Quantity(payout, GRAM), event
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ Conventions used across the package:
   rejected at the boundary so binary rounding can never leak in.
 * General-purpose arithmetic runs in a 34-significant-digit context
   with banker's rounding (ROUND_HALF_EVEN).
-* Face-value decay uses *exact* arithmetic: multiplication and integer
-  powers are carried out on scaled integer mantissas, so no rounding
-  happens until a settlement boundary.
+* Face-value decay uses *exact* arithmetic: addition, multiplication
+  and integer powers run natively on ``Decimal`` in a context with
+  libmpdec's largest precision and exponent range that traps any
+  rounding, so no rounding happens until a settlement boundary.
 * Settlement boundaries (payouts, ledger entries) round to 9 decimal
   places of grams, half-even.
 """
@@ -26,6 +27,15 @@ SETTLEMENT_DECIMALS = 9
 
 #: Context for ordinary (non-exact) arithmetic: division, rate conversion.
 CONTEXT = decimal.Context(prec=DEFAULT_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
+
+#: Context for exact arithmetic: results never round, and if one would,
+#: the trap raises instead of rounding silently.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
 
 _SETTLEMENT_QUANTUM = Decimal(1).scaleb(-SETTLEMENT_DECIMALS)
 
@@ -65,81 +75,50 @@ def as_decimal(value: str | int | Decimal) -> Decimal:
     return result
 
 
-def _scaled(value: Decimal) -> tuple[int, int]:
-    """Return (mantissa, exponent) with value == mantissa * 10**exponent.
-
-    Avoids int<->str conversion so arbitrarily long exact values stay
-    cheap (CPython caps integer-string conversion length).
-    """
-    exponent = value.as_tuple().exponent
-    if exponent == 0:
-        return int(value), 0
-    with localcontext(CONTEXT) as ctx:
-        ctx.prec = max(DEFAULT_PRECISION, len(value.as_tuple().digits) + 2)
-        return int(value.scaleb(-exponent)), exponent
-
-
-def _from_scaled(mantissa: int, exponent: int) -> Decimal:
-    d = Decimal(mantissa)
-    if exponent == 0:
-        return d
-    with localcontext(CONTEXT) as ctx:
-        ctx.prec = max(DEFAULT_PRECISION, d.adjusted() + 2)
-        return d.scaleb(exponent)
+def _unsigned_zero(value: Decimal) -> Decimal:
+    """Drop the sign of a negative zero; every other value passes through."""
+    return value if value else value.copy_abs()
 
 
 def exact_mul(a: Decimal, b: Decimal) -> Decimal:
     """Multiply two finite decimals exactly (no context rounding)."""
-    if a == 1:  # identity fast paths skip the scaled-integer round-trip
+    if a == 1:  # identity fast paths: the other operand keeps its exponent
         return b
     if b == 1:
         return a
-    ma, ea = _scaled(a)
-    mb, eb = _scaled(b)
-    return _from_scaled(ma * mb, ea + eb)
+    return _unsigned_zero(_EXACT.multiply(a, b))
 
 
 def exact_add(a: Decimal, b: Decimal) -> Decimal:
     """Add two finite decimals exactly (no context rounding)."""
-    ma, ea = _scaled(a)
-    mb, eb = _scaled(b)
-    if ea > eb:
-        ma *= 10 ** (ea - eb)
-        ea = eb
-    elif eb > ea:
-        mb *= 10 ** (eb - ea)
-    return _from_scaled(ma + mb, ea)
+    return _unsigned_zero(_EXACT.add(a, b))
 
 
 def exact_sub(a: Decimal, b: Decimal) -> Decimal:
     """Subtract b from a exactly (no context rounding)."""
-    return exact_add(a, -b)
+    return _unsigned_zero(_EXACT.subtract(a, b))
 
 
 def exact_pow(base: Decimal, exponent: int) -> Decimal:
     """Raise a finite decimal to a nonnegative integer power, exactly.
 
-    Exponentiation by squaring on the scaled integer mantissa: the
+    Left-to-right exponentiation by squaring in the exact context: the
     result is the mathematically exact value, however many digits it
-    takes. A decay factor with a short mantissa stays cheap even for
+    takes, and each step past a squaring multiplies by the short base
+    only. A decay factor with a short mantissa stays cheap even for
     multi-decade day counts.
     """
     if exponent < 0:
         raise DomainError("exact_pow requires a nonnegative integer exponent")
     if exponent == 0:
         return Decimal(1)
-    mantissa, exp10 = _scaled(base)
-    result = 1
-    m = mantissa
-    n = exponent
-    while True:
-        if n & 1:
-            result *= m
-        n >>= 1
-        if not n:
-            break
-        m *= m
-    return _from_scaled(result, exp10 * exponent)
+    multiply = _EXACT.multiply
+    result = base
+    for bit in bin(exponent)[3:]:
+        result = multiply(result, result)
+        if bit == "1":
+            result = multiply(result, base)
+    return _unsigned_zero(result)
 
 
 def settle(value: Decimal) -> Decimal:
@@ -149,7 +128,8 @@ def settle(value: Decimal) -> Decimal:
     everything upstream stays unrounded.
     """
     with localcontext(CONTEXT) as ctx:
-        ctx.prec = max(DEFAULT_PRECISION, len(value.as_tuple().digits) + 2)
+        # integer digits, grid digits and one for a carry
+        ctx.prec = max(DEFAULT_PRECISION, value.adjusted() + SETTLEMENT_DECIMALS + 2)
         return value.quantize(_SETTLEMENT_QUANTUM, rounding=decimal.ROUND_HALF_EVEN)
 
 
@@ -222,7 +202,7 @@ PER_GRAM = Unit(gram=-1, account=1)
 class Quantity:
     """A finite decimal value tagged with a unit.
 
-    Arithmetic is exact (scaled-integer, no context rounding) and
+    Arithmetic is exact (native ``Decimal``, never rounded) and
     dimensionally checked: gram * dimensionless -> gram, while adding
     grams to accounting units raises DomainError.
     """

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, file handling."""
 
 import json
+from decimal import Decimal
 
-from rsdm.cli import main
+from rsdm.cli import CliConfig, fmt, main
+from rsdm.numeric import exact_pow
 
 
 def run(capsys, *argv):
@@ -302,3 +304,16 @@ class TestConfigAndDispatch:
         lines = out.splitlines()
         assert lines[0] == "function_id,achieved,threshold,saturated_value,covered"
         assert len(lines) == 13 and all(line.endswith("true") for line in lines[1:])
+
+
+class TestFmt:
+    def test_long_integer_part(self):
+        value = Decimal("123456789012345678901234567890.1234567895")
+        assert fmt(value, CliConfig()) == "123456789012345678901234567890.123456790"
+
+    def test_carry_into_a_new_digit(self):
+        assert fmt(Decimal("9" * 30 + ".9999999995"), CliConfig()) == "1" + "0" * 30 + ".000000000"
+        assert fmt(Decimal("9" * 40 + ".995"), CliConfig(settlement_decimals=2)) == "1" + "0" * 40 + ".00"
+
+    def test_deep_residual(self):
+        assert fmt(exact_pow(Decimal("0.99996"), 18262), CliConfig()) == "0.481670692"

@@ -131,6 +131,34 @@ class TestRedeem:
         state, payout, _ = ledger.redeem(state, "alice", "KG", 1000, 0)
         assert payout.value == D("997.000000000")
 
+    def test_below_minimum_message_is_bounded(self):
+        # 18,000 days in, the exact residual has ~90k digits; the message
+        # shows it on the settlement grid
+        kilo = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("0.99996"),
+                              18262, D("0.003"))
+        state, _ = ledger.issue(ledger.empty_state(), "KG", kilo, "alice", 2000, 0)
+        with pytest.raises(BelowMinimumRedemption) as info:
+            ledger.redeem(state, "alice", "KG", 1000, 18000)
+        message = str(info.value)
+        assert len(message) < 300
+        assert "below the series minimum of 1000 g" in message
+        residual = decay.residual_weight(kilo, 18000).value * 1000
+        assert f"residual {residual.quantize(D('1E-9')):f} g" in message
+
+    def test_redeem_quotes_once(self, monkeypatch):
+        calls = []
+
+        def counting_quote(spec, elapsed):
+            calls.append(elapsed)
+            return decay.redemption_quote(spec, elapsed)
+
+        monkeypatch.setattr(ledger, "redemption_quote", counting_quote)
+        state, payout, event = ledger.redeem(issued_state(), "alice", "AU35", 1000, 365)
+        assert calls == [365]
+        assert event.payout_grams == payout.value
+        # the emitted event replays to the same state
+        assert ledger.append_event(issued_state(), event) == state
+
     def test_expired_redemption_rejected(self):
         short = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("0.99996"),
                                30, D("0.003"), min_redemption_grams=D("1"))

@@ -1,12 +1,14 @@
 """Exact-arithmetic primitives and dimensioned quantities."""
 
-from decimal import Decimal
+import decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rsdm import numeric
 from rsdm.errors import DomainError
 from rsdm.numeric import (
     ACCOUNTING_UNIT,
@@ -80,6 +82,181 @@ class TestExactOps:
         assert Fraction(value) == Fraction(99996, 100000) ** 18250
 
 
+# ---------------------------------------------------------------------------
+# Reference: the int-mantissa exact path. The native Decimal path replaced
+# it; it stays here as the oracle for value *and* representation (sign,
+# coefficient digits, exponent), which snapshot and CLI bytes depend on.
+# ---------------------------------------------------------------------------
+
+_REF_CONTEXT = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN)
+
+
+def _ref_scaled(value: Decimal) -> tuple[int, int]:
+    exponent = value.as_tuple().exponent
+    if exponent == 0:
+        return int(value), 0
+    with localcontext(_REF_CONTEXT) as ctx:
+        ctx.prec = max(34, len(value.as_tuple().digits) + 2)
+        return int(value.scaleb(-exponent)), exponent
+
+
+def _ref_from_scaled(mantissa: int, exponent: int) -> Decimal:
+    d = Decimal(mantissa)
+    if exponent == 0:
+        return d
+    with localcontext(_REF_CONTEXT) as ctx:
+        ctx.prec = max(34, d.adjusted() + 2)
+        return d.scaleb(exponent)
+
+
+def ref_exact_mul(a: Decimal, b: Decimal) -> Decimal:
+    if a == 1:
+        return b
+    if b == 1:
+        return a
+    ma, ea = _ref_scaled(a)
+    mb, eb = _ref_scaled(b)
+    return _ref_from_scaled(ma * mb, ea + eb)
+
+
+def ref_exact_add(a: Decimal, b: Decimal) -> Decimal:
+    ma, ea = _ref_scaled(a)
+    mb, eb = _ref_scaled(b)
+    if ea > eb:
+        ma *= 10 ** (ea - eb)
+        ea = eb
+    elif eb > ea:
+        mb *= 10 ** (eb - ea)
+    return _ref_from_scaled(ma + mb, ea)
+
+
+def ref_exact_sub(a: Decimal, b: Decimal) -> Decimal:
+    # ``-b`` would round b to the caller's context precision (28 digits by
+    # default), as the int-mantissa path once did; negating the sign is exact
+    return ref_exact_add(a, b.copy_negate())
+
+
+def ref_exact_pow(base: Decimal, exponent: int) -> Decimal:
+    if exponent == 0:
+        return Decimal(1)
+    mantissa, exp10 = _ref_scaled(base)
+    return _ref_from_scaled(mantissa**exponent, exp10 * exponent)
+
+
+def ref_settle(value: Decimal) -> Decimal:
+    with localcontext(_REF_CONTEXT) as ctx:
+        ctx.prec = max(34, len(value.as_tuple().digits) + 2)
+        return value.quantize(Decimal("1E-9"), rounding=decimal.ROUND_HALF_EVEN)
+
+
+@st.composite
+def representations(draw, max_digits=30):
+    """Finite decimals by representation: either sign (zeros included),
+    coefficients with trailing zeros, and exponents on both sides of 0."""
+    sign = draw(st.integers(0, 1))
+    coefficient = draw(st.one_of(st.just(0), st.integers(1, 10**max_digits)))
+    coefficient *= 10 ** draw(st.integers(0, 6))
+    exponent = draw(st.integers(-40, 12))
+    return Decimal((sign, tuple(map(int, str(coefficient))), exponent))
+
+
+SIGNED_ZEROS = [Decimal("-0"), Decimal("-0.00"), Decimal("0E+3"), Decimal("-0E-12")]
+THETAS = [Decimal("0.99996"), Decimal("0.9997"), Decimal("1")]
+EXPIRY_DAYS = 18262
+
+
+def same(a: Decimal, b: Decimal) -> bool:
+    return a.as_tuple() == b.as_tuple()
+
+
+class TestAgainstReference:
+    @given(a=representations(), b=representations())
+    @example(a=Decimal("-0.00"), b=Decimal(3))
+    @example(a=Decimal(1), b=Decimal("-0.00"))
+    @example(a=Decimal("1.000"), b=Decimal("2.50"))
+    @example(a=Decimal("-0"), b=Decimal("-0.0"))
+    @example(a=Decimal("1.5E+3"), b=Decimal("-1500.00"))
+    def test_mul_add_sub(self, a, b):
+        assert same(exact_mul(a, b), ref_exact_mul(a, b))
+        assert same(exact_add(a, b), ref_exact_add(a, b))
+        assert same(exact_sub(a, b), ref_exact_sub(a, b))
+
+    @pytest.mark.parametrize("zero", SIGNED_ZEROS)
+    def test_signed_zero_operands(self, zero):
+        for other in (Decimal(3), Decimal("-2.50"), Decimal("1.0"), zero):
+            assert same(exact_mul(zero, other), ref_exact_mul(zero, other))
+            assert same(exact_add(zero, other), ref_exact_add(zero, other))
+            assert same(exact_sub(zero, other), ref_exact_sub(zero, other))
+            assert same(exact_pow(zero, 3), ref_exact_pow(zero, 3))
+
+    def test_sub_keeps_long_subtrahend(self):
+        b = Decimal("1131437377233186640940234000.1")  # 29 digits
+        assert Fraction(exact_sub(Decimal(0), b)) == -Fraction(b)
+
+    def test_negative_zero_product_is_unsigned(self):
+        assert str(exact_mul(Decimal("-0.00"), Decimal(3))) == "0.00"
+
+    @given(base=representations(max_digits=4), exponent=st.integers(0, 40))
+    def test_pow_small(self, base, exponent):
+        assert same(exact_pow(base, exponent), ref_exact_pow(base, exponent))
+
+    @settings(max_examples=20, deadline=None)
+    @given(theta=st.sampled_from(THETAS), days=st.integers(0, EXPIRY_DAYS))
+    @example(theta=Decimal("0.99996"), days=EXPIRY_DAYS)
+    @example(theta=Decimal("0.9997"), days=EXPIRY_DAYS)
+    @example(theta=Decimal("1"), days=EXPIRY_DAYS)
+    def test_pow_decay_horizon(self, theta, days):
+        assert same(exact_pow(theta, days), ref_exact_pow(theta, days))
+
+    def test_deep_residual_products_and_settlement(self):
+        # the redeem arithmetic at expiry: a ~91k-digit residual times a
+        # token count and a fee complement, then settled
+        residual = exact_pow(Decimal("0.99996"), EXPIRY_DAYS)
+        complement = exact_sub(Decimal(1), Decimal("0.003"))
+        for factor in (Decimal(1000), complement):
+            product = exact_mul(residual, factor)
+            assert same(product, ref_exact_mul(residual, factor))
+            assert same(settle(product), ref_settle(product))
+        assert same(exact_sub(Decimal(1000), settle(residual)),
+                    ref_exact_sub(Decimal(1000), ref_settle(residual)))
+
+    @given(value=representations())
+    def test_settle(self, value):
+        # the reference sized its context by digit count, so it raised on
+        # values whose integer part outgrew 34 digits less the grid's 9
+        if value.adjusted() + 11 <= 34:
+            assert same(settle(value), ref_settle(value))
+
+
+class TestCallerContextIgnored:
+    """Exact results do not depend on the caller's decimal context or on
+    the shared working precision."""
+
+    CASES = [(Decimal("0.99996"), Decimal("1234.5678")), (Decimal("-0.00"), Decimal(3)),
+             (Decimal("123456789.987654321"), Decimal("-0.000001"))]
+
+    def results(self):
+        out = []
+        for a, b in self.CASES:
+            out += [exact_mul(a, b), exact_add(a, b), exact_sub(a, b)]
+        out.append(exact_pow(Decimal("0.99996"), 3650))
+        out.append(settle(exact_mul(out[-1], Decimal(1000))))
+        return [r.as_tuple() for r in out]
+
+    def test_caller_local_context(self):
+        expected = self.results()
+        with localcontext(prec=3):
+            assert self.results() == expected
+
+    def test_shared_precision_setting(self):
+        expected = self.results()
+        numeric.set_precision(5)
+        try:
+            assert self.results() == expected
+        finally:
+            numeric.set_precision(numeric.DEFAULT_PRECISION)
+
+
 class TestSettle:
     def test_rounds_half_even(self):
         assert settle(Decimal("1.0000000005")) == Decimal("1.000000000")
@@ -87,6 +264,14 @@ class TestSettle:
 
     def test_nine_decimals(self):
         assert str(settle(Decimal("0.99996"))) == "0.999960000"
+
+    def test_long_integer_part(self):
+        value = Decimal("123456789012345678901234567890.1234567895")
+        assert str(settle(value)) == "123456789012345678901234567890.123456790"
+
+    def test_carry_into_a_new_digit(self):
+        value = Decimal("9" * 30 + ".9999999995")
+        assert str(settle(value)) == "1" + "0" * 30 + ".000000000"
 
 
 class TestNthRoot:
