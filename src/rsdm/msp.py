@@ -15,13 +15,28 @@ Two objectives are supported:
   before summing (adding a second currency that duplicates an already
   fully covered function earns nothing).
 
-Three solvers: an exhaustive subset oracle (guarded to small pools), a
-depth-first branch-and-bound for the linear objective, and an exact
-solver for the saturating objective via its standard linearization
-(auxiliary per-function values y_k <= 1, y_k <= weighted coverage sum;
-maximizing drives each y_k to the min). All three share one
-tie-breaking rule: among equal-objective optima, the lexicographically
-smallest sorted id tuple wins, so results are schedule-independent.
+One include-first depth-first search answers both objectives. It
+closes the include branch once the cardinality budget is used up and
+the exclude branch of a mandatory currency, and cuts a node when a
+threshold is out of reach even with every remaining candidate. The
+three solvers are three calls into it:
+
+* ``solve_exhaustive`` is the unbounded walk in instance order, the
+  subset-enumeration oracle (guarded to small pools);
+* ``solve_branch_and_bound`` (linear) and ``solve_saturating`` order
+  candidates by descending net marginal and also cut nodes whose
+  objective bound is below the incumbent: the committed objective plus
+  the top-budget positive marginals ahead, or, for the saturating
+  objective through its linearization (auxiliary y_k <= 1, y_k <=
+  weighted coverage sum), each function's min(1, weighted coverage so
+  far plus all remaining coverage).
+
+A bound that ties the incumbent is still explored, and among
+equal-objective optima the lexicographically smallest sorted id tuple
+wins, so results are schedule-independent. Every solver first rejects,
+with SchemaError, an instance that breaks an invariant the cuts rely on
+(nonnegative weights and penalty, coverage in [0, 1], a nonempty pool,
+a positive cardinality bound).
 
 All arithmetic is decimal; with the usual short score mantissas every
 sum is exact, and the solvers' objectives agree to the digit.
@@ -234,14 +249,6 @@ def _selection_set(instance: MspInstance, selection: Iterable[str]) -> set[str]:
     return sel
 
 
-def linear_marginal(instance: MspInstance, candidate: CurrencyCandidate) -> Decimal:
-    """The candidate's net contribution to the linear objective:
-    weighted coverage sum minus the balance penalty."""
-    with localcontext(CONTEXT):
-        score = sum((f.weight * candidate.score(f.id) for f in instance.functions), _ZERO)
-        return score - instance.balance_penalty
-
-
 def evaluate_linear_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Weighted coverage summed over the selection, minus
     balance_penalty * selection size."""
@@ -308,29 +315,8 @@ def check_feasible(instance: MspInstance, selection: Iterable[str]) -> Feasibili
 # ---------------------------------------------------------------------------
 
 
-def _better(
-    objective: Decimal,
-    selection: tuple[str, ...],
-    best_objective: Decimal | None,
-    best_selection: tuple[str, ...] | None,
-) -> bool:
-    """Shared tie-breaking: higher objective wins; on equal objective the
-    lexicographically smaller sorted id tuple wins."""
-    if best_objective is None:
-        return True
-    if objective != best_objective:
-        return objective > best_objective
-    return selection < best_selection
-
-
 def _infeasibility_reasons(instance: MspInstance) -> tuple[str, ...]:
     reasons = []
-    mandatory = [c.id for c in instance.currencies if c.mandatory]
-    if len(mandatory) > instance.max_parallel:
-        reasons.append(
-            f"{len(mandatory)} mandatory currencies but only "
-            f"{instance.max_parallel} may circulate in parallel"
-        )
     with localcontext(CONTEXT):
         for f in instance.functions:
             scores = sorted((c.score(f.id) for c in instance.currencies), reverse=True)
@@ -366,6 +352,104 @@ def _solution(
     )
 
 
+def _search(
+    instance: MspInstance, kind: ObjectiveKind, bounded: bool
+) -> MspSolution | Infeasible:
+    """The depth-first search behind every solver (see the module
+    docstring). Raises SchemaError on an instance that breaks an
+    invariant of ``validate_instance``, since the cuts rely on them.
+
+    ``committed`` is the part of the objective linear in the selection:
+    the net marginals (linear) or minus the penalty per currency
+    (saturating, which adds the per-function min(1, weighted coverage)).
+    """
+    problems = [p for p in validate_instance(instance) if not p.startswith("warning:")]
+    if problems:
+        raise SchemaError(problems)
+    saturating = kind is ObjectiveKind.SATURATING
+    functions = instance.functions
+
+    with localcontext(CONTEXT):
+        penalty = instance.balance_penalty
+        thresholds = [f.threshold for f in functions]
+        # (candidate, raw scores, weighted scores, net marginal), scores
+        # index-aligned with ``functions``
+        rows = []
+        for c in instance.currencies:
+            raw_row = [c.score(f.id) for f in functions]
+            weighted_row = [f.weight * u for f, u in zip(functions, raw_row)]
+            rows.append((c, raw_row, weighted_row, sum(weighted_row, _ZERO) - penalty))
+        if bounded:
+            rows.sort(key=lambda r: (r[3], r[0].id), reverse=True)
+        n = len(rows)
+
+        # suffix_raw[p], suffix_weighted[p]: coverage summed over candidates
+        # p..n-1; suffix_pos[p]: their positive net marginals, descending
+        zeros = [_ZERO] * len(functions)
+        suffix_raw = [zeros]
+        suffix_weighted = [zeros]
+        suffix_pos: list[list[Decimal]] = [[]]
+        for _, raw_row, weighted_row, marginal in reversed(rows):
+            suffix_raw.append([s + u for s, u in zip(suffix_raw[-1], raw_row)])
+            suffix_weighted.append([s + w for s, w in zip(suffix_weighted[-1], weighted_row)])
+            positive = suffix_pos[-1]
+            suffix_pos.append(sorted(positive + [marginal], reverse=True) if marginal > 0 else positive)
+        suffix_raw.reverse()
+        suffix_weighted.reverse()
+        suffix_pos.reverse()
+
+        best_obj: Decimal | None = None
+        best_sel: tuple[str, ...] | None = None
+        chosen: list[str] = []
+
+        def value(weighted: list[Decimal], committed: Decimal) -> Decimal:
+            if saturating:
+                return sum((min(_ONE, w) for w in weighted), _ZERO) + committed
+            return committed
+
+        def bound(p: int, weighted: list[Decimal], committed: Decimal, budget: int) -> Decimal:
+            if not saturating:
+                return committed + sum(suffix_pos[p][:budget], _ZERO)
+            if budget == 0:
+                return value(weighted, committed)
+            reachable = (min(_ONE, w + s) for w, s in zip(weighted, suffix_weighted[p]))
+            return sum(reachable, _ZERO) + committed
+
+        def node(p: int, raw: list[Decimal], weighted: list[Decimal], committed: Decimal) -> None:
+            nonlocal best_obj, best_sel
+            for total, rest, threshold in zip(raw, suffix_raw[p], thresholds):
+                if total + rest < threshold:
+                    return
+            budget = instance.max_parallel - len(chosen)
+            if bounded and best_obj is not None and bound(p, weighted, committed, budget) < best_obj:
+                return
+            if p == n:
+                obj = value(weighted, committed)
+                sel = tuple(sorted(chosen))
+                # the shared tie-break: on equal objective the smaller sorted id tuple wins
+                if best_obj is None or obj > best_obj or (obj == best_obj and sel < best_sel):
+                    best_obj, best_sel = obj, sel
+                return
+            c, raw_row, weighted_row, marginal = rows[p]
+            if budget > 0:
+                chosen.append(c.id)
+                node(
+                    p + 1,
+                    [a + u for a, u in zip(raw, raw_row)],
+                    [a + w for a, w in zip(weighted, weighted_row)] if saturating else weighted,
+                    committed - penalty if saturating else committed + marginal,
+                )
+                chosen.pop()
+            if not c.mandatory:
+                node(p + 1, raw, weighted, committed)
+
+        node(0, zeros, zeros, _ZERO)
+
+    if best_sel is None:
+        return Infeasible(_infeasibility_reasons(instance))
+    return _solution(instance, best_sel, kind)
+
+
 def solve_exhaustive(
     instance: MspInstance, objective_kind: ObjectiveKind = ObjectiveKind.LINEAR
 ) -> MspSolution | Infeasible:
@@ -373,9 +457,10 @@ def solve_exhaustive(
     ones, return the best under the shared tie-breaking rule.
 
     The walk skips subtrees that are infeasible for every completion
-    (cardinality already exceeded, or a mandatory currency excluded);
-    that prunes no feasible subset, so the result is identical to full
-    enumeration plus filtering. Guarded to pools of at most 25.
+    (cardinality already exceeded, a mandatory currency excluded, or a
+    threshold out of reach); that prunes no feasible subset, so the
+    result is identical to full enumeration plus filtering. Guarded to
+    pools of at most 25.
     """
     n = len(instance.currencies)
     if n > EXHAUSTIVE_POOL_LIMIT:
@@ -383,58 +468,7 @@ def solve_exhaustive(
             f"pool of {n} currencies exceeds the exhaustive limit "
             f"({EXHAUSTIVE_POOL_LIMIT}); use the branch-and-bound solver"
         )
-    functions = instance.functions
-    currencies = instance.currencies
-    saturating = objective_kind is ObjectiveKind.SATURATING
-
-    best_obj: Decimal | None = None
-    best_sel: tuple[str, ...] | None = None
-
-    with localcontext(CONTEXT):
-        thresholds = [f.threshold for f in functions]
-        raw = [_ZERO] * len(functions)
-        weighted = [_ZERO] * len(functions)
-        chosen: list[str] = []
-        penalty = instance.balance_penalty
-
-        def leaf() -> None:
-            nonlocal best_obj, best_sel
-            if any(raw[k] < thresholds[k] for k in range(len(functions))):
-                return
-            if saturating:
-                obj = sum((min(_ONE, weighted[k]) for k in range(len(functions))), _ZERO)
-            else:
-                obj = sum(weighted, _ZERO)
-            obj -= penalty * len(chosen)
-            sel = tuple(sorted(chosen))
-            if _better(obj, sel, best_obj, best_sel):
-                best_obj, best_sel = obj, sel
-
-        def walk(i: int) -> None:
-            if i == n:
-                leaf()
-                return
-            c = currencies[i]
-            if len(chosen) < instance.max_parallel:
-                chosen.append(c.id)
-                for k, f in enumerate(functions):
-                    u = c.score(f.id)
-                    raw[k] += u
-                    weighted[k] += f.weight * u
-                walk(i + 1)
-                chosen.pop()
-                for k, f in enumerate(functions):
-                    u = c.score(f.id)
-                    raw[k] -= u
-                    weighted[k] -= f.weight * u
-            if not c.mandatory:
-                walk(i + 1)
-
-        walk(0)
-
-    if best_sel is None:
-        return Infeasible(_infeasibility_reasons(instance))
-    return _solution(instance, best_sel, objective_kind)
+    return _search(instance, objective_kind, bounded=False)
 
 
 def solve_branch_and_bound(instance: MspInstance) -> MspSolution | Infeasible:
@@ -450,67 +484,7 @@ def solve_branch_and_bound(instance: MspInstance) -> MspSolution | Infeasible:
     candidate. Subtrees whose bound ties the incumbent are still
     explored, so the tie-breaking rule sees every optimum.
     """
-    functions = instance.functions
-    order = sorted(
-        instance.currencies,
-        key=lambda c: (linear_marginal(instance, c), c.id),
-        reverse=True,
-    )
-    n = len(order)
-    marginals = [linear_marginal(instance, c) for c in order]
-
-    with localcontext(CONTEXT):
-        thresholds = [f.threshold for f in functions]
-        # suffix_raw[p][k]: coverage of function k summed over candidates p..n-1
-        suffix_raw = [[_ZERO] * len(functions) for _ in range(n + 1)]
-        for p in range(n - 1, -1, -1):
-            for k, f in enumerate(functions):
-                suffix_raw[p][k] = suffix_raw[p + 1][k] + order[p].score(f.id)
-        # suffix_pos[p]: positive net marginals among candidates p..n-1, descending
-        suffix_pos: list[list[Decimal]] = [[] for _ in range(n + 1)]
-        for p in range(n - 1, -1, -1):
-            suffix_pos[p] = sorted(
-                [m for m in marginals[p:] if m > 0], reverse=True
-            )
-
-        best_obj: Decimal | None = None
-        best_sel: tuple[str, ...] | None = None
-        raw = [_ZERO] * len(functions)
-        chosen: list[str] = []
-
-        def node(p: int, committed: Decimal) -> None:
-            nonlocal best_obj, best_sel
-            for k in range(len(functions)):
-                if raw[k] + suffix_raw[p][k] < thresholds[k]:
-                    return  # threshold unreachable below this node
-            budget = instance.max_parallel - len(chosen)
-            if best_obj is not None:
-                bound = committed + sum(suffix_pos[p][:budget], _ZERO)
-                if bound < best_obj:
-                    return
-            if p == n:
-                if all(raw[k] >= thresholds[k] for k in range(len(functions))):
-                    sel = tuple(sorted(chosen))
-                    if _better(committed, sel, best_obj, best_sel):
-                        best_obj, best_sel = committed, sel
-                return
-            c = order[p]
-            if budget > 0:
-                chosen.append(c.id)
-                for k, f in enumerate(functions):
-                    raw[k] += c.score(f.id)
-                node(p + 1, committed + marginals[p])
-                chosen.pop()
-                for k, f in enumerate(functions):
-                    raw[k] -= c.score(f.id)
-            if not c.mandatory:
-                node(p + 1, committed)
-
-        node(0, _ZERO)
-
-    if best_sel is None:
-        return Infeasible(_infeasibility_reasons(instance))
-    return _solution(instance, best_sel, ObjectiveKind.LINEAR)
+    return _search(instance, ObjectiveKind.LINEAR, bounded=True)
 
 
 def solve_saturating(instance: MspInstance) -> MspSolution | Infeasible:
@@ -525,76 +499,7 @@ def solve_saturating(instance: MspInstance) -> MspSolution | Infeasible:
     y_k optimistically to min(1, committed + all remaining coverage),
     which the concavity of min makes admissible.
     """
-    functions = instance.functions
-    order = sorted(
-        instance.currencies,
-        key=lambda c: (linear_marginal(instance, c), c.id),
-        reverse=True,
-    )
-    n = len(order)
-
-    with localcontext(CONTEXT):
-        thresholds = [f.threshold for f in functions]
-        suffix_raw = [[_ZERO] * len(functions) for _ in range(n + 1)]
-        suffix_weighted = [[_ZERO] * len(functions) for _ in range(n + 1)]
-        for p in range(n - 1, -1, -1):
-            for k, f in enumerate(functions):
-                u = order[p].score(f.id)
-                suffix_raw[p][k] = suffix_raw[p + 1][k] + u
-                suffix_weighted[p][k] = suffix_weighted[p + 1][k] + f.weight * u
-
-        best_obj: Decimal | None = None
-        best_sel: tuple[str, ...] | None = None
-        raw = [_ZERO] * len(functions)
-        weighted = [_ZERO] * len(functions)
-        chosen: list[str] = []
-        penalty = instance.balance_penalty
-
-        def node(p: int) -> None:
-            nonlocal best_obj, best_sel
-            for k in range(len(functions)):
-                if raw[k] + suffix_raw[p][k] < thresholds[k]:
-                    return
-            budget = instance.max_parallel - len(chosen)
-            if best_obj is not None:
-                reachable = (
-                    (min(_ONE, weighted[k] + suffix_weighted[p][k]) for k in range(len(functions)))
-                    if budget > 0
-                    else (min(_ONE, weighted[k]) for k in range(len(functions)))
-                )
-                bound = sum(reachable, _ZERO) - penalty * len(chosen)
-                if bound < best_obj:
-                    return
-            if p == n:
-                if all(raw[k] >= thresholds[k] for k in range(len(functions))):
-                    obj = sum(
-                        (min(_ONE, weighted[k]) for k in range(len(functions))), _ZERO
-                    ) - penalty * len(chosen)
-                    sel = tuple(sorted(chosen))
-                    if _better(obj, sel, best_obj, best_sel):
-                        best_obj, best_sel = obj, sel
-                return
-            c = order[p]
-            if budget > 0:
-                chosen.append(c.id)
-                for k, f in enumerate(functions):
-                    u = c.score(f.id)
-                    raw[k] += u
-                    weighted[k] += f.weight * u
-                node(p + 1)
-                chosen.pop()
-                for k, f in enumerate(functions):
-                    u = c.score(f.id)
-                    raw[k] -= u
-                    weighted[k] -= f.weight * u
-            if not c.mandatory:
-                node(p + 1)
-
-        node(0)
-
-    if best_sel is None:
-        return Infeasible(_infeasibility_reasons(instance))
-    return _solution(instance, best_sel, ObjectiveKind.SATURATING)
+    return _search(instance, ObjectiveKind.SATURATING, bounded=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 from rsdm import decay, msp
 
@@ -52,6 +53,23 @@ def make_random_instance(
         max_parallel=max_parallel,
         balance_penalty=Decimal(rng.randint(0, 30)) / 100,
     )
+
+
+def brute_force_optimum(instance: msp.MspInstance, evaluate) -> tuple[Decimal, tuple[str, ...]] | None:
+    """Oracle outside the solvers' search: enumerate every subset with
+    itertools, keep those ``msp.check_feasible`` accepts, and return the
+    best (objective, sorted ids) under ``evaluate`` (higher objective,
+    then the smaller id tuple), or None when no subset is feasible."""
+    ids = sorted(c.id for c in instance.currencies)
+    best = None
+    for r in range(len(ids) + 1):
+        for combo in combinations(ids, r):
+            if not msp.check_feasible(instance, combo).feasible:
+                continue
+            obj = evaluate(instance, combo)
+            if best is None or obj > best[0] or (obj == best[0] and combo < best[1]):
+                best = (obj, combo)
+    return best
 
 
 def fraction_residual(theta: Decimal, elapsed: int, weight: Decimal) -> Fraction:

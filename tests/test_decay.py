@@ -5,6 +5,7 @@ oracles (exact rational arithmetic, or exp/ln evaluation at precision
 50) before the implementation and frozen here.
 """
 
+from dataclasses import replace
 from datetime import date
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -207,6 +208,24 @@ class TestValidateSpec:
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), Decimal("0.99996"),
                               100, Decimal("1.0"))
         assert any("fee rate" in v for v in decay.validate_spec(spec))
+
+    @pytest.mark.parametrize("field, value", [
+        ("initial_weight", "1E+999999999"),
+        ("initial_weight", "1" * 35),
+        ("daily_decay_factor", "0.999999999999999999999999999999999999"),
+        ("redemption_fee_rate", "1E-999999999"),
+        ("inspection_fee", "0E-1000"),
+        ("min_redemption_grams", "1E+35"),
+    ])
+    def test_decimal_beyond_working_precision(self, field, value):
+        spec = replace(GOLD, **{field: Decimal(value)})
+        assert any("at most 34 digits" in v for v in decay.validate_spec(spec))
+
+    def test_decimal_at_working_precision_accepted(self):
+        spec = replace(GOLD, initial_weight=Decimal("1" * 34),
+                       daily_decay_factor=Decimal("0." + "9" * 33),
+                       min_redemption_grams=Decimal("1E-34"))
+        assert decay.validate_spec(spec) == []
 
 
 class TestSpecJson:

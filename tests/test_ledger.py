@@ -56,6 +56,13 @@ class TestIssue:
         with pytest.raises(LedgerError, match="decay factor"):
             ledger.issue(ledger.empty_state(), "BAD", bad, "alice", 1, 0)
 
+    def test_huge_exponent_rejected_before_any_sum(self):
+        # accepted, the first vault sum would build a 10^9-digit coefficient
+        bad = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1E+999999999"), D("0.99996"),
+                             100, D("0"))
+        with pytest.raises(LedgerError, match="at most 34 digits"):
+            ledger.issue(ledger.empty_state(), "BAD", bad, "alice", 1, 0)
+
     def test_issue_size_cap(self):
         capped = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("0.99996"),
                                 100, D("0"), issue_size=50)

@@ -5,14 +5,14 @@ all sixteen subsets before the solvers were written and frozen here.
 """
 
 import random
+from dataclasses import replace
 from decimal import Decimal
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_instance
+from conftest import brute_force_optimum, make_random_instance
 from rsdm import msp
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
 from rsdm.msp import (
@@ -261,6 +261,33 @@ class TestSolverEquivalence:
             msp.solve_exhaustive(big)
 
 
+class TestInvalidInstanceRejected:
+    # the solvers' cuts assume the invariants validate_instance enforces
+    INVALID = {
+        "negative penalty": lambda inst: replace(inst, balance_penalty=D("-0.1")),
+        "negative weight": lambda inst: replace(
+            inst, functions=(MonetaryFunction("k1", D(-1), D(0)),) + inst.functions[1:]),
+        "coverage above one": lambda inst: replace(
+            inst, currencies=inst.currencies + (currency("BIG", {"k1": "1.5"}),)),
+        "empty pool": lambda inst: replace(inst, currencies=()),
+        "no parallel currency": lambda inst: replace(inst, max_parallel=0),
+    }
+    SOLVERS = {
+        "exhaustive linear": lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.LINEAR),
+        "exhaustive saturating": lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.SATURATING),
+        "branch and bound": msp.solve_branch_and_bound,
+        "saturating": msp.solve_saturating,
+    }
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("defect", INVALID)
+    def test_solver_raises_schema_error(self, defect, solver):
+        inst = self.INVALID[defect](desk_instance())
+        assert msp.validate_instance(inst)
+        with pytest.raises(SchemaError):
+            self.SOLVERS[solver](inst)
+
+
 class TestSolverProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -401,18 +428,39 @@ class TestDefaultCatalog:
         assert all(f.weight == 2 and f.threshold == D("0.5") for f in catalog)
 
 
+SOLVERS_BY_OBJECTIVE = (
+    (msp.evaluate_linear_objective, (
+        msp.solve_branch_and_bound,
+        lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.LINEAR),
+    )),
+    (msp.evaluate_saturating_objective, (
+        msp.solve_saturating,
+        lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.SATURATING),
+    )),
+)
+
+
+def assert_solvers_match_brute_force(inst: MspInstance) -> None:
+    for evaluate, solvers in SOLVERS_BY_OBJECTIVE:
+        best = brute_force_optimum(inst, evaluate)
+        for solve in solvers:
+            result = solve(inst)
+            if best is None:
+                assert isinstance(result, Infeasible)
+            else:
+                assert (result.objective, result.selection) == best
+
+
 def test_brute_force_reference_matches_solver_on_desk():
-    # independent of the solvers: literal subset enumeration via itertools
     inst = desk_instance()
-    ids = sorted(c.id for c in inst.currencies)
-    best = None
-    for r in range(len(ids) + 1):
-        for combo in combinations(ids, r):
-            verdict = msp.check_feasible(inst, set(combo))
-            if not verdict.feasible:
-                continue
-            obj = msp.evaluate_linear_objective(inst, set(combo))
-            key = (obj, tuple(combo))
-            if best is None or obj > best[0] or (obj == best[0] and combo < best[1]):
-                best = (obj, combo)
-    assert best == (D("4.2"), ("FIAT", "RSDM"))
+    assert brute_force_optimum(inst, msp.evaluate_linear_objective) == (D("4.2"), ("FIAT", "RSDM"))
+    assert_solvers_match_brute_force(inst)
+
+
+def test_brute_force_reference_matches_solvers_on_random_instances():
+    rng = random.Random(20_351_231)
+    for _ in range(60):
+        # fewer functions leave more instances feasible (about half overall)
+        n_functions = rng.randint(2, 12)
+        assert_solvers_match_brute_force(
+            make_random_instance(rng, max_currencies=9, n_functions=n_functions))
