@@ -11,7 +11,7 @@ Subcommand map::
 Exit status: 0 success, 1 domain/validation error, 2 usage error.
 Decimal flags are parsed as exact decimal strings, never through binary
 floating point; numeric output is rendered as decimal strings at the
-settlement precision (9 decimal places by default).
+settlement precision (9 decimal places).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import date
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -37,19 +37,8 @@ def default_data_dir() -> Path:
 
 @dataclass
 class CliConfig:
-    precision_digits: int = numeric.DEFAULT_PRECISION
-    settlement_decimals: int = numeric.SETTLEMENT_DECIMALS
     data_dir: Path = field(default_factory=default_data_dir)
     output_format: str = "table"
-
-    def validate(self) -> None:
-        if self.precision_digits < self.settlement_decimals + 6:
-            raise DomainError(
-                "precision_digits must be at least settlement_decimals + 6 "
-                f"({self.precision_digits} < {self.settlement_decimals + 6})"
-            )
-        if self.output_format not in ("table", "json", "csv"):
-            raise DomainError(f"unknown output format {self.output_format!r}")
 
 
 def load_config(path: str | None) -> CliConfig:
@@ -64,18 +53,22 @@ def load_config(path: str | None) -> CliConfig:
             raise DomainError(f"config {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DomainError("config must be a JSON object")
-        if "precision_digits" in doc:
-            config.precision_digits = int(doc["precision_digits"])
-        if "settlement_decimals" in doc:
-            config.settlement_decimals = int(doc["settlement_decimals"])
+        for key, value in doc.items():
+            if key not in ("data_dir", "output_format"):
+                raise DomainError(
+                    f"unknown config key {key!r} (accepted: data_dir, output_format)"
+                )
+            if not isinstance(value, str):
+                raise DomainError(f"config {key!r} must be a string, got {type(value).__name__}")
         if "data_dir" in doc:
             config.data_dir = Path(doc["data_dir"])
         if "output_format" in doc:
-            config.output_format = str(doc["output_format"])
+            config.output_format = doc["output_format"]
     env_dir = os.environ.get("RSDM_DATA_DIR")
     if env_dir:
         config.data_dir = Path(env_dir)
-    config.validate()
+    if config.output_format not in ("table", "json", "csv"):
+        raise DomainError(f"unknown output format {config.output_format!r}")
     return config
 
 
@@ -131,12 +124,9 @@ def load_instance(path: Path, expected_kind: str):
 # ---------------------------------------------------------------------------
 
 
-def fmt(value: Decimal, config: CliConfig) -> str:
-    """Decimal-string rendering at settlement precision."""
-    quantum = Decimal(1).scaleb(-config.settlement_decimals)
-    with localcontext(numeric.CONTEXT) as ctx:
-        ctx.prec = max(ctx.prec, value.adjusted() + config.settlement_decimals + 2)
-        return str(value.quantize(quantum, rounding=ROUND_HALF_EVEN))
+def fmt(value: Decimal) -> str:
+    """Decimal-string rendering on the settlement grid."""
+    return str(numeric.settle(value))
 
 
 def emit_json(doc: dict) -> None:
@@ -164,9 +154,9 @@ def cmd_decay_residual(args, config: CliConfig) -> int:
     spec = _adhoc_spec(args)
     residual = decay.residual_weight(spec, args.days)
     if config.output_format == "json":
-        emit_json({"residual_g": fmt(residual.value, config)})
+        emit_json({"residual_g": fmt(residual.value)})
     else:
-        print(fmt(residual.value, config))
+        print(fmt(residual.value))
     return 0
 
 
@@ -178,9 +168,9 @@ def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
     fee = numeric.exact_mul(quote.fee.value, count)
     residual = numeric.exact_mul(quote.residual.value, count)
     doc = {
-        "payout_g": fmt(payout, config),
-        "fee_g": fmt(fee, config),
-        "residual_g": fmt(residual, config),
+        "payout_g": fmt(payout),
+        "fee_g": fmt(fee),
+        "residual_g": fmt(residual),
     }
     if config.output_format == "json":
         emit_json(doc)
@@ -198,9 +188,9 @@ def cmd_decay_convert_rate(args, config: CliConfig) -> int:
         value = decay.annual_rate_from_daily_factor(args.daily)
         label = "annual_rate"
     if config.output_format == "json":
-        emit_json({label: fmt(value, config)})
+        emit_json({label: fmt(value)})
     else:
-        print(fmt(value, config))
+        print(fmt(value))
     return 0
 
 
@@ -258,12 +248,12 @@ def cmd_solvency_simulate(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solution_doc(result, config: CliConfig) -> dict:
+def _solution_doc(result) -> dict:
     doc = msp.solution_to_json_dict(result)
     if "objective" in doc:
-        doc["objective"] = fmt(Decimal(doc["objective"]), config)
+        doc["objective"] = fmt(Decimal(doc["objective"]))
         doc["per_function_score"] = {
-            k: fmt(Decimal(v), config) for k, v in doc["per_function_score"].items()
+            k: fmt(Decimal(v)) for k, v in doc["per_function_score"].items()
         }
     return doc
 
@@ -277,7 +267,7 @@ def cmd_msp_solve(args, config: CliConfig) -> int:
         result = msp.solve_saturating(instance)
     else:
         result = msp.solve_branch_and_bound(instance)
-    emit_json(_solution_doc(result, config))
+    emit_json(_solution_doc(result))
     return 0
 
 
@@ -304,8 +294,8 @@ def cmd_msp_report(args, config: CliConfig) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["function_id", "achieved", "threshold", "saturated_value", "covered"])
         for r in report.rows:
-            writer.writerow([r.function_id, fmt(r.achieved, config),
-                             fmt(r.threshold, config), fmt(r.saturated_value, config),
+            writer.writerow([r.function_id, fmt(r.achieved),
+                             fmt(r.threshold), fmt(r.saturated_value),
                              str(r.covered).lower()])
     elif config.output_format == "json":
         emit_json(
@@ -314,9 +304,9 @@ def cmd_msp_report(args, config: CliConfig) -> int:
                 "functions": [
                     {
                         "id": r.function_id,
-                        "achieved": fmt(r.achieved, config),
-                        "threshold": fmt(r.threshold, config),
-                        "saturated_value": fmt(r.saturated_value, config),
+                        "achieved": fmt(r.achieved),
+                        "threshold": fmt(r.threshold),
+                        "saturated_value": fmt(r.saturated_value),
                         "covered": r.covered,
                     }
                     for r in report.rows
@@ -328,9 +318,9 @@ def cmd_msp_report(args, config: CliConfig) -> int:
         for r in report.rows:
             mark = "covered" if r.covered else "UNCOVERED"
             print(
-                f"{r.function_id:<{width}}  achieved={fmt(r.achieved, config)}  "
-                f"threshold={fmt(r.threshold, config)}  "
-                f"saturated={fmt(r.saturated_value, config)}  {mark}"
+                f"{r.function_id:<{width}}  achieved={fmt(r.achieved)}  "
+                f"threshold={fmt(r.threshold)}  "
+                f"saturated={fmt(r.saturated_value)}  {mark}"
             )
         print(f"all functions covered: {'yes' if report.all_covered else 'no'}")
     return 0
@@ -346,9 +336,9 @@ def cmd_demand_supply(args, config: CliConfig) -> int:
     supply = demand.money_supply(scenario)
     residual = demand.equilibrium_residual(scenario)
     if config.output_format == "json":
-        emit_json({"supply": fmt(supply, config), "equilibrium_residual": fmt(residual, config)})
+        emit_json({"supply": fmt(supply), "equilibrium_residual": fmt(residual)})
     else:
-        print(fmt(supply, config))
+        print(fmt(supply))
     return 0
 
 
@@ -359,12 +349,12 @@ def cmd_demand_solve(args, config: CliConfig) -> int:
         emit_json(
             {
                 "unknown": solution.unknown.value,
-                "value": fmt(solution.value, config),
+                "value": fmt(solution.value),
                 "negative": solution.negative,
             }
         )
     else:
-        print(fmt(solution.value, config))
+        print(fmt(solution.value))
         if solution.negative:
             print("note: negative solution (economically infeasible)", file=sys.stderr)
     return 0
@@ -429,10 +419,10 @@ def cmd_ledger_value(args, config: CliConfig) -> int:
                          "expired"])
         for h in report.holdings:
             writer.writerow([
-                h.series_id, h.token_count, fmt(h.residual_grams, config),
-                fmt(h.redeemable_grams, config),
-                "" if h.price_per_gram is None else fmt(h.price_per_gram, config),
-                fmt(h.residual_value, config), fmt(h.redeemable_value, config),
+                h.series_id, h.token_count, fmt(h.residual_grams),
+                fmt(h.redeemable_grams),
+                "" if h.price_per_gram is None else fmt(h.price_per_gram),
+                fmt(h.residual_value), fmt(h.redeemable_value),
                 str(h.expired).lower(),
             ])
     elif config.output_format == "json":
@@ -444,19 +434,19 @@ def cmd_ledger_value(args, config: CliConfig) -> int:
                     {
                         "series_id": h.series_id,
                         "token_count": h.token_count,
-                        "residual_g": fmt(h.residual_grams, config),
-                        "redeemable_g": fmt(h.redeemable_grams, config),
+                        "residual_g": fmt(h.residual_grams),
+                        "redeemable_g": fmt(h.redeemable_grams),
                         "price_per_gram": None
                         if h.price_per_gram is None
-                        else fmt(h.price_per_gram, config),
-                        "residual_value": fmt(h.residual_value, config),
-                        "redeemable_value": fmt(h.redeemable_value, config),
+                        else fmt(h.price_per_gram),
+                        "residual_value": fmt(h.residual_value),
+                        "redeemable_value": fmt(h.redeemable_value),
                         "expired": h.expired,
                     }
                     for h in report.holdings
                 ],
-                "total_residual_value": fmt(report.total_residual_value, config),
-                "total_redeemable_value": fmt(report.total_redeemable_value, config),
+                "total_residual_value": fmt(report.total_residual_value),
+                "total_redeemable_value": fmt(report.total_redeemable_value),
             }
         )
     else:
@@ -464,12 +454,12 @@ def cmd_ledger_value(args, config: CliConfig) -> int:
             status = " (expired)" if h.expired else ""
             print(
                 f"{h.series_id}: {h.token_count} tokens, residual "
-                f"{fmt(h.residual_grams, config)} g, redeemable "
-                f"{fmt(h.redeemable_grams, config)} g, value "
-                f"{fmt(h.residual_value, config)}{status}"
+                f"{fmt(h.residual_grams)} g, redeemable "
+                f"{fmt(h.redeemable_grams)} g, value "
+                f"{fmt(h.residual_value)}{status}"
             )
-        print(f"total residual value: {fmt(report.total_residual_value, config)}")
-        print(f"total redeemable value: {fmt(report.total_redeemable_value, config)}")
+        print(f"total residual value: {fmt(report.total_residual_value)}")
+        print(f"total redeemable value: {fmt(report.total_redeemable_value)}")
     return 0
 
 
@@ -616,7 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.format:
             config.output_format = args.format
-        numeric.set_precision(config.precision_digits)
         return args.handler(args, config)
     except SchemaError as exc:
         for problem in exc.problems:
@@ -625,8 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     except RsdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        numeric.set_precision(numeric.DEFAULT_PRECISION)
 
 
 if __name__ == "__main__":

@@ -87,22 +87,25 @@ class LedgerEvent:
         return data
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LedgerEvent":
+    def from_json_dict(cls, data: object) -> "LedgerEvent":
+        if not isinstance(data, dict):
+            raise DomainError(f"malformed ledger event: got {type(data).__name__}, not an object")
         try:
             payout = data.get("payout_grams")
             spec = data.get("series_spec")
+            counterparty = data.get("counterparty")
             return cls(
                 sequence=int(data["sequence"]),
                 day=int(data["day"]),
                 kind=EventKind(data["kind"]),
                 series_id=str(data["series_id"]),
                 party=str(data["party"]),
-                counterparty=data.get("counterparty"),
+                counterparty=str(counterparty) if counterparty is not None else None,
                 token_count=int(data.get("token_count", 0)),
                 payout_grams=as_decimal(payout) if payout is not None else None,
                 series_spec=RsdmSpec.from_json_dict(spec) if spec is not None else None,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise DomainError(f"malformed ledger event: {exc}") from exc
 
 
@@ -135,11 +138,9 @@ class LedgerState:
         return self.balances.get((party, series_id), 0)
 
     def holdings_of(self, party: str) -> dict[str, int]:
-        return {
-            series: count
-            for (p, series), count in sorted(self.balances.items())
-            if p == party and count > 0
-        }
+        """The party's positive balances, in series-id order."""
+        held = [(series, count) for (p, series), count in self.balances.items() if p == party]
+        return {series: count for series, count in sorted(held) if count > 0}
 
 
 def empty_state() -> LedgerState:
@@ -512,6 +513,8 @@ def events_from_jsonl(text: str) -> list[LedgerEvent]:
             events.append(LedgerEvent.from_json_dict(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise DomainError(f"event log line {i}: invalid JSON: {exc}") from exc
+        except DomainError as exc:
+            raise DomainError(f"event log line {i}: {exc}") from exc
     return events
 
 
@@ -555,24 +558,29 @@ def state_from_snapshot(text: str) -> LedgerState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid snapshot JSON: {exc}") from exc
-    balances = {
-        (party, series): count
-        for party, series_map in doc.get("balances", {}).items()
-        for series, count in series_map.items()
-    }
-    return LedgerState(
-        specs={sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()},
-        balances=balances,
-        vault={sid: as_decimal(v) for sid, v in doc.get("vault", {}).items()},
-        issuer_accrual={
-            sid: as_decimal(v) for sid, v in doc.get("issuer_accrual", {}).items()
-        },
-        cumulative_payouts={
-            sid: as_decimal(v) for sid, v in doc.get("cumulative_payouts", {}).items()
-        },
-        issued_tokens={sid: int(v) for sid, v in doc.get("issued_tokens", {}).items()},
-        last_sequence=int(doc.get("last_sequence", 0)),
-    )
+    if not isinstance(doc, dict):
+        raise DomainError(f"malformed snapshot: got {type(doc).__name__}, not an object")
+    try:
+        balances = {
+            (party, series): count
+            for party, series_map in doc.get("balances", {}).items()
+            for series, count in series_map.items()
+        }
+        return LedgerState(
+            specs={sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()},
+            balances=balances,
+            vault={sid: as_decimal(v) for sid, v in doc.get("vault", {}).items()},
+            issuer_accrual={
+                sid: as_decimal(v) for sid, v in doc.get("issuer_accrual", {}).items()
+            },
+            cumulative_payouts={
+                sid: as_decimal(v) for sid, v in doc.get("cumulative_payouts", {}).items()
+            },
+            issued_tokens={sid: int(v) for sid, v in doc.get("issued_tokens", {}).items()},
+            last_sequence=int(doc.get("last_sequence", 0)),
+        )
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise DomainError(f"malformed snapshot: {exc}") from exc
 
 
 def quotes_from_csv(text: str) -> list[PriceQuote]:

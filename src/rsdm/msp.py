@@ -180,6 +180,22 @@ def default_function_catalog(
 def validate_instance(instance: MspInstance) -> list[str]:
     """Report invariant violations and certain-infeasibility warnings,
     each prefixed with a JSON-pointer path into the instance document."""
+    problems = _invariant_violations(instance)
+    # Certain-infeasibility necessary condition: reported as warnings so
+    # such instances still reach the solvers (which answer Infeasible).
+    with localcontext(CONTEXT):
+        for i, f in enumerate(instance.functions):
+            total = sum((c.score(f.id) for c in instance.currencies), _ZERO)
+            if total < f.threshold:
+                problems.append(
+                    f"warning: /functions/{i}/threshold: threshold {f.threshold} "
+                    f"unreachable (total coverage across the pool is {total})"
+                )
+    return problems
+
+
+def _invariant_violations(instance: MspInstance) -> list[str]:
+    """The invariants every solver relies on, as JSON-pointer messages."""
     problems = []
     if len(instance.functions) < 1:
         problems.append("/functions: at least one monetary function is required")
@@ -222,16 +238,6 @@ def validate_instance(instance: MspInstance) -> list[str]:
             f"/max_parallel: {mandatory_count} mandatory currencies exceed the "
             f"cardinality bound {instance.max_parallel}"
         )
-    # Certain-infeasibility necessary condition: reported as warnings so
-    # such instances still reach the solvers (which answer Infeasible).
-    with localcontext(CONTEXT):
-        for i, f in enumerate(instance.functions):
-            total = sum((c.score(f.id) for c in instance.currencies), _ZERO)
-            if total < f.threshold:
-                problems.append(
-                    f"warning: /functions/{i}/threshold: threshold {f.threshold} "
-                    f"unreachable (total coverage across the pool is {total})"
-                )
     return problems
 
 
@@ -363,7 +369,7 @@ def _search(
     the net marginals (linear) or minus the penalty per currency
     (saturating, which adds the per-function min(1, weighted coverage)).
     """
-    problems = [p for p in validate_instance(instance) if not p.startswith("warning:")]
+    problems = _invariant_violations(instance)
     if problems:
         raise SchemaError(problems)
     saturating = kind is ObjectiveKind.SATURATING

@@ -26,6 +26,7 @@ DEFAULT_PRECISION = 34
 SETTLEMENT_DECIMALS = 9
 
 #: Context for ordinary (non-exact) arithmetic: division, rate conversion.
+#: Never mutated; code enters it through ``localcontext``, which copies it.
 CONTEXT = decimal.Context(prec=DEFAULT_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
 
 #: Context for exact arithmetic: results never round, and if one would,
@@ -39,12 +40,8 @@ _EXACT = decimal.Context(
 
 _SETTLEMENT_QUANTUM = Decimal(1).scaleb(-SETTLEMENT_DECIMALS)
 
-
-def set_precision(digits: int) -> None:
-    """Adjust the working precision of the shared context (CLI hook)."""
-    if digits < 1:
-        raise DomainError(f"precision must be at least 1 significant digit, got {digits}")
-    CONTEXT.prec = digits
+#: Relative step size at which ``nth_root`` stops iterating.
+_NTH_ROOT_TOLERANCE = Decimal("1E-30")
 
 
 def as_decimal(value: str | int | Decimal) -> Decimal:
@@ -133,7 +130,7 @@ def settle(value: Decimal) -> Decimal:
         return value.quantize(_SETTLEMENT_QUANTUM, rounding=decimal.ROUND_HALF_EVEN)
 
 
-def nth_root(value: Decimal, n: int, tolerance: Decimal = Decimal("1E-30")) -> Decimal:
+def nth_root(value: Decimal, n: int) -> Decimal:
     """Positive n-th root of a positive decimal by Newton's method.
 
     Algorithm
@@ -143,8 +140,8 @@ def nth_root(value: Decimal, n: int, tolerance: Decimal = Decimal("1E-30")) -> D
            y' = y - (y**n - value) / (n * y**(n-1))
        iterated until |y' - y| <= tolerance * y'.
 
-    The default tolerance is 1e-30 relative, comfortably below the
-    34-digit working precision.
+    The tolerance is 1e-30 relative, comfortably below the 34-digit
+    working precision.
     """
     if n <= 0:
         raise DomainError("root order must be a positive integer")
@@ -159,7 +156,7 @@ def nth_root(value: Decimal, n: int, tolerance: Decimal = Decimal("1E-30")) -> D
         for _ in range(64):
             prev = y
             y = y - (y**n - value) / (n_dec * y ** (n - 1))
-            if abs(y - prev) <= tolerance * abs(y):
+            if abs(y - prev) <= _NTH_ROOT_TOLERANCE * abs(y):
                 break
     with localcontext(CONTEXT):
         return +y  # round back into the working precision

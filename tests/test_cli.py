@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, exit codes, file handling."""
 
 import json
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
+from pathlib import Path
 
-from rsdm.cli import CliConfig, fmt, main
+import pytest
+
+from rsdm import numeric
+from rsdm.cli import fmt, main
 from rsdm.numeric import exact_pow
 
 
@@ -259,6 +263,50 @@ class TestLedgerCommands:
         code, _, err = run(capsys, "ledger", "init", "--log", str(log))
         assert code == 1
 
+    @pytest.mark.parametrize("event", [
+        "[1]",
+        '{"sequence": null, "day": 0, "kind": "issue", "series_id": "S", "party": "a"}',
+        '{"sequence": 1, "day": 0, "kind": "issue", "series_id": "S", "party": "a", '
+        '"token_count": 1, "series_spec": [1]}',
+    ])
+    def test_append_malformed_event(self, event, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        run(capsys, "ledger", "init", "--log", str(log))
+        code, _, err = run(capsys, "ledger", "append", "--log", str(log), "--event", event)
+        assert code == 1
+        assert err.startswith("error: malformed ledger event")
+        assert log.read_text(encoding="utf-8") == ""
+
+    def test_replay_names_the_malformed_line(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        issue_event = {
+            "sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35",
+            "party": "alice", "token_count": 5000,
+            "series_spec": self._gold_spec_doc(),
+        }
+        log.write_text(json.dumps(issue_event) + "\n[1]\n", encoding="utf-8")
+        code, _, err = run(capsys, "ledger", "replay", "--log", str(log))
+        assert code == 1
+        assert err.startswith("error: event log line 2: malformed ledger event")
+
+    def test_non_string_counterparty_replays(self, tmp_path, capsys):
+        # read as a string, a numeric counterparty leaves the snapshot's
+        # party keys sortable
+        log = tmp_path / "events.jsonl"
+        run(capsys, "ledger", "init", "--log", str(log))
+        for event in (
+            {"sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35",
+             "party": "alice", "token_count": 5000, "series_spec": self._gold_spec_doc()},
+            {"sequence": 2, "day": 0, "kind": "transfer", "series_id": "AU35",
+             "party": "alice", "counterparty": 5, "token_count": 10},
+        ):
+            code, _, _ = run(capsys, "ledger", "append", "--log", str(log),
+                             "--event", json.dumps(event))
+            assert code == 0
+        code, out, _ = run(capsys, "ledger", "replay", "--log", str(log))
+        assert code == 0
+        assert json.loads(out)["balances"]["5"] == {"AU35": 10}
+
 
 class TestConfigAndDispatch:
     def test_unknown_subcommand_usage_error(self, capsys):
@@ -267,22 +315,43 @@ class TestConfigAndDispatch:
     def test_no_arguments_usage_error(self, capsys):
         assert run(capsys)[0] == 2
 
-    def test_config_violating_precision_floor(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["precision_digits", "settlement_decimals", "colour"])
+    def test_config_rejects_keys_other_than_data_dir_and_format(self, key, tmp_path, capsys):
+        # the numeric policy is fixed: a precision or grid setting is refused,
+        # never silently ignored
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"precision_digits": 10,
-                                      "settlement_decimals": 9}), encoding="utf-8")
-        code, _, err = run(capsys, "--config", str(config), "solvency",
-                           "breakeven", "--beta", "1", "--alpha", "0.1")
-        assert code == 1
-        assert "precision_digits" in err
+        config.write_text(json.dumps({key: 3}), encoding="utf-8")
+        code, out, err = run(capsys, "--config", str(config), "decay", "residual",
+                             "--theta", "0.99996", "--w", "1", "--days", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and repr(key) in err
 
-    def test_config_settlement_decimals(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", [{"data_dir": 5}, {"output_format": ["json"]}])
+    def test_config_value_must_be_a_string(self, doc, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"settlement_decimals": 3}), encoding="utf-8")
-        code, out, _ = run(capsys, "--config", str(config), "decay", "residual",
-                           "--theta", "0.99996", "--w", "1", "--days", "1")
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "--config", str(config), "demand", "supply",
+                           "global_demand.json")
+        assert code == 1
+        assert err.startswith("error:") and "must be a string" in err
+
+    def test_config_keys_apply_and_leave_the_context_alone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RSDM_DATA_DIR", raising=False)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "only_in_data_dir.json").write_text(
+            json.dumps({"marshallian_k": "0.7", "gdp": "100", "fiat_multiplier": "2",
+                        "sdm_multiplier": "3", "fiat_reserve": "4", "sdm_reserve": "5",
+                        "other_supply": "6"}), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(data), "output_format": "json"}),
+                          encoding="utf-8")
+        code, out, _ = run(capsys, "--config", str(config), "demand", "supply",
+                           "only_in_data_dir.json")
         assert code == 0
-        assert out == "1.000\n"
+        assert json.loads(out)["supply"] == "29.000000000"
+        assert numeric.CONTEXT.prec == 34
+        assert numeric.CONTEXT.rounding == ROUND_HALF_EVEN
 
     def test_data_dir_env_override(self, tmp_path, capsys, monkeypatch):
         # an empty data dir hides the shipped presets
@@ -309,11 +378,36 @@ class TestConfigAndDispatch:
 class TestFmt:
     def test_long_integer_part(self):
         value = Decimal("123456789012345678901234567890.1234567895")
-        assert fmt(value, CliConfig()) == "123456789012345678901234567890.123456790"
+        assert fmt(value) == "123456789012345678901234567890.123456790"
 
     def test_carry_into_a_new_digit(self):
-        assert fmt(Decimal("9" * 30 + ".9999999995"), CliConfig()) == "1" + "0" * 30 + ".000000000"
-        assert fmt(Decimal("9" * 40 + ".995"), CliConfig(settlement_decimals=2)) == "1" + "0" * 40 + ".00"
+        assert fmt(Decimal("9" * 30 + ".9999999995")) == "1" + "0" * 30 + ".000000000"
 
     def test_deep_residual(self):
-        assert fmt(exact_pow(Decimal("0.99996"), 18262), CliConfig()) == "0.481670692"
+        assert fmt(exact_pow(Decimal("0.99996"), 18262)) == "0.481670692"
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+def write_golden_inputs(directory: Path) -> None:
+    """The files the recorded commands read, besides the shipped presets."""
+    (directory / "quotes.csv").write_text(
+        "day,asset_id,price\n0,XAU,100\n5,XAU,104.5\n", encoding="utf-8"
+    )
+    (directory / "config.json").write_text('{"output_format": "json"}', encoding="utf-8")
+
+
+class TestGoldenOutput:
+    """Every README example, the json and csv variants of the commands that
+    print numbers, and a three-event ledger session print exactly the
+    recorded exit codes, stdout and stderr. The commands run in file order
+    in one working directory, with relative paths only."""
+
+    def test_recorded_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RSDM_DATA_DIR", raising=False)
+        write_golden_inputs(tmp_path)
+        for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
+            code, out, err = run(capsys, *case["argv"])
+            assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]

@@ -11,6 +11,7 @@ from conftest import make_series_pool
 from rsdm import decay, ledger
 from rsdm.errors import (
     BelowMinimumRedemption,
+    DomainError,
     ExpiredSeries,
     InsufficientBalance,
     LedgerError,
@@ -253,6 +254,69 @@ class TestReplayAndPersistence:
         once = ledger.replay(events)
         twice = ledger.replay(events)
         assert ledger.state_to_snapshot(once) == ledger.state_to_snapshot(twice)
+
+
+class TestMalformedDocuments:
+    """Malformed events and snapshots raise DomainError, never a raw
+    TypeError or AttributeError."""
+
+    EVENT = {"sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35",
+             "party": "alice", "token_count": 5}
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        "issue",
+        {**EVENT, "sequence": None},
+        {**EVENT, "day": [0]},
+        {**EVENT, "token_count": {}},
+        {**EVENT, "series_spec": [1]},
+        {**EVENT, "series_spec": {**GOLD.to_json_dict(), "issue_date": 5}},
+    ])
+    def test_event(self, doc):
+        with pytest.raises(DomainError, match="malformed ledger event"):
+            LedgerEvent.from_json_dict(doc)
+
+    def test_event_log_line_is_named(self):
+        text = '{"sequence": 1, "day": 0, "kind": "issue"}\n'
+        with pytest.raises(DomainError, match="event log line 1: malformed"):
+            ledger.events_from_jsonl(text)
+        first = ledger.events_to_jsonl([LedgerEvent(1, 0, EventKind.ISSUE, "AU35", "alice",
+                                                    token_count=5, series_spec=GOLD)])
+        with pytest.raises(DomainError, match="event log line 3: malformed"):
+            ledger.events_from_jsonl(first + "\n[1]\n")
+
+    def test_counterparty_is_a_string(self):
+        doc = {**self.EVENT, "kind": "transfer", "counterparty": 5}
+        assert LedgerEvent.from_json_dict(doc).counterparty == "5"
+
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        "5",
+        '{"balances": {"a": 5}}',
+        '{"series": {"AU35": [1]}}',
+        '{"vault": []}',
+        '{"issued_tokens": {"AU35": null}}',
+        '{"last_sequence": "x"}',
+    ])
+    def test_snapshot(self, text):
+        with pytest.raises(DomainError, match="malformed snapshot"):
+            ledger.state_from_snapshot(text)
+
+
+class TestHoldingsOf:
+    def test_one_party_in_series_order(self):
+        state = ledger.empty_state()
+        for series, party, count in [("ZN", "alice", 3), ("AU35", "bob", 7),
+                                     ("AG", "alice", 2), ("PT", "alice", 4)]:
+            state, _ = ledger.issue(state, series, GOLD, party, count, 0)
+        state, _ = ledger.transfer(state, "alice", "bob", "PT", 4, 0)
+        holdings = state.holdings_of("alice")
+        assert list(holdings.items()) == [("AG", 2), ("ZN", 3)]
+        assert list(state.holdings_of("bob").items()) == [("AU35", 7), ("PT", 4)]
+        assert state.holdings_of("carol") == {}
+        report = ledger.holdings_valuation(state, [PriceQuote(0, "XAU", D("100"))],
+                                           "alice", 0)
+        assert [h.series_id for h in report.holdings] == ["AG", "ZN"]
 
 
 class TestValuation:

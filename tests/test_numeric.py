@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsdm import numeric
 from rsdm.errors import DomainError
 from rsdm.numeric import (
     ACCOUNTING_UNIT,
@@ -229,8 +228,7 @@ class TestAgainstReference:
 
 
 class TestCallerContextIgnored:
-    """Exact results do not depend on the caller's decimal context or on
-    the shared working precision."""
+    """Exact results do not depend on the caller's decimal context."""
 
     CASES = [(Decimal("0.99996"), Decimal("1234.5678")), (Decimal("-0.00"), Decimal(3)),
              (Decimal("123456789.987654321"), Decimal("-0.000001"))]
@@ -247,14 +245,6 @@ class TestCallerContextIgnored:
         expected = self.results()
         with localcontext(prec=3):
             assert self.results() == expected
-
-    def test_shared_precision_setting(self):
-        expected = self.results()
-        numeric.set_precision(5)
-        try:
-            assert self.results() == expected
-        finally:
-            numeric.set_precision(numeric.DEFAULT_PRECISION)
 
 
 class TestSettle:
