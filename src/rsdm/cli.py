@@ -85,7 +85,8 @@ def resolve_path(name: str, config: CliConfig) -> Path:
 
 
 def load_instance(path: Path, expected_kind: str):
-    """Load and validate a typed instance document.
+    """Load and validate an msp instance (*expected_kind* ``"msp"``) or a
+    demand scenario (``"demand"``).
 
     Parse failures, schema violations (with JSON-pointer paths), and
     validation failures are reported distinctly.
@@ -108,15 +109,7 @@ def load_instance(path: Path, expected_kind: str):
         for w in warnings:
             print(f"{path}: {w}", file=sys.stderr)
         return instance
-    if expected_kind == "demand":
-        return demand.DemandScenario.from_json_dict(doc)
-    if expected_kind == "rsdm_spec":
-        spec = decay.RsdmSpec.from_json_dict(doc)
-        violations = decay.validate_spec(spec)
-        if violations:
-            raise SchemaError([f"validation: {m}" for m in violations])
-        return spec
-    raise ValueError(f"unknown instance kind {expected_kind!r}")
+    return demand.DemandScenario.from_json_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +461,6 @@ def cmd_ledger_value(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_decimal(parser, name, **kwargs):
-    parser.add_argument(name, type=str, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsdm",
@@ -490,17 +479,17 @@ def build_parser() -> argparse.ArgumentParser:
     decay_sub = decay_p.add_subparsers(dest="command", required=True)
 
     residual = decay_sub.add_parser("residual", help="residual weight after N days")
-    _add_decimal(residual, "--theta", required=True, help="daily decay factor")
-    _add_decimal(residual, "--w", required=True, help="initial weight in grams")
+    residual.add_argument("--theta", required=True, help="daily decay factor")
+    residual.add_argument("--w", required=True, help="initial weight in grams")
     residual.add_argument("--days", type=int, required=True)
     residual.add_argument("--expiry-days", type=int, default=None)
     residual.set_defaults(handler=cmd_decay_residual)
 
     quote = decay_sub.add_parser("redeem-quote", help="payout/fee split at redemption")
-    _add_decimal(quote, "--theta", required=True)
-    _add_decimal(quote, "--w", required=True)
+    quote.add_argument("--theta", required=True)
+    quote.add_argument("--w", required=True)
     quote.add_argument("--days", type=int, required=True)
-    _add_decimal(quote, "--fee-rate", required=True, help="delivery fee rate")
+    quote.add_argument("--fee-rate", required=True, help="delivery fee rate")
     quote.add_argument("--count", type=int, default=1, help="tokens redeemed")
     quote.add_argument("--expiry-days", type=int, default=None)
     quote.set_defaults(handler=cmd_decay_redeem_quote)
@@ -516,17 +505,17 @@ def build_parser() -> argparse.ArgumentParser:
     solv_sub = solv_p.add_subparsers(dest="command", required=True)
 
     breakeven = solv_sub.add_parser("breakeven", help="first bankrupt holding duration")
-    _add_decimal(breakeven, "--beta", required=True, help="flat fee per token")
-    _add_decimal(breakeven, "--alpha", required=True, help="storage cost per token-day")
+    breakeven.add_argument("--beta", required=True, help="flat fee per token")
+    breakeven.add_argument("--alpha", required=True, help="storage cost per token-day")
     breakeven.set_defaults(handler=cmd_solvency_breakeven)
 
     simulate = solv_sub.add_parser("simulate", help="day-by-day solvency timeline")
     simulate.add_argument("--records", required=True, help="redemption records CSV")
     simulate.add_argument("--horizon", type=int, required=True)
-    _add_decimal(simulate, "--rate", required=True, help="storage cost per token-day")
-    _add_decimal(simulate, "--flat-fee", default=None)
+    simulate.add_argument("--rate", required=True, help="storage cost per token-day")
+    simulate.add_argument("--flat-fee", default=None)
     simulate.add_argument("--deadline-day", type=int, default=None)
-    _add_decimal(simulate, "--mean-days", default=None)
+    simulate.add_argument("--mean-days", default=None)
     simulate.add_argument("--out", default=None, help="write timeline CSV here")
     simulate.set_defaults(handler=cmd_solvency_simulate)
 

@@ -91,7 +91,9 @@ class RsdmSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RsdmSpec":
+    def from_json_dict(cls, data: object) -> "RsdmSpec":
+        if not isinstance(data, dict):
+            raise DomainError(f"malformed series spec: got {type(data).__name__}, not an object")
         try:
             return cls(
                 issue_date=date.fromisoformat(data["issue_date"]),
@@ -108,6 +110,8 @@ class RsdmSpec:
             )
         except KeyError as exc:
             raise DomainError(f"series spec is missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed series spec: {exc}") from exc
 
 
 def validate_spec(spec: RsdmSpec) -> list[str]:

@@ -105,7 +105,7 @@ class LedgerEvent:
                 payout_grams=as_decimal(payout) if payout is not None else None,
                 series_spec=RsdmSpec.from_json_dict(spec) if spec is not None else None,
             )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (DomainError, KeyError, ValueError, TypeError, AttributeError) as exc:
             raise DomainError(f"malformed ledger event: {exc}") from exc
 
 
@@ -566,6 +566,10 @@ def state_from_snapshot(text: str) -> LedgerState:
             for party, series_map in doc.get("balances", {}).items()
             for series, count in series_map.items()
         }
+        bad = [key for key, count in balances.items() if type(count) is not int or count < 0]
+        if bad:
+            raise DomainError(
+                f"balance {bad[0]} must be a nonnegative integer, got {balances[bad[0]]!r}")
         return LedgerState(
             specs={sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()},
             balances=balances,
@@ -579,7 +583,7 @@ def state_from_snapshot(text: str) -> LedgerState:
             issued_tokens={sid: int(v) for sid, v in doc.get("issued_tokens", {}).items()},
             last_sequence=int(doc.get("last_sequence", 0)),
         )
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (DomainError, ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed snapshot: {exc}") from exc
 
 

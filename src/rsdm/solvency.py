@@ -71,23 +71,21 @@ class FeeSchedule:
 
     @classmethod
     def flat(cls, fee_per_token: Decimal | str | int, rate: Decimal | str | int) -> "FeeSchedule":
-        fee = as_decimal(fee_per_token)
-        if fee < 0:
-            raise DomainError("flat fee must be nonnegative")
-        return cls(FeeKind.FLAT, _nonneg_rate(rate), flat_fee_per_token=fee)
+        fee = _nonneg(fee_per_token, "flat fee")
+        return cls(FeeKind.FLAT, _nonneg(rate, "warehouse rate"), flat_fee_per_token=fee)
 
     @classmethod
     def deadline_based(cls, deadline_day: int, rate: Decimal | str | int) -> "FeeSchedule":
-        return cls(FeeKind.DEADLINE_BASED, _nonneg_rate(rate), deadline_day=deadline_day)
+        alpha = _nonneg(rate, "warehouse rate")
+        return cls(FeeKind.DEADLINE_BASED, alpha, deadline_day=deadline_day)
 
     @classmethod
     def mean_holding_based(
         cls, mean_days: Decimal | str | int, rate: Decimal | str | int
     ) -> "FeeSchedule":
-        mean = as_decimal(mean_days)
-        if mean < 0:
-            raise DomainError("mean holding duration must be nonnegative")
-        return cls(FeeKind.MEAN_HOLDING_BASED, _nonneg_rate(rate), mean_holding_days=mean)
+        mean = _nonneg(mean_days, "mean holding duration")
+        alpha = _nonneg(rate, "warehouse rate")
+        return cls(FeeKind.MEAN_HOLDING_BASED, alpha, mean_holding_days=mean)
 
     def fee_for(self, record: RedemptionRecord) -> Decimal:
         """Per-token fee charged to this customer under the active kind."""
@@ -98,11 +96,11 @@ class FeeSchedule:
         return mean_holding_fee(self.mean_holding_days, self.warehouse_rate)
 
 
-def _nonneg_rate(rate: Decimal | str | int) -> Decimal:
-    value = as_decimal(rate)
-    if value < 0:
-        raise DomainError("warehouse rate must be nonnegative")
-    return value
+def _nonneg(value: Decimal | str | int, what: str) -> Decimal:
+    result = as_decimal(value)
+    if result < 0:
+        raise DomainError(f"{what} must be nonnegative")
+    return result
 
 
 @dataclass(frozen=True)
@@ -130,9 +128,7 @@ class IssuerBook:
 
 def gross_profit(records: Iterable[RedemptionRecord], flat_fee: Decimal | str | int) -> Decimal:
     """Total fee income: flat fee times token count, summed over customers."""
-    fee = as_decimal(flat_fee)
-    if fee < 0:
-        raise DomainError("flat fee must be nonnegative")
+    fee = _nonneg(flat_fee, "flat fee")
     with localcontext(CONTEXT):
         return sum((fee * r.token_count for r in records), Decimal(0))
 
@@ -143,22 +139,25 @@ def warehouse_cost(
     """Cumulative storage cost: rate * tokens * days held, summed.
 
     Closed records cost through their redemption day; open records cost
-    through ``as_of_day``.
+    through ``as_of_day``. The token-days are summed as exact integers
+    and multiplied by the rate once.
     """
-    alpha = _nonneg_rate(rate)
+    alpha = _nonneg(rate, "warehouse rate")
     records = list(records)
+    if not records:
+        return Decimal(0)
+    token_days = 0
     for r in records:
         if as_of_day < r.purchase_day:
             raise DomainError(
                 f"as-of day {as_of_day} precedes purchase day {r.purchase_day} "
                 f"of customer {r.customer_id!r}"
             )
+        end = r.redemption_day if r.closed else as_of_day
+        token_days += r.token_count * (end - r.purchase_day)
     with localcontext(CONTEXT):
-        total = Decimal(0)
-        for r in records:
-            end = r.redemption_day if r.closed else as_of_day
-            total += alpha * r.token_count * (end - r.purchase_day)
-        return total
+        # one rounding; the zero seed caps the exponent at 0 (rate 1E+1 -> 30, not 3E+1)
+        return Decimal(0) + alpha * token_days
 
 
 def is_bankrupt(profit: Decimal | str | int, cost: Decimal | str | int) -> bool:
@@ -175,12 +174,8 @@ def breakeven_horizon(flat_fee: Decimal | str | int, rate: Decimal | str | int) 
 
     Exact rational comparison; no floating point.
     """
-    fee = as_decimal(flat_fee)
-    alpha = as_decimal(rate)
-    if fee < 0:
-        raise DomainError("flat fee must be nonnegative")
-    if alpha < 0:
-        raise DomainError("warehouse rate must be nonnegative")
+    fee = _nonneg(flat_fee, "flat fee")
+    alpha = _nonneg(rate, "warehouse rate")
     if alpha == 0:
         raise NeverBankrupt("zero storage rate: no holding duration triggers bankruptcy")
     ratio = Fraction(fee) / Fraction(alpha)
@@ -191,7 +186,7 @@ def deadline_fee(
     purchase_day: int, deadline_day: int, rate: Decimal | str | int
 ) -> Decimal:
     """Up-front fee prefunding storage from purchase to the token deadline."""
-    alpha = _nonneg_rate(rate)
+    alpha = _nonneg(rate, "warehouse rate")
     if deadline_day < purchase_day:
         raise DomainError(
             f"deadline day {deadline_day} precedes purchase day {purchase_day}"
@@ -202,10 +197,8 @@ def deadline_fee(
 
 def mean_holding_fee(mean_days: Decimal | str | int, rate: Decimal | str | int) -> Decimal:
     """Up-front fee prefunding storage for the predicted mean holding time."""
-    mean = as_decimal(mean_days)
-    if mean < 0:
-        raise DomainError("mean holding duration must be nonnegative")
-    alpha = _nonneg_rate(rate)
+    mean = _nonneg(mean_days, "mean holding duration")
+    alpha = _nonneg(rate, "warehouse rate")
     with localcontext(CONTEXT):
         return mean * alpha
 
@@ -254,29 +247,36 @@ def simulate_issuer(
     token per day from purchase until redemption or, for open positions,
     through the evaluation day. The first day on which income strictly
     fails to cover cost is reported.
+
+    One pass over the records fills a difference array of circulating
+    tokens; one pass over the days sums it into exact integer token-days,
+    and each day's cost is the rate times those, rounded once.
     """
     if not records:
         return SolvencyTimeline(points=(), first_bankrupt_day=None)
-    start = min(r.purchase_day for r in records)
-    if horizon_day < max(r.purchase_day for r in records):
+    ordered = sorted(records, key=lambda r: r.purchase_day)
+    start = ordered[0].purchase_day
+    if horizon_day < ordered[-1].purchase_day:
         raise DomainError("horizon must reach the last purchase day")
 
+    income = [Decimal(0)] * (horizon_day - start + 1)
+    step = [0] * (horizon_day - start + 2)  # tokens starting (+) and ending (-) storage
     points = []
-    first_bankrupt = None
+    profit = Decimal(0)
+    active = token_days = 0
     with localcontext(CONTEXT):
-        for day in range(start, horizon_day + 1):
-            profit = Decimal(0)
-            cost = Decimal(0)
-            for r in records:
-                if r.purchase_day > day:
-                    continue
-                profit += schedule.fee_for(r) * r.token_count
-                end = min(r.redemption_day, day) if r.closed else day
-                cost += schedule.warehouse_rate * r.token_count * (end - r.purchase_day)
-            bankrupt = profit < cost
-            if bankrupt and first_bankrupt is None:
-                first_bankrupt = day
-            points.append(TimelinePoint(day, profit, cost, bankrupt))
+        for r in ordered:
+            income[r.purchase_day - start] += schedule.fee_for(r) * r.token_count
+            step[r.purchase_day - start + 1] += r.token_count
+            if r.closed and r.redemption_day < horizon_day:
+                step[r.redemption_day - start + 1] -= r.token_count
+        for day, fees, delta in zip(range(start, horizon_day + 1), income, step):
+            profit += fees
+            active += delta
+            token_days += active
+            cost = Decimal(0) + schedule.warehouse_rate * token_days  # as in warehouse_cost
+            points.append(TimelinePoint(day, profit, cost, profit < cost))
+    first_bankrupt = next((p.day for p in points if p.bankrupt), None)
     return SolvencyTimeline(points=tuple(points), first_bankrupt_day=first_bankrupt)
 
 

@@ -238,3 +238,19 @@ class TestSpecJson:
     def test_missing_field(self):
         with pytest.raises(DomainError, match="missing field"):
             decay.RsdmSpec.from_json_dict({"issue_date": "2035-01-01"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("issue_date", 5),
+        ("issue_date", "2020-13-01"),
+        ("expiry_days", None),
+        ("expiry_days", "ten"),
+        ("issue_size", [1]),
+    ])
+    def test_malformed_field(self, field, value):
+        with pytest.raises(DomainError, match="malformed series spec"):
+            decay.RsdmSpec.from_json_dict({**GOLD.to_json_dict(), field: value})
+
+    @pytest.mark.parametrize("doc", [[1], "spec", None])
+    def test_not_an_object(self, doc):
+        with pytest.raises(DomainError, match="malformed series spec: got"):
+            decay.RsdmSpec.from_json_dict(doc)

@@ -1,5 +1,6 @@
 """Event-sourced ledger: bookkeeping, conservation, replay, valuation."""
 
+import json
 import random
 from datetime import date
 from decimal import Decimal
@@ -301,6 +302,26 @@ class TestMalformedDocuments:
     def test_snapshot(self, text):
         with pytest.raises(DomainError, match="malformed snapshot"):
             ledger.state_from_snapshot(text)
+
+    @pytest.mark.parametrize("count", ['"x"', "true", "-1", "1.0", "null"])
+    def test_snapshot_balance_must_be_a_nonnegative_int(self, count):
+        text = '{"balances": {"a": {"S": %s}}}' % count
+        with pytest.raises(DomainError, match=r"malformed snapshot: balance \('a', 'S'\)"):
+            ledger.state_from_snapshot(text)
+
+    def test_snapshot_zero_balance_loads(self):
+        state = ledger.state_from_snapshot('{"balances": {"a": {"S": 0}}}')
+        assert state.balances == {("a", "S"): 0}
+
+    @pytest.mark.parametrize("spec", [
+        {**GOLD.to_json_dict(), "expiry_days": None},
+        {**GOLD.to_json_dict(), "issue_date": "2020-13-01"},
+    ])
+    def test_malformed_series_spec_keeps_the_prefixes(self, spec):
+        with pytest.raises(DomainError, match="malformed ledger event: malformed series spec"):
+            LedgerEvent.from_json_dict({**self.EVENT, "series_spec": spec})
+        with pytest.raises(DomainError, match="malformed snapshot: malformed series spec"):
+            ledger.state_from_snapshot(json.dumps({"series": {"AU35": spec}}))
 
 
 class TestHoldingsOf:

@@ -1,15 +1,24 @@
 """Issuer fee-vs-storage economics: profit, cost, bankruptcy, breakeven."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from importlib import resources
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsdm import solvency
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.solvency import FeeSchedule, IssuerBook, RedemptionRecord
+from rsdm.numeric import CONTEXT
+from rsdm.solvency import (
+    FeeSchedule,
+    IssuerBook,
+    RedemptionRecord,
+    SolvencyTimeline,
+    TimelinePoint,
+)
 
 fees = st.decimals(min_value=Decimal("0"), max_value=Decimal("10"),
                    allow_nan=False, allow_infinity=False, places=4)
@@ -241,3 +250,171 @@ class TestRecordInvariants:
     def test_zero_tokens_rejected(self):
         with pytest.raises(DomainError):
             RedemptionRecord("k", 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The day-by-day loop as the oracle for the difference-array sweep
+# ---------------------------------------------------------------------------
+
+
+def reference_simulate_issuer(records, schedule, horizon_day):
+    """The O(days x records) replay: every record re-walked on every day,
+    its fee and cost summed into the day's totals in list order."""
+    if not records:
+        return SolvencyTimeline(points=(), first_bankrupt_day=None)
+    start = min(r.purchase_day for r in records)
+    if horizon_day < max(r.purchase_day for r in records):
+        raise DomainError("horizon must reach the last purchase day")
+
+    points = []
+    first_bankrupt = None
+    with localcontext(CONTEXT):
+        for day in range(start, horizon_day + 1):
+            profit = Decimal(0)
+            cost = Decimal(0)
+            for r in records:
+                if r.purchase_day > day:
+                    continue
+                profit += schedule.fee_for(r) * r.token_count
+                end = min(r.redemption_day, day) if r.closed else day
+                cost += schedule.warehouse_rate * r.token_count * (end - r.purchase_day)
+            bankrupt = profit < cost
+            if bankrupt and first_bankrupt is None:
+                first_bankrupt = day
+            points.append(TimelinePoint(day, profit, cost, bankrupt))
+    return SolvencyTimeline(points=tuple(points), first_bankrupt_day=first_bankrupt)
+
+
+def _outcome(simulate, records, schedule, horizon):
+    """The timeline as CSV lines plus its first bankrupt day, or the error."""
+    try:
+        timeline = simulate(records, schedule, horizon)
+    except DomainError as exc:
+        return [f"error: {exc}"]
+    return timeline.to_csv().splitlines() + [f"first bankrupt: {timeline.first_bankrupt_day}"]
+
+
+def _first_difference(got, want):
+    """The first line at which two outcomes differ, or None. Comparing
+    whole timelines with ``==`` would make pytest diff thousands of lines
+    on every failing example."""
+    return next(((i, g, w) for i, (g, w) in enumerate(zip_longest(got, want)) if g != w), None)
+
+
+def _token_days(records, day):
+    return sum(r.token_count * ((min(r.redemption_day, day) if r.closed else day) - r.purchase_day)
+               for r in records if r.purchase_day <= day)
+
+
+def _rounded_once(value: Fraction) -> Decimal:
+    """*value* rounded once to ``CONTEXT`` (division is correctly rounded)."""
+    with localcontext(CONTEXT):
+        return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+short_decimals = st.builds(lambda m, e: Decimal(f"{m}E{e}"),
+                           st.integers(0, 9999), st.integers(-8, 1))
+
+
+@st.composite
+def record_books(draw, max_day=400):
+    """1-30 records on days -5..max_day: open positions, same-day
+    redemptions, and redemptions anywhere up to max_day."""
+    records = []
+    for i in range(draw(st.integers(1, 30))):
+        purchase = draw(st.integers(-5, max_day))
+        redemption = draw(st.one_of(st.none(), st.just(purchase),
+                                    st.integers(purchase, max_day)))
+        records.append(RedemptionRecord(f"c{i}", draw(st.integers(1, 10**9)),
+                                        purchase, redemption))
+    return records
+
+
+def _schedules(rate, flat_fee, deadline, mean_days):
+    return [FeeSchedule.flat(flat_fee, rate),
+            FeeSchedule.deadline_based(deadline, rate),
+            FeeSchedule.mean_holding_based(mean_days, rate)]
+
+
+class TestSweepMatchesReference:
+    @settings(deadline=None)
+    @given(records=record_books(), rate=short_decimals, flat_fee=short_decimals,
+           deadline=st.integers(-5, 450), mean_days=short_decimals,
+           horizon_past_last_purchase=st.integers(-2, 40))
+    @example(records=[RedemptionRecord("a", 3, 0, 0), RedemptionRecord("b", 7, 2, None),
+                      RedemptionRecord("c", 10**9, -5, 399)],
+             rate=Decimal("1E+1"), flat_fee=Decimal("0.5"), deadline=10,
+             mean_days=Decimal("2.5E+1"), horizon_past_last_purchase=5)
+    def test_same_timeline_under_every_regime(self, records, rate, flat_fee, deadline,
+                                              mean_days, horizon_past_last_purchase):
+        horizon = max(r.purchase_day for r in records) + horizon_past_last_purchase
+        for schedule in _schedules(rate, flat_fee, deadline, mean_days):
+            assert _first_difference(
+                _outcome(solvency.simulate_issuer, records, schedule, horizon),
+                _outcome(reference_simulate_issuer, records, schedule, horizon)) is None
+
+    @pytest.mark.parametrize("schedule", [
+        FeeSchedule.flat(Decimal("0.03"), Decimal("0.0001")),
+        FeeSchedule.deadline_based(1095, Decimal("0.0001")),
+        FeeSchedule.mean_holding_based(Decimal("365"), Decimal("0.0001")),
+    ], ids=["flat", "deadline", "mean-holding"])
+    def test_jiaozi_preset(self, schedule):
+        text = resources.files("rsdm").joinpath("presets", "jiaozi_solvency.csv").read_text()
+        records = solvency.records_from_csv(text)
+        assert _first_difference(
+            _outcome(solvency.simulate_issuer, records, schedule, 1500),
+            _outcome(reference_simulate_issuer, records, schedule, 1500)) is None
+
+    def test_deadline_before_a_purchase_names_the_same_record(self):
+        records = [RedemptionRecord("a", 1, 0, None), RedemptionRecord("b", 1, 9, None),
+                   RedemptionRecord("c", 1, 7, None)]
+        schedule = FeeSchedule.deadline_based(5, Decimal("0.01"))
+        expected = _outcome(reference_simulate_issuer, records, schedule, 20)
+        assert expected == ["error: deadline day 5 precedes purchase day 7"]
+        assert _outcome(solvency.simulate_issuer, records, schedule, 20) == expected
+
+    def test_long_rate_costs_round_once(self):
+        rate = Decimal("0.1234567890123456789012345678901234")  # 34 digits
+        records = [RedemptionRecord("a", 987654321, 0, None),
+                   RedemptionRecord("b", 123456789, 3, 40),
+                   RedemptionRecord("c", 999999999, 5, None)]
+        schedule = FeeSchedule.flat("1", rate)
+        timeline = solvency.simulate_issuer(records, schedule, 60)
+        reference = reference_simulate_issuer(records, schedule, 60)
+        # the reference sums per-record roundings, so it drifts here
+        assert timeline.to_csv() != reference.to_csv()
+        for point in timeline.points:
+            token_days = _token_days(records, point.day)
+            assert point.cum_cost == _rounded_once(Fraction(rate) * token_days)
+            assert point.bankrupt == (point.cum_profit < point.cum_cost)
+
+
+@st.composite
+def closed_by_horizon(draw):
+    """A book and a horizon on or after every purchase and redemption."""
+    records = draw(record_books(max_day=200))
+    horizon = max(r.redemption_day if r.closed else r.purchase_day for r in records)
+    return records, horizon + draw(st.integers(0, 20))
+
+
+long_rates = st.builds(lambda m, e: Decimal(f"{m}E{e}"),
+                       st.integers(10**33, 10**34 - 1), st.integers(-40, -30))
+
+
+class TestTimelineEndsAtTheTotals:
+    """On a book redeemed by the horizon, the timeline's last day is the
+    book's total fee income and storage cost."""
+
+    @settings(deadline=None)
+    @given(book=closed_by_horizon(), rate=st.one_of(short_decimals, long_rates),
+           fee=short_decimals)
+    def test_last_point_is_the_totals(self, book, rate, fee):
+        records, horizon = book
+        last = solvency.simulate_issuer(records, FeeSchedule.flat(fee, rate), horizon).points[-1]
+        assert last.day == horizon
+        assert last.cum_cost == solvency.warehouse_cost(records, rate, horizon)
+        assert last.cum_profit == solvency.gross_profit(records, fee)
+
+    def test_empty_book_costs_plain_zero(self):
+        cost = solvency.warehouse_cost([], Decimal("0.01"), 10)
+        assert cost == 0 and str(cost) == "0"
