@@ -100,9 +100,9 @@ class RsdmSpec:
                 collateral_id=str(data["collateral_id"]),
                 initial_weight=as_decimal(data["initial_weight_g"]),
                 daily_decay_factor=as_decimal(data["daily_decay_factor"]),
-                expiry_days=int(data["expiry_days"]),
+                expiry_days=_json_int(data["expiry_days"], "expiry_days"),
                 redemption_fee_rate=as_decimal(data["redemption_fee_rate"]),
-                issue_size=int(data.get("issue_size", 0)),
+                issue_size=_json_int(data.get("issue_size", 0), "issue_size"),
                 inspection_fee=as_decimal(data.get("inspection_fee", "0")),
                 min_redemption_grams=as_decimal(
                     data.get("min_redemption_g", str(DEFAULT_MIN_REDEMPTION_GRAMS))
@@ -112,6 +112,14 @@ class RsdmSpec:
             raise DomainError(f"series spec is missing field {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed series spec: {exc}") from exc
+
+
+def _json_int(value: object, field: str) -> int:
+    """A JSON integer field: a real ``int``, not a float or a bool, and
+    never a string converted on the way (``int()`` reads 1.5 as 1)."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {type(value).__name__}")
+    return value
 
 
 def validate_spec(spec: RsdmSpec) -> list[str]:

@@ -29,9 +29,10 @@ import json
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-from rsdm.decay import RsdmSpec, epoch_day, redemption_quote, validate_spec
+from rsdm.decay import RsdmSpec, _json_int, epoch_day, redemption_quote, validate_spec
 from rsdm.errors import (
     BelowMinimumRedemption,
     DomainError,
@@ -95,13 +96,13 @@ class LedgerEvent:
             spec = data.get("series_spec")
             counterparty = data.get("counterparty")
             return cls(
-                sequence=int(data["sequence"]),
-                day=int(data["day"]),
+                sequence=_json_int(data["sequence"], "sequence"),
+                day=_json_int(data["day"], "day"),
                 kind=EventKind(data["kind"]),
                 series_id=str(data["series_id"]),
                 party=str(data["party"]),
                 counterparty=str(counterparty) if counterparty is not None else None,
-                token_count=int(data.get("token_count", 0)),
+                token_count=_json_int(data.get("token_count", 0), "token_count"),
                 payout_grams=as_decimal(payout) if payout is not None else None,
                 series_spec=RsdmSpec.from_json_dict(spec) if spec is not None else None,
             )
@@ -121,10 +122,74 @@ class PriceQuote:
             raise DomainError(f"quote price must be nonnegative, got {self.price}")
 
 
+class _Balances(Mapping):
+    """(party, series_id) -> tokens, as an immutable mapping that shares
+    structure with the state it was derived from.
+
+    A ``base`` dict that is never mutated once built, shared by every
+    successor, plus a small ``delta`` dict of the keys written since
+    (its values win). A successor copies the delta alone; when the
+    delta outgrows the square root of the base, the two are folded into
+    a fresh base. A write therefore copies O(√n) keys amortized instead
+    of the whole book, and a lookup is two dict probes. No read writes
+    anything, so any number of readers may share a state.
+    """
+
+    __slots__ = ("_base", "_delta", "_limit")
+
+    def __init__(self, base: dict, delta: dict | None = None, limit: int | None = None):
+        self._base = base
+        self._delta = {} if delta is None else delta
+        self._limit = isqrt(len(base)) if limit is None else limit
+
+    def _with(self, writes: dict) -> "_Balances":
+        """The successor with ``writes`` applied; ``self`` is unchanged."""
+        delta = {**self._delta, **writes}
+        if len(delta) > self._limit:
+            return _Balances({**self._base, **delta})
+        return _Balances(self._base, delta, self._limit)
+
+    def _merged(self) -> dict:
+        """Every entry as one dict; callers must not mutate it."""
+        return {**self._base, **self._delta} if self._delta else self._base
+
+    def __getitem__(self, key):
+        if key in self._delta:
+            return self._delta[key]
+        return self._base[key]
+
+    def get(self, key, default=None):
+        if key in self._delta:
+            return self._delta[key]
+        return self._base.get(key, default)
+
+    def __len__(self) -> int:
+        return len(self._base) + len(self._delta.keys() - self._base.keys())
+
+    def __iter__(self):
+        return iter(self._merged())
+
+    def keys(self):
+        return self._merged().keys()
+
+    def items(self):
+        return self._merged().items()
+
+    def values(self):
+        return self._merged().values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._merged()!r})"
+
+
 @dataclass(frozen=True)
 class LedgerState:
     """Replayed holdings state. Treated as an immutable value: every
-    transition returns a fresh state and never mutates its input."""
+    transition returns a fresh state and never mutates its input.
+
+    ``balances`` is always a private read-only mapping that shares its
+    storage with the states it was derived from; a mapping passed in is
+    copied into one."""
 
     specs: Mapping[str, RsdmSpec]
     balances: Mapping[tuple[str, str], int]  # (party, series_id) -> tokens
@@ -134,13 +199,22 @@ class LedgerState:
     issued_tokens: Mapping[str, int]  # series_id -> tokens issued to date
     last_sequence: int = 0
 
+    def __post_init__(self) -> None:
+        if type(self.balances) is not _Balances:
+            object.__setattr__(self, "balances", _Balances(dict(self.balances)))
+
     def balance(self, party: str, series_id: str) -> int:
         return self.balances.get((party, series_id), 0)
 
     def holdings_of(self, party: str) -> dict[str, int]:
-        """The party's positive balances, in series-id order."""
-        held = [(series, count) for (p, series), count in self.balances.items() if p == party]
-        return {series: count for series, count in sorted(held) if count > 0}
+        """The party's positive balances, in series-id order: one lookup
+        per known series (every balance belongs to a known series)."""
+        held = {}
+        for series in sorted(self.specs):
+            count = self.balances.get((party, series), 0)
+            if count > 0:
+                held[series] = count
+        return held
 
 
 def empty_state() -> LedgerState:
@@ -168,7 +242,7 @@ def _compute_redeem(state: LedgerState, event: LedgerEvent) -> tuple[Decimal, De
     spec = state.specs.get(event.series_id)
     if spec is None:
         raise UnknownSeries(f"series {event.series_id!r} has never been issued")
-    held = state.balance(event.party, event.series_id)
+    held = state.balances.get((event.party, event.series_id), 0)
     if held < event.token_count:
         raise InsufficientBalance(
             f"{event.party!r} holds {held} tokens of {event.series_id!r}, "
@@ -209,100 +283,96 @@ def append_event(state: LedgerState, event: LedgerEvent) -> LedgerState:
     return _apply(state, event, None)
 
 
-def _apply(
-    state: LedgerState, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None
-) -> LedgerState:
-    """The event step behind ``append_event`` and ``redeem``. ``redeemed``
+def _effects(state, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None):
+    """Check ``event`` against ``state`` and return what it writes, without
+    writing: ``(balances, series)``, the new balance of each (party,
+    series_id) key it touches and the new value of each per-series field
+    (``specs``, ``vault``, ...) it changes for ``event.series_id``.
+
+    ``state`` is a LedgerState or ``replay``'s private fold; ``redeemed``
     is a redeem event's (payout, accrual) from ``_compute_redeem`` on this
-    state, or None to compute it here."""
+    state, or None to compute it here.
+    """
     if event.sequence != state.last_sequence + 1:
         raise SequenceGap(
             f"expected sequence {state.last_sequence + 1}, got {event.sequence}"
         )
-    if event.token_count <= 0:
-        raise LedgerError(f"token count must be positive, got {event.token_count}")
-
-    balances = dict(state.balances)
-    vault = dict(state.vault)
-    accruals = dict(state.issuer_accrual)
-    payouts = dict(state.cumulative_payouts)
-    issued = dict(state.issued_tokens)
-    specs = dict(state.specs)
+    count = event.token_count
+    if count <= 0:
+        raise LedgerError(f"token count must be positive, got {count}")
+    sid = event.series_id
+    key = (event.party, sid)
 
     if event.kind is EventKind.ISSUE:
-        spec = state.specs.get(event.series_id)
+        series = {}
+        spec = state.specs.get(sid)
         if spec is None:
             if event.series_spec is None:
-                raise LedgerError(
-                    f"first issue of series {event.series_id!r} must carry the series spec"
-                )
+                raise LedgerError(f"first issue of series {sid!r} must carry the series spec")
             violations = validate_spec(event.series_spec)
             if violations:
-                raise LedgerError(
-                    f"invalid series spec for {event.series_id!r}: {'; '.join(violations)}"
-                )
-            spec = event.series_spec
-            specs[event.series_id] = spec
+                raise LedgerError(f"invalid series spec for {sid!r}: {'; '.join(violations)}")
+            spec = series["specs"] = event.series_spec
         elif event.series_spec is not None and event.series_spec != spec:
-            raise LedgerError(
-                f"series {event.series_id!r} already registered with different parameters"
-            )
+            raise LedgerError(f"series {sid!r} already registered with different parameters")
         if event.day < epoch_day(spec.issue_date):
             raise LedgerError("issue event day precedes the series issue date")
-        total_issued = issued.get(event.series_id, 0) + event.token_count
+        total_issued = state.issued_tokens.get(sid, 0) + count
         if spec.issue_size and total_issued > spec.issue_size:
             raise LedgerError(
-                f"issuing {event.token_count} tokens would exceed the declared "
-                f"issue size {spec.issue_size} of {event.series_id!r}"
+                f"issuing {count} tokens would exceed the declared "
+                f"issue size {spec.issue_size} of {sid!r}"
             )
-        key = (event.party, event.series_id)
-        balances[key] = balances.get(key, 0) + event.token_count
-        vault[event.series_id] = exact_add(
-            vault.get(event.series_id, _ZERO),
-            exact_mul(spec.initial_weight, Decimal(event.token_count)),
+        series["vault"] = exact_add(
+            state.vault.get(sid, _ZERO), exact_mul(spec.initial_weight, Decimal(count))
         )
-        issued[event.series_id] = total_issued
+        series["issued_tokens"] = total_issued
+        return {key: state.balances.get(key, 0) + count}, series
 
-    elif event.kind is EventKind.TRANSFER:
-        if event.series_id not in state.specs:
-            raise UnknownSeries(f"series {event.series_id!r} has never been issued")
+    if event.kind is EventKind.TRANSFER:
+        if sid not in state.specs:
+            raise UnknownSeries(f"series {sid!r} has never been issued")
         if not event.counterparty:
             raise LedgerError("transfer requires a counterparty")
-        held = state.balance(event.party, event.series_id)
-        if held < event.token_count:
+        held = state.balances.get(key, 0)
+        if held < count:
             raise InsufficientBalance(
-                f"{event.party!r} holds {held} tokens of {event.series_id!r}, "
-                f"cannot transfer {event.token_count}"
+                f"{event.party!r} holds {held} tokens of {sid!r}, cannot transfer {count}"
             )
-        src = (event.party, event.series_id)
-        dst = (event.counterparty, event.series_id)
-        balances[src] = held - event.token_count
-        balances[dst] = balances.get(dst, 0) + event.token_count
+        if event.counterparty == event.party:
+            return {key: held}, {}
+        dst = (event.counterparty, sid)
+        return {key: held - count, dst: state.balances.get(dst, 0) + count}, {}
 
-    elif event.kind is EventKind.REDEEM:
+    if event.kind is EventKind.REDEEM:
         payout, accrual = redeemed or _compute_redeem(state, event)
-        key = (event.party, event.series_id)
-        balances[key] = state.balance(event.party, event.series_id) - event.token_count
-        vault[event.series_id] = exact_sub(vault[event.series_id], payout)
-        payouts[event.series_id] = exact_add(
-            payouts.get(event.series_id, _ZERO), payout
-        )
-        accruals[event.series_id] = exact_add(
-            accruals.get(event.series_id, _ZERO), accrual
-        )
+        return {key: state.balances.get(key, 0) - count}, {
+            "vault": exact_sub(state.vault[sid], payout),
+            "cumulative_payouts": exact_add(state.cumulative_payouts.get(sid, _ZERO), payout),
+            "issuer_accrual": exact_add(state.issuer_accrual.get(sid, _ZERO), accrual),
+        }
 
-    else:  # pragma: no cover - enum is closed
-        raise LedgerError(f"unknown event kind {event.kind!r}")
+    raise LedgerError(f"unknown event kind {event.kind!r}")  # pragma: no cover - enum is closed
 
-    return LedgerState(
-        specs=specs,
-        balances=balances,
-        vault=vault,
-        issuer_accrual=accruals,
-        cumulative_payouts=payouts,
-        issued_tokens=issued,
-        last_sequence=event.sequence,
-    )
+
+def _apply(
+    state: LedgerState, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None
+) -> LedgerState:
+    """The event step behind ``append_event`` and ``redeem``: check, then
+    build the successor. Balances share storage with ``state``, and a
+    per-series dict is copied only when the event changes it."""
+    writes, series = _effects(state, event, redeemed)
+    # Filled in directly: every field is already in final form, and the
+    # frozen dataclass __init__ would set the seven one object.__setattr__
+    # at a time, a cost that shows on every small-book event.
+    successor = object.__new__(LedgerState)
+    fields = vars(successor)
+    fields.update(vars(state))
+    for name, value in series.items():
+        fields[name] = {**fields[name], event.series_id: value}
+    fields["balances"] = state.balances._with(writes)
+    fields["last_sequence"] = event.sequence
+    return successor
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +448,42 @@ def replay(events: Iterable[LedgerEvent]) -> LedgerState:
     """Fold events from the empty state; deterministic and idempotent.
 
     The first invalid event aborts with a ReplayError carrying its
-    sequence number.
+    sequence number. Events are checked exactly as by ``append_event``,
+    but written in place into one private fold that becomes the
+    returned state's storage once the log is done.
     """
-    state = empty_state()
+    fold = _Fold()
     for event in events:
         try:
-            state = append_event(state, event)
+            writes, series = _effects(fold, event, None)
         except LedgerError as exc:
             raise ReplayError(event.sequence, str(exc)) from exc
-    return state
+        fold.balances.update(writes)
+        for name, value in series.items():
+            getattr(fold, name)[event.series_id] = value
+        fold.last_sequence = event.sequence
+    return LedgerState(
+        specs=fold.specs,
+        balances=_Balances(fold.balances),
+        vault=fold.vault,
+        issuer_accrual=fold.issuer_accrual,
+        cumulative_payouts=fold.cumulative_payouts,
+        issued_tokens=fold.issued_tokens,
+        last_sequence=fold.last_sequence,
+    )
+
+
+class _Fold:
+    """``replay``'s working state: a LedgerState's fields as plain dicts,
+    written in place. Nothing outside ``replay`` ever sees one."""
+
+    __slots__ = ("specs", "balances", "vault", "issuer_accrual", "cumulative_payouts",
+                 "issued_tokens", "last_sequence")
+
+    def __init__(self) -> None:
+        self.specs, self.balances, self.vault = {}, {}, {}
+        self.issuer_accrual, self.cumulative_payouts, self.issued_tokens = {}, {}, {}
+        self.last_sequence = 0
 
 
 @dataclass(frozen=True)
@@ -561,18 +658,21 @@ def state_from_snapshot(text: str) -> LedgerState:
     if not isinstance(doc, dict):
         raise DomainError(f"malformed snapshot: got {type(doc).__name__}, not an object")
     try:
+        by_party = doc.get("balances", {})
         balances = {
             (party, series): count
-            for party, series_map in doc.get("balances", {}).items()
+            for party, series_map in by_party.items()
             for series, count in series_map.items()
         }
         bad = [key for key, count in balances.items() if type(count) is not int or count < 0]
         if bad:
             raise DomainError(
                 f"balance {bad[0]} must be a nonnegative integer, got {balances[bad[0]]!r}")
+        specs = {sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()}
+        _check_known_series(specs, by_party, balances, doc)
         return LedgerState(
-            specs={sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()},
-            balances=balances,
+            specs=specs,
+            balances=_Balances(balances),
             vault={sid: as_decimal(v) for sid, v in doc.get("vault", {}).items()},
             issuer_accrual={
                 sid: as_decimal(v) for sid, v in doc.get("issuer_accrual", {}).items()
@@ -585,6 +685,24 @@ def state_from_snapshot(text: str) -> LedgerState:
         )
     except (DomainError, ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed snapshot: {exc}") from exc
+
+
+def _check_known_series(specs: dict, by_party: dict, balances: dict, doc: dict) -> None:
+    """Every held balance and every per-series entry of a snapshot must
+    name a series of its ``"series"`` object, as ``append_event`` ensures.
+    A zero balance holds nothing and is let through. The common case is
+    set arithmetic over the keys; the offender is looked up only on error.
+    """
+    stray = set().union(*by_party.values()) - specs.keys()
+    if stray:
+        for key in sorted(balances):
+            if key[1] in stray and balances[key]:
+                raise DomainError(f"balance {key} names series {key[1]!r}, missing from \"series\"")
+    for field in ("vault", "issuer_accrual", "cumulative_payouts", "issued_tokens"):
+        stray = doc.get(field, {}).keys() - specs.keys()
+        if stray:
+            raise DomainError(
+                f"{field} entry {min(stray)!r} names a series missing from \"series\"")
 
 
 def quotes_from_csv(text: str) -> list[PriceQuote]:

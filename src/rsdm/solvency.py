@@ -136,11 +136,14 @@ def gross_profit(records: Iterable[RedemptionRecord], flat_fee: Decimal | str | 
 def warehouse_cost(
     records: Iterable[RedemptionRecord], rate: Decimal | str | int, as_of_day: int
 ) -> Decimal:
-    """Cumulative storage cost: rate * tokens * days held, summed.
+    """Cumulative storage cost up to ``as_of_day``: rate * tokens * days
+    held, summed.
 
-    Closed records cost through their redemption day; open records cost
-    through ``as_of_day``. The token-days are summed as exact integers
-    and multiplied by the rate once.
+    A holding costs from its purchase day through its redemption day or
+    ``as_of_day``, whichever comes first, so a record redeemed later is
+    charged only for the days already passed (as ``simulate_issuer``
+    charges it). The token-days are summed as exact integers and
+    multiplied by the rate once.
     """
     alpha = _nonneg(rate, "warehouse rate")
     records = list(records)
@@ -153,7 +156,7 @@ def warehouse_cost(
                 f"as-of day {as_of_day} precedes purchase day {r.purchase_day} "
                 f"of customer {r.customer_id!r}"
             )
-        end = r.redemption_day if r.closed else as_of_day
+        end = min(r.redemption_day, as_of_day) if r.closed else as_of_day
         token_days += r.token_count * (end - r.purchase_day)
     with localcontext(CONTEXT):
         # one rounding; the zero seed caps the exponent at 0 (rate 1E+1 -> 30, not 3E+1)

@@ -250,6 +250,13 @@ class TestSpecJson:
         with pytest.raises(DomainError, match="malformed series spec"):
             decay.RsdmSpec.from_json_dict({**GOLD.to_json_dict(), field: value})
 
+    @pytest.mark.parametrize("field", ["expiry_days", "issue_size"])
+    @pytest.mark.parametrize("value", [1.5, True, "3", None], ids=["float", "bool", "str", "null"])
+    def test_integer_fields_are_strict(self, field, value):
+        # int() would read 1.5 as 1, true as 1 and "3" as 3
+        with pytest.raises(DomainError, match=f"malformed series spec: {field} must be an integer"):
+            decay.RsdmSpec.from_json_dict({**GOLD.to_json_dict(), field: value})
+
     @pytest.mark.parametrize("doc", [[1], "spec", None])
     def test_not_an_object(self, doc):
         with pytest.raises(DomainError, match="malformed series spec: got"):

@@ -7,9 +7,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import event as note
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from conftest import make_series_pool
 from rsdm import decay, ledger
+from rsdm.decay import epoch_day, validate_spec
+from rsdm.numeric import exact_add, exact_mul, exact_sub
 from rsdm.errors import (
     BelowMinimumRedemption,
     DomainError,
@@ -18,6 +24,7 @@ from rsdm.errors import (
     LedgerError,
     MissingQuote,
     ReplayError,
+    RsdmError,
     SequenceGap,
     UnknownSeries,
 )
@@ -34,6 +41,104 @@ GOLD = decay.RsdmSpec(
     redemption_fee_rate=D("0.003"),
     min_redemption_grams=D("500"),
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference: the copy-per-event step the ledger used before its balances
+# shared structure. It copies every state dict, then writes the copies.
+# ---------------------------------------------------------------------------
+
+
+def reference_apply(state, event, redeemed=None):
+    if event.sequence != state.last_sequence + 1:
+        raise SequenceGap(
+            f"expected sequence {state.last_sequence + 1}, got {event.sequence}"
+        )
+    if event.token_count <= 0:
+        raise LedgerError(f"token count must be positive, got {event.token_count}")
+
+    balances = dict(state.balances)
+    vault = dict(state.vault)
+    accruals = dict(state.issuer_accrual)
+    payouts = dict(state.cumulative_payouts)
+    issued = dict(state.issued_tokens)
+    specs = dict(state.specs)
+
+    if event.kind is EventKind.ISSUE:
+        spec = state.specs.get(event.series_id)
+        if spec is None:
+            if event.series_spec is None:
+                raise LedgerError(
+                    f"first issue of series {event.series_id!r} must carry the series spec"
+                )
+            violations = validate_spec(event.series_spec)
+            if violations:
+                raise LedgerError(
+                    f"invalid series spec for {event.series_id!r}: {'; '.join(violations)}"
+                )
+            spec = event.series_spec
+            specs[event.series_id] = spec
+        elif event.series_spec is not None and event.series_spec != spec:
+            raise LedgerError(
+                f"series {event.series_id!r} already registered with different parameters"
+            )
+        if event.day < epoch_day(spec.issue_date):
+            raise LedgerError("issue event day precedes the series issue date")
+        total_issued = issued.get(event.series_id, 0) + event.token_count
+        if spec.issue_size and total_issued > spec.issue_size:
+            raise LedgerError(
+                f"issuing {event.token_count} tokens would exceed the declared "
+                f"issue size {spec.issue_size} of {event.series_id!r}"
+            )
+        key = (event.party, event.series_id)
+        balances[key] = balances.get(key, 0) + event.token_count
+        vault[event.series_id] = exact_add(
+            vault.get(event.series_id, Decimal(0)),
+            exact_mul(spec.initial_weight, Decimal(event.token_count)),
+        )
+        issued[event.series_id] = total_issued
+
+    elif event.kind is EventKind.TRANSFER:
+        if event.series_id not in state.specs:
+            raise UnknownSeries(f"series {event.series_id!r} has never been issued")
+        if not event.counterparty:
+            raise LedgerError("transfer requires a counterparty")
+        held = state.balance(event.party, event.series_id)
+        if held < event.token_count:
+            raise InsufficientBalance(
+                f"{event.party!r} holds {held} tokens of {event.series_id!r}, "
+                f"cannot transfer {event.token_count}"
+            )
+        src = (event.party, event.series_id)
+        dst = (event.counterparty, event.series_id)
+        balances[src] = held - event.token_count
+        balances[dst] = balances.get(dst, 0) + event.token_count
+
+    elif event.kind is EventKind.REDEEM:
+        payout, accrual = redeemed or ledger._compute_redeem(state, event)
+        key = (event.party, event.series_id)
+        balances[key] = state.balance(event.party, event.series_id) - event.token_count
+        vault[event.series_id] = exact_sub(vault[event.series_id], payout)
+        payouts[event.series_id] = exact_add(
+            payouts.get(event.series_id, Decimal(0)), payout
+        )
+        accruals[event.series_id] = exact_add(
+            accruals.get(event.series_id, Decimal(0)), accrual
+        )
+
+    return ledger.LedgerState(
+        specs=specs,
+        balances=balances,
+        vault=vault,
+        issuer_accrual=accruals,
+        cumulative_payouts=payouts,
+        issued_tokens=issued,
+        last_sequence=event.sequence,
+    )
+
+
+def snapshot(state) -> str:
+    return ledger.state_to_snapshot(state)
 
 
 def issued_state(count=5000, party="alice"):
@@ -309,6 +414,27 @@ class TestMalformedDocuments:
         with pytest.raises(DomainError, match=r"malformed snapshot: balance \('a', 'S'\)"):
             ledger.state_from_snapshot(text)
 
+    @pytest.mark.parametrize("field", ["sequence", "day", "token_count"])
+    @pytest.mark.parametrize("value", [1.5, True, "3", None], ids=["float", "bool", "str", "null"])
+    def test_event_integer_fields_are_strict(self, field, value):
+        # int() would read 1.5 as 1, true as 1 and "3" as 3
+        with pytest.raises(DomainError, match=f"malformed ledger event: {field} must be an integer"):
+            LedgerEvent.from_json_dict({**self.EVENT, field: value})
+
+    def test_snapshot_balance_of_an_unknown_series(self):
+        doc = {"series": {"AU35": GOLD.to_json_dict()},
+               "balances": {"alice": {"AU35": 5}, "bob": {"AU35": 1, "XX": 3}}}
+        with pytest.raises(DomainError, match=r"malformed snapshot: balance \('bob', 'XX'\) "
+                                              r"names series 'XX', missing from \"series\""):
+            ledger.state_from_snapshot(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["vault", "issuer_accrual", "cumulative_payouts",
+                                       "issued_tokens"])
+    def test_snapshot_series_entry_of_an_unknown_series(self, field):
+        doc = {"series": {"AU35": GOLD.to_json_dict()}, field: {"AU35": 1, "XX": 1}}
+        with pytest.raises(DomainError, match=f"malformed snapshot: {field} entry 'XX' names a series"):
+            ledger.state_from_snapshot(json.dumps(doc))
+
     def test_snapshot_zero_balance_loads(self):
         state = ledger.state_from_snapshot('{"balances": {"a": {"S": 0}}}')
         assert state.balances == {("a", "S"): 0}
@@ -463,3 +589,317 @@ class TestRandomizedConservation:
                 assert claims <= Fraction(state.vault[series_id]) + slack
 
         assert events_applied > 300  # the mix actually exercised the ledger
+
+
+class TestSharedBalances:
+    """Successor states share their balances' storage; every state keeps
+    reading its own values, and reads never change anything."""
+
+    def book(self, holders=400):
+        doc = {"last_sequence": holders, "series": {"AU35": GOLD.to_json_dict()},
+               "balances": {f"p{i:03d}": {"AU35": 1000} for i in range(holders)},
+               "vault": {"AU35": str(1000 * holders)}, "issued_tokens": {"AU35": 1000 * holders}}
+        return ledger.state_from_snapshot(json.dumps(doc))
+
+    def test_chain_and_branches_match_the_reference(self):
+        rng = random.Random(6)
+        state = ref = self.book()
+        seen = [(state, snapshot(state))]
+        for step in range(300):
+            a, b = rng.sample(range(400), 2)
+            if step % 7 == 0:  # a branch: a second successor of the same state
+                side = ledger.transfer(state, f"p{b:03d}", f"p{a:03d}", "AU35", 1, 1)[0]
+                seen.append((side, snapshot(side)))
+            event = LedgerEvent(state.last_sequence + 1, 1, EventKind.TRANSFER, "AU35",
+                                f"p{a:03d}", counterparty=f"n{b:03d}", token_count=rng.randint(1, 5))
+            state, ref = ledger.append_event(state, event), reference_apply(ref, event)
+            assert snapshot(state) == snapshot(ref)
+            seen.append((state, snapshot(state)))
+        for old, text in seen:
+            assert snapshot(old) == text
+        assert state.balances == ref.balances
+        assert len(state.balances) == len(ref.balances) == 400 + len(
+            {k for k in ref.balances if k[0].startswith("n")})
+
+    def test_mapping_reads(self):
+        state = self.book(100)
+        state, _ = ledger.transfer(state, "p000", "new", "AU35", 10, 1)
+        state, _ = ledger.transfer(state, "p001", "p000", "AU35", 5, 1)
+        balances = state.balances
+        want = {**{(f"p{i:03d}", "AU35"): 1000 for i in range(100)},
+                ("p000", "AU35"): 995, ("p001", "AU35"): 995, ("new", "AU35"): 10}
+        inner = (balances._base, balances._delta, dict(balances._delta))
+        assert balances == want and want == balances and balances != {}
+        assert len(balances) == 101 and list(balances) == list(want)
+        assert balances[("p000", "AU35")] == 995 and balances.get(("x", "AU35"), 0) == 0
+        assert ("new", "AU35") in balances and ("x", "AU35") not in balances
+        assert dict(balances.items()) == want and sorted(balances.values()) == sorted(want.values())
+        assert repr(balances).startswith("_Balances({")
+        with pytest.raises(KeyError):
+            balances[("x", "AU35")]
+        with pytest.raises(TypeError):
+            balances[("x", "AU35")] = 1
+        assert state.holdings_of("new") == {"AU35": 10}
+        snapshot(state)
+        # no read folded, rebuilt or wrote the storage
+        assert balances._base is inner[0] and len(balances._base) == 100
+        assert balances._delta is inner[1] and balances._delta == inner[2]
+
+    def test_plain_mapping_is_copied_in(self):
+        mine = {("alice", "AU35"): 5}
+        state = ledger.LedgerState(specs={"AU35": GOLD}, balances=mine, vault={}, issuer_accrual={},
+                                   cumulative_payouts={}, issued_tokens={})
+        mine[("alice", "AU35")] = 0
+        assert state.balance("alice", "AU35") == 5
+        state, _ = ledger.transfer(state, "alice", "bob", "AU35", 2, 0)
+        assert state.balances == {("alice", "AU35"): 3, ("bob", "AU35"): 2}
+
+    def test_replay_equals_the_reference_chain(self):
+        _, events = TestReplayAndPersistence()._sample_log()
+        ref = ledger.empty_state()
+        for event in events:
+            ref = reference_apply(ref, event)
+        assert snapshot(ledger.replay(events)) == snapshot(ref)
+
+    def test_self_transfer_keeps_the_balance(self):
+        state, _ = ledger.transfer(issued_state(100), "alice", "alice", "AU35", 60, 1)
+        assert state.balance("alice", "AU35") == 100 and state.last_sequence == 2
+
+
+# ---------------------------------------------------------------------------
+# Fraction mirror of a book (copied from the benchmark's oracles, which do
+# not import rsdm): token counts per (party, series), and each series'
+# vault, payouts and issuer accrual as exact Fractions.
+# ---------------------------------------------------------------------------
+
+SETTLE_SCALE = 10**9  # the 9-decimal settlement grid
+
+
+def settle_units(x: Fraction) -> int:
+    """x on the 9-decimal grid, half-even, as an integer count of 1e-9."""
+    q, r = divmod(x.numerator * SETTLE_SCALE, x.denominator)
+    twice = 2 * r
+    if twice > x.denominator or (twice == x.denominator and q % 2):
+        q += 1
+    return q
+
+
+def redeem_payout(count: int, fee: Fraction, weight: Fraction, theta: Fraction, days: int) -> Fraction:
+    """Settled grams paid for redeeming ``count`` tokens after ``days``."""
+    return Fraction(settle_units(count * (1 - fee) * weight * theta**days), SETTLE_SCALE)
+
+
+class BookMirror:
+    def __init__(self):
+        self.terms: dict[str, tuple[Fraction, Fraction, Fraction]] = {}  # weight, theta, fee
+        self.balances: dict[tuple[str, str], int] = {}
+        self.vault: dict[str, Fraction] = {}
+        self.payouts: dict[str, Fraction] = {}
+        self.accrual: dict[str, Fraction] = {}
+        self.issued: dict[str, int] = {}
+        self.last_sequence = 0
+
+    def issue(self, series: str, party: str, count: int) -> None:
+        key = (party, series)
+        self.balances[key] = self.balances.get(key, 0) + count
+        self.vault[series] = self.vault.get(series, Fraction(0)) + count * self.terms[series][0]
+        self.issued[series] = self.issued.get(series, 0) + count
+        self.last_sequence += 1
+
+    def transfer(self, series: str, party: str, counterparty: str, count: int) -> None:
+        self.balances[(party, series)] -= count
+        key = (counterparty, series)
+        self.balances[key] = self.balances.get(key, 0) + count
+        self.last_sequence += 1
+
+    def redeem_payout(self, series: str, count: int, days: int) -> Fraction:
+        weight, theta, fee = self.terms[series]
+        return redeem_payout(count, fee, weight, theta, days)
+
+    def redeem(self, series: str, party: str, count: int, payout: Fraction) -> None:
+        self.balances[(party, series)] -= count
+        self.vault[series] -= payout
+        self.payouts[series] = self.payouts.get(series, Fraction(0)) + payout
+        face = count * self.terms[series][0]
+        self.accrual[series] = self.accrual.get(series, Fraction(0)) + face - payout
+        self.last_sequence += 1
+
+    def matches(self, state) -> bool:
+        return (
+            {k: v for k, v in state.balances.items() if v} == {k: v for k, v in self.balances.items() if v}
+            and {s: Fraction(v) for s, v in state.vault.items()} == self.vault
+            and {s: Fraction(v) for s, v in state.cumulative_payouts.items()} == self.payouts
+            and {s: Fraction(v) for s, v in state.issuer_accrual.items()} == self.accrual
+            and dict(state.issued_tokens) == self.issued
+            and state.last_sequence == self.last_sequence
+        )
+
+
+# ---------------------------------------------------------------------------
+# Stateful differential test
+# ---------------------------------------------------------------------------
+
+EPOCH = date(1970, 1, 1)
+MACHINE_SERIES = {
+    # 50-year gold: a redeem on day 18,000 works on a ~90k-digit residual
+    "AU": decay.RsdmSpec(EPOCH, "XAU", D("1"), D("0.99996"), 18262, D("0.003"),
+                         min_redemption_grams=D("50")),
+    # 10-year platinum with a capped issue: day 3,651 is past expiry
+    "PT": decay.RsdmSpec(EPOCH, "XPT", D("1"), D("0.9997"), 3650, D("0.005"),
+                         issue_size=1500, min_redemption_grams=D("5")),
+    "CT": decay.RsdmSpec(EPOCH, "CTL", D("10"), D("1"), 18262, D("0.002"),
+                         min_redemption_grams=D("1")),
+}
+PARTIES = ("a", "b", "c", "d")
+parties = st.sampled_from(PARTIES)
+series_ids = st.sampled_from(("AU", "AU", "PT", "CT", "CT", "ZZ"))  # ZZ is never issued
+days = st.sampled_from((0, 1, 30, 365, 3000, 3651, 18000))
+counts = st.integers(1, 600)
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Drives ``append_event``, ``redeem``, ``replay`` and snapshots, and
+    after every step compares the state with the copy-per-event
+    reference (snapshot bytes) and with a Fraction mirror. Every state
+    the run passes through, including abandoned branches, must still
+    read as it did when it was made."""
+
+    def __init__(self):
+        super().__init__()
+        self.state = self.ref = ledger.empty_state()
+        self.mirror = BookMirror()
+        self.log: list[LedgerEvent] = []
+        self.seen: list[tuple] = []  # (state, its snapshot, its balances)
+
+    def _keep(self, state) -> None:
+        self.seen.append((state, snapshot(state), dict(state.balances.items())))
+
+    def _derive(self, event, stated: bool = False):
+        """Both successors of the current state under ``event``, checked
+        against each other, or None when both reject it alike. With
+        ``stated``, a redeem goes through ``ledger.redeem``, which puts
+        the payout on the event."""
+        before = snapshot(self.state)
+        try:
+            want = reference_apply(self.ref, event)
+        except RsdmError as exc:
+            note(f"{event.kind.value} rejected: {type(exc).__name__}")
+            with pytest.raises(RsdmError) as info:
+                ledger.append_event(self.state, event)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            assert snapshot(self.state) == before
+            return None
+        if stated:
+            got, _, event = ledger.redeem(self.state, event.party, event.series_id,
+                                          event.token_count, event.day)
+        else:
+            got = ledger.append_event(self.state, event)
+        note(f"{event.kind.value} applied" + (" on day 18000" if event.day == 18000 else ""))
+        assert snapshot(got) == snapshot(want)
+        assert snapshot(self.state) == before
+        return got, want, event
+
+    def _advance(self, derived) -> None:
+        got, want, event = derived
+        self._keep(self.state)
+        self.state, self.ref = got, want
+        self.log.append(event)
+        sid, count = event.series_id, event.token_count
+        if event.kind is EventKind.ISSUE:
+            if event.series_spec is not None and sid not in self.mirror.terms:
+                spec = event.series_spec
+                self.mirror.terms[sid] = (Fraction(spec.initial_weight),
+                                          Fraction(spec.daily_decay_factor),
+                                          Fraction(spec.redemption_fee_rate))
+            self.mirror.issue(sid, event.party, count)
+        elif event.kind is EventKind.TRANSFER:
+            self.mirror.transfer(sid, event.party, event.counterparty, count)
+        else:
+            payout = self.mirror.redeem_payout(sid, count, event.day)
+            assert Fraction(self.state.cumulative_payouts[sid]) - self.mirror.payouts.get(sid, 0) == payout
+            self.mirror.redeem(sid, event.party, count, payout)
+        assert self.mirror.matches(self.state)
+
+    def _event(self, kind, sid, party, count, day, **extra):
+        return LedgerEvent(self.state.last_sequence + 1, day, kind, sid, party,
+                           token_count=count, **extra)
+
+    @initialize(holders=st.lists(st.tuples(parties, st.integers(200, 1000)), min_size=3, max_size=3))
+    def open_book(self, holders):
+        for (party, count), sid in zip(holders, MACHINE_SERIES):
+            self._advance(self._derive(self._event(EventKind.ISSUE, sid, party, count, 0,
+                                                   series_spec=MACHINE_SERIES[sid])))
+
+    @rule(sid=series_ids, party=parties, count=counts, day=days, with_spec=st.booleans())
+    def issue(self, sid, party, count, day, with_spec):
+        spec = MACHINE_SERIES.get(sid) if with_spec else None
+        derived = self._derive(self._event(EventKind.ISSUE, sid, party, count, day, series_spec=spec))
+        if derived:
+            self._advance(derived)
+
+    @rule(sid=series_ids, party=parties, counterparty=parties, count=counts, day=days)
+    def transfer(self, sid, party, counterparty, count, day):
+        # counterparty may be the party itself, and count may overdraw
+        derived = self._derive(self._event(EventKind.TRANSFER, sid, party, count, day,
+                                           counterparty=counterparty))
+        if derived:
+            self._advance(derived)
+
+    @rule(sid=series_ids, party=parties, count=counts, day=days, stated=st.booleans())
+    def redeem(self, sid, party, count, day, stated):
+        # deep-decay, expired and below-minimum redeems all come up here
+        derived = self._derive(self._event(EventKind.REDEEM, sid, party, count, day), stated)
+        if derived:
+            self._advance(derived)
+
+    @rule(skip=st.sampled_from((-1, 0, 2, 5)), party=parties)
+    def sequence_gap(self, skip, party):
+        event = LedgerEvent(self.state.last_sequence + skip, 0, EventKind.TRANSFER, "AU", party,
+                            counterparty="b", token_count=1)
+        assert self._derive(event) is None
+
+    @rule(first=st.tuples(parties, parties, counts), second=st.tuples(parties, counts, days),
+          sid=st.sampled_from(("AU", "CT")), keep_first=st.booleans())
+    def branch(self, first, second, sid, keep_first):
+        """Two successors of one state: a transfer and a redeem; carry on
+        with one and keep the other only to check it later."""
+        a = self._derive(self._event(EventKind.TRANSFER, sid, first[0], first[2], 1,
+                                     counterparty=first[1]))
+        b = self._derive(self._event(EventKind.REDEEM, sid, second[0], second[1], second[2]))
+        kept, dropped = (a, b) if keep_first else (b, a)
+        if dropped:
+            self._keep(dropped[0])
+        if kept:
+            self._advance(kept)
+
+    @rule(adopt=st.booleans())
+    def replay(self, adopt):
+        replayed = ledger.replay(self.log)
+        assert snapshot(replayed) == snapshot(self.state)
+        if adopt:  # carry on from the replayed state
+            self._keep(self.state)
+            self.state = replayed
+
+    @rule()
+    def snapshot_round_trip(self):
+        text = snapshot(self.state)
+        reloaded = ledger.state_from_snapshot(text)
+        assert snapshot(reloaded) == text
+        self._keep(self.state)
+        self.state = reloaded
+
+    @invariant()
+    def earlier_states_read_their_own_balances(self):
+        for state, text, balances in self.seen:
+            assert snapshot(state) == text
+            assert all(state.balance(p, s) == n for (p, s), n in balances.items())
+
+    @invariant()
+    def holdings_are_the_positive_balances_in_series_order(self):
+        for party in PARTIES:
+            want = {s: n for (p, s), n in sorted(self.state.balances.items()) if p == party and n > 0}
+            assert list(self.state.holdings_of(party).items()) == list(want.items())
+
+
+TestLedgerMachine = LedgerMachine.TestCase
+TestLedgerMachine.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)

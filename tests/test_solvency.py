@@ -67,6 +67,13 @@ class TestWarehouseCost:
         rec = RedemptionRecord("k", 1, 0, None)
         assert solvency.warehouse_cost([rec], Decimal("0.01"), 100) == 1
 
+    def test_redemption_after_as_of_is_clipped(self):
+        # bought day 0, redeemed day 100: by day 50 only 50 days are owed
+        rec = RedemptionRecord("k", 1, 0, 100)
+        assert solvency.warehouse_cost([rec], Decimal("0.01"), 50) == Decimal("0.5")
+        assert solvency.warehouse_cost([rec], Decimal("0.01"), 100) == 1
+        assert solvency.warehouse_cost([rec], Decimal("0.01"), 150) == 1
+
     def test_as_of_before_purchase_rejected(self):
         rec = RedemptionRecord("k", 1, 50, None)
         with pytest.raises(DomainError):
@@ -414,6 +421,17 @@ class TestTimelineEndsAtTheTotals:
         assert last.day == horizon
         assert last.cum_cost == solvency.warehouse_cost(records, rate, horizon)
         assert last.cum_profit == solvency.gross_profit(records, fee)
+
+    @settings(deadline=None)
+    @given(records=record_books(max_day=120), rate=st.one_of(short_decimals, long_rates),
+           extra=st.integers(0, 20))
+    def test_every_day_is_the_warehouse_cost_to_date(self, records, rate, extra):
+        # open records and redemptions after the day included
+        horizon = max(r.purchase_day for r in records) + extra
+        timeline = solvency.simulate_issuer(records, FeeSchedule.flat("1", rate), horizon)
+        for point in timeline.points:
+            bought = [r for r in records if r.purchase_day <= point.day]
+            assert point.cum_cost == solvency.warehouse_cost(bought, rate, point.day)
 
     def test_empty_book_costs_plain_zero(self):
         cost = solvency.warehouse_cost([], Decimal("0.01"), 10)
