@@ -8,7 +8,15 @@ Subcommand map::
     demand supply | solve --unknown <field>
     ledger init | append | replay | value
 
+Each handler reads its files through ``read_text`` and the library's
+text parsers, computes, and hands the result to ``emit``, which prints
+it as a table, JSON or CSV. A file's content (timeline, snapshot) and
+status lines print the same in every format.
+
 Exit status: 0 success, 1 domain/validation error, 2 usage error.
+``main`` is the one error boundary: an ``RsdmError``, a path that cannot
+be read or written, or a file that is not UTF-8 prints ``error: ...`` on
+stderr and exits 1, never with a traceback.
 Decimal flags are parsed as exact decimal strings, never through binary
 floating point; numeric output is rendered as decimal strings at the
 settlement precision (9 decimal places).
@@ -44,13 +52,7 @@ class CliConfig:
 def load_config(path: str | None) -> CliConfig:
     config = CliConfig()
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise DomainError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config {path!r} is not valid JSON: {exc}") from exc
+        doc = parse_json(read_text(Path(path)), path)
         if not isinstance(doc, dict):
             raise DomainError("config must be a JSON object")
         for key, value in doc.items():
@@ -84,32 +86,46 @@ def resolve_path(name: str, config: CliConfig) -> Path:
     raise DomainError(f"no such file: {name!r} (also tried {candidate})")
 
 
-def load_instance(path: Path, expected_kind: str):
-    """Load and validate an msp instance (*expected_kind* ``"msp"``) or a
-    demand scenario (``"demand"``).
+def read_text(path: Path) -> str:
+    """The one way an input file is read. An unreadable path raises
+    ``OSError``, which ``main`` reports."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def parse_json(text: str, source: object) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"parse error in {source}: {exc}") from exc
+
+
+def load_instance(name: str, config: CliConfig) -> msp.MspInstance:
+    """Load and validate an msp instance.
 
     Parse failures, schema violations (with JSON-pointer paths), and
-    validation failures are reported distinctly.
+    validation failures are reported distinctly; warnings go to stderr.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"parse error in {path}: {exc}") from exc
-    if expected_kind == "msp":
-        instance = msp.instance_from_json_dict(doc)  # SchemaError on shape problems
-        report = msp.validate_instance(instance)
-        warnings = [m for m in report if m.startswith("warning:")]
-        violations = [m for m in report if not m.startswith("warning:")]
-        if violations:
-            raise SchemaError([f"validation: {m}" for m in violations])
-        for w in warnings:
-            print(f"{path}: {w}", file=sys.stderr)
-        return instance
-    return demand.DemandScenario.from_json_dict(doc)
+    path = resolve_path(name, config)
+    instance = msp.instance_from_json_dict(parse_json(read_text(path), path))
+    report = msp.validate_instance(instance)
+    violations = [m for m in report if not m.startswith("warning:")]
+    if violations:
+        raise SchemaError([f"validation: {m}" for m in violations])
+    for w in report:
+        print(f"{path}: {w}", file=sys.stderr)
+    return instance
+
+
+def load_scenario(name: str, config: CliConfig) -> demand.DemandScenario:
+    path = resolve_path(name, config)
+    return demand.DemandScenario.from_json_dict(parse_json(read_text(path), path))
+
+
+def replay_log(name: str) -> ledger.LedgerState:
+    return ledger.replay(ledger.events_from_jsonl(read_text(Path(name))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +138,30 @@ def fmt(value: Decimal) -> str:
     return str(numeric.settle(value))
 
 
-def emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def emit(config: CliConfig, doc: dict, table_lines: list[str] | None,
+         csv_rows: list[list] | None = None) -> None:
+    """Print one result in the configured format: *doc* as JSON,
+    *csv_rows* (header first) as CSV with booleans spelt as in JSON, and
+    *table_lines* otherwise. A result without CSV rows prints its table
+    in CSV format; one without table lines prints its JSON."""
+    if config.output_format == "json" or table_lines is None:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    elif config.output_format == "csv" and csv_rows is not None:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        for row in csv_rows:
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+    else:
+        for line in table_lines:
+            print(line)
+
+
+def write_or_print(text: str, out: str | None, what: str) -> None:
+    """Write *text* to the file *out*, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"{what} written to {out}")
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +171,7 @@ def emit_json(doc: dict) -> None:
 
 def _adhoc_spec(args) -> decay.RsdmSpec:
     expiry = args.expiry_days if args.expiry_days is not None else max(args.days, 1)
-    return decay.RsdmSpec(
+    spec = decay.RsdmSpec(
         issue_date=date(1970, 1, 1),
         collateral_id="adhoc",
         initial_weight=numeric.as_decimal(args.w),
@@ -141,49 +179,38 @@ def _adhoc_spec(args) -> decay.RsdmSpec:
         expiry_days=expiry,
         redemption_fee_rate=numeric.as_decimal(getattr(args, "fee_rate", "0") or "0"),
     )
+    violations = decay.validate_spec(spec)
+    if violations:
+        raise DomainError(f"invalid spec: {'; '.join(violations)}")
+    return spec
 
 
 def cmd_decay_residual(args, config: CliConfig) -> int:
-    spec = _adhoc_spec(args)
-    residual = decay.residual_weight(spec, args.days)
-    if config.output_format == "json":
-        emit_json({"residual_g": fmt(residual.value)})
-    else:
-        print(fmt(residual.value))
+    residual = fmt(decay.residual_weight(_adhoc_spec(args), args.days).value)
+    emit(config, {"residual_g": residual}, [residual])
     return 0
 
 
 def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
-    spec = _adhoc_spec(args)
-    quote = decay.redemption_quote(spec, args.days)
+    quote = decay.redemption_quote(_adhoc_spec(args), args.days)
     count = Decimal(args.count)
-    payout = numeric.exact_mul(quote.payout.value, count)
-    fee = numeric.exact_mul(quote.fee.value, count)
-    residual = numeric.exact_mul(quote.residual.value, count)
     doc = {
-        "payout_g": fmt(payout),
-        "fee_g": fmt(fee),
-        "residual_g": fmt(residual),
+        "payout_g": fmt(numeric.exact_mul(quote.payout.value, count)),
+        "fee_g": fmt(numeric.exact_mul(quote.fee.value, count)),
+        "residual_g": fmt(numeric.exact_mul(quote.residual.value, count)),
     }
-    if config.output_format == "json":
-        emit_json(doc)
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
+    emit(config, doc, [f"{key}: {value}" for key, value in doc.items()])
     return 0
 
 
 def cmd_decay_convert_rate(args, config: CliConfig) -> int:
     if args.annual is not None:
-        value = decay.daily_factor_from_annual_rate(args.annual)
+        value = fmt(decay.daily_factor_from_annual_rate(args.annual))
         label = "daily_factor"
     else:
-        value = decay.annual_rate_from_daily_factor(args.daily)
+        value = fmt(decay.annual_rate_from_daily_factor(args.daily))
         label = "annual_rate"
-    if config.output_format == "json":
-        emit_json({label: fmt(value)})
-    else:
-        print(fmt(value))
+    emit(config, {label: value}, [value])
     return 0
 
 
@@ -201,16 +228,7 @@ def cmd_solvency_breakeven(args, config: CliConfig) -> int:
 
 
 def _schedule_from_args(args) -> solvency.FeeSchedule:
-    chosen = [
-        name
-        for name, value in (
-            ("flat-fee", args.flat_fee),
-            ("deadline-day", args.deadline_day),
-            ("mean-days", args.mean_days),
-        )
-        if value is not None
-    ]
-    if len(chosen) != 1:
+    if sum(v is not None for v in (args.flat_fee, args.deadline_day, args.mean_days)) != 1:
         raise DomainError(
             "exactly one of --flat-fee, --deadline-day, --mean-days is required"
         )
@@ -222,15 +240,9 @@ def _schedule_from_args(args) -> solvency.FeeSchedule:
 
 
 def cmd_solvency_simulate(args, config: CliConfig) -> int:
-    records = solvency.load_records_csv(resolve_path(args.records, config))
-    schedule = _schedule_from_args(args)
-    timeline = solvency.simulate_issuer(records, schedule, args.horizon)
-    text = timeline.to_csv()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"timeline written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    records = solvency.records_from_csv(read_text(resolve_path(args.records, config)))
+    timeline = solvency.simulate_issuer(records, _schedule_from_args(args), args.horizon)
+    write_or_print(timeline.to_csv(), args.out, "timeline")
     if timeline.first_bankrupt_day is not None:
         print(f"first bankrupt day: {timeline.first_bankrupt_day}", file=sys.stderr)
     return 0
@@ -241,18 +253,8 @@ def cmd_solvency_simulate(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solution_doc(result) -> dict:
-    doc = msp.solution_to_json_dict(result)
-    if "objective" in doc:
-        doc["objective"] = fmt(Decimal(doc["objective"]))
-        doc["per_function_score"] = {
-            k: fmt(Decimal(v)) for k, v in doc["per_function_score"].items()
-        }
-    return doc
-
-
 def cmd_msp_solve(args, config: CliConfig) -> int:
-    instance = load_instance(resolve_path(args.instance, config), "msp")
+    instance = load_instance(args.instance, config)
     kind = msp.ObjectiveKind(args.objective)
     if args.method == "exhaustive":
         result = msp.solve_exhaustive(instance, kind)
@@ -260,7 +262,11 @@ def cmd_msp_solve(args, config: CliConfig) -> int:
         result = msp.solve_saturating(instance)
     else:
         result = msp.solve_branch_and_bound(instance)
-    emit_json(_solution_doc(result))
+    doc = msp.solution_to_json_dict(result)
+    if not isinstance(result, msp.Infeasible):
+        doc["objective"] = fmt(result.objective)
+        doc["per_function_score"] = {k: fmt(v) for k, v in result.per_function_score.items()}
+    emit(config, doc, None)
     return 0
 
 
@@ -269,53 +275,39 @@ def _parse_selection(text: str) -> list[str]:
 
 
 def cmd_msp_check(args, config: CliConfig) -> int:
-    instance = load_instance(resolve_path(args.instance, config), "msp")
+    instance = load_instance(args.instance, config)
     verdict = msp.check_feasible(instance, _parse_selection(args.select))
-    if config.output_format == "json":
-        emit_json({"feasible": verdict.feasible, "violations": list(verdict.violations)})
-    else:
-        print(f"feasible: {'yes' if verdict.feasible else 'no'}")
-        for v in verdict.violations:
-            print(f"  violated - {v}")
+    emit(
+        config,
+        {"feasible": verdict.feasible, "violations": list(verdict.violations)},
+        [f"feasible: {'yes' if verdict.feasible else 'no'}",
+         *(f"  violated - {v}" for v in verdict.violations)],
+    )
     return 0
 
 
 def cmd_msp_report(args, config: CliConfig) -> int:
-    instance = load_instance(resolve_path(args.instance, config), "msp")
+    instance = load_instance(args.instance, config)
     report = msp.coverage_report(instance, _parse_selection(args.select))
-    if config.output_format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["function_id", "achieved", "threshold", "saturated_value", "covered"])
-        for r in report.rows:
-            writer.writerow([r.function_id, fmt(r.achieved),
-                             fmt(r.threshold), fmt(r.saturated_value),
-                             str(r.covered).lower()])
-    elif config.output_format == "json":
-        emit_json(
-            {
-                "all_covered": report.all_covered,
-                "functions": [
-                    {
-                        "id": r.function_id,
-                        "achieved": fmt(r.achieved),
-                        "threshold": fmt(r.threshold),
-                        "saturated_value": fmt(r.saturated_value),
-                        "covered": r.covered,
-                    }
-                    for r in report.rows
-                ],
-            }
-        )
-    else:
-        width = max(len(r.function_id) for r in report.rows)
-        for r in report.rows:
-            mark = "covered" if r.covered else "UNCOVERED"
-            print(
-                f"{r.function_id:<{width}}  achieved={fmt(r.achieved)}  "
-                f"threshold={fmt(r.threshold)}  "
-                f"saturated={fmt(r.saturated_value)}  {mark}"
-            )
-        print(f"all functions covered: {'yes' if report.all_covered else 'no'}")
+    functions = [
+        {"id": r.function_id, "achieved": fmt(r.achieved), "threshold": fmt(r.threshold),
+         "saturated_value": fmt(r.saturated_value), "covered": r.covered}
+        for r in report.rows
+    ]
+    width = max((len(f["id"]) for f in functions), default=0)
+    table = [
+        f"{f['id']:<{width}}  achieved={f['achieved']}  threshold={f['threshold']}  "
+        f"saturated={f['saturated_value']}  {'covered' if f['covered'] else 'UNCOVERED'}"
+        for f in functions
+    ]
+    table.append(f"all functions covered: {'yes' if report.all_covered else 'no'}")
+    emit(
+        config,
+        {"all_covered": report.all_covered, "functions": functions},
+        table,
+        [["function_id", "achieved", "threshold", "saturated_value", "covered"],
+         *(list(f.values()) for f in functions)],
+    )
     return 0
 
 
@@ -325,31 +317,20 @@ def cmd_msp_report(args, config: CliConfig) -> int:
 
 
 def cmd_demand_supply(args, config: CliConfig) -> int:
-    scenario = load_instance(resolve_path(args.scenario, config), "demand")
-    supply = demand.money_supply(scenario)
-    residual = demand.equilibrium_residual(scenario)
-    if config.output_format == "json":
-        emit_json({"supply": fmt(supply), "equilibrium_residual": fmt(residual)})
-    else:
-        print(fmt(supply))
+    scenario = load_scenario(args.scenario, config)
+    supply = fmt(demand.money_supply(scenario))
+    residual = fmt(demand.equilibrium_residual(scenario))
+    emit(config, {"supply": supply, "equilibrium_residual": residual}, [supply])
     return 0
 
 
 def cmd_demand_solve(args, config: CliConfig) -> int:
-    scenario = load_instance(resolve_path(args.scenario, config), "demand")
-    solution = demand.solve_unknown(scenario, args.unknown)
-    if config.output_format == "json":
-        emit_json(
-            {
-                "unknown": solution.unknown.value,
-                "value": fmt(solution.value),
-                "negative": solution.negative,
-            }
-        )
-    else:
-        print(fmt(solution.value))
-        if solution.negative:
-            print("note: negative solution (economically infeasible)", file=sys.stderr)
+    solution = demand.solve_unknown(load_scenario(args.scenario, config), args.unknown)
+    doc = {"unknown": solution.unknown.value, "value": fmt(solution.value),
+           "negative": solution.negative}
+    emit(config, doc, [doc["value"]])
+    if solution.negative:
+        print("note: negative solution (economically infeasible)", file=sys.stderr)
     return 0
 
 
@@ -374,85 +355,54 @@ def cmd_ledger_append(args, config: CliConfig) -> int:
         raise DomainError(f"no such event log: {path} (run 'ledger init' first)")
     if (args.event is None) == (args.event_file is None):
         raise DomainError("exactly one of --event or --event-file is required")
-    text = args.event if args.event is not None else Path(args.event_file).read_text(
-        encoding="utf-8"
-    )
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"event is not valid JSON: {exc}") from exc
+    if args.event is not None:
+        doc = parse_json(args.event, "--event")
+    else:
+        doc = parse_json(read_text(Path(args.event_file)), args.event_file)
     event = ledger.LedgerEvent.from_json_dict(doc)
-    state = ledger.replay(ledger.read_event_log(path))
-    ledger.append_event(state, event)  # raises on any rejection
+    ledger.append_event(replay_log(args.log), event)  # raises on any rejection
     ledger.append_event_line(path, event)
     print(f"appended event {event.sequence} ({event.kind.value})")
     return 0
 
 
 def cmd_ledger_replay(args, config: CliConfig) -> int:
-    path = Path(args.log)
-    state = ledger.replay(ledger.read_event_log(path))
-    snapshot = ledger.state_to_snapshot(state)
-    if args.snapshot:
-        Path(args.snapshot).write_text(snapshot, encoding="utf-8")
-        print(f"snapshot written to {args.snapshot}")
-    else:
-        sys.stdout.write(snapshot)
+    write_or_print(ledger.state_to_snapshot(replay_log(args.log)), args.snapshot, "snapshot")
     return 0
 
 
+_HOLDING_FIELDS = ["series_id", "token_count", "residual_g", "redeemable_g",
+                   "price_per_gram", "residual_value", "redeemable_value", "expired"]
+
+
 def cmd_ledger_value(args, config: CliConfig) -> int:
-    state = ledger.replay(ledger.read_event_log(Path(args.log)))
-    quotes = ledger.load_quotes_csv(resolve_path(args.quotes, config))
+    state = replay_log(args.log)
+    quotes = ledger.quotes_from_csv(read_text(resolve_path(args.quotes, config)))
     report = ledger.holdings_valuation(state, quotes, args.party, args.day)
-    if config.output_format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["series_id", "token_count", "residual_g", "redeemable_g",
-                         "price_per_gram", "residual_value", "redeemable_value",
-                         "expired"])
-        for h in report.holdings:
-            writer.writerow([
-                h.series_id, h.token_count, fmt(h.residual_grams),
-                fmt(h.redeemable_grams),
-                "" if h.price_per_gram is None else fmt(h.price_per_gram),
-                fmt(h.residual_value), fmt(h.redeemable_value),
-                str(h.expired).lower(),
-            ])
-    elif config.output_format == "json":
-        emit_json(
-            {
-                "party": report.party,
-                "day": report.day,
-                "holdings": [
-                    {
-                        "series_id": h.series_id,
-                        "token_count": h.token_count,
-                        "residual_g": fmt(h.residual_grams),
-                        "redeemable_g": fmt(h.redeemable_grams),
-                        "price_per_gram": None
-                        if h.price_per_gram is None
-                        else fmt(h.price_per_gram),
-                        "residual_value": fmt(h.residual_value),
-                        "redeemable_value": fmt(h.redeemable_value),
-                        "expired": h.expired,
-                    }
-                    for h in report.holdings
-                ],
-                "total_residual_value": fmt(report.total_residual_value),
-                "total_redeemable_value": fmt(report.total_redeemable_value),
-            }
-        )
-    else:
-        for h in report.holdings:
-            status = " (expired)" if h.expired else ""
-            print(
-                f"{h.series_id}: {h.token_count} tokens, residual "
-                f"{fmt(h.residual_grams)} g, redeemable "
-                f"{fmt(h.redeemable_grams)} g, value "
-                f"{fmt(h.residual_value)}{status}"
-            )
-        print(f"total residual value: {fmt(report.total_residual_value)}")
-        print(f"total redeemable value: {fmt(report.total_redeemable_value)}")
+    holdings = [
+        dict(zip(_HOLDING_FIELDS, (
+            h.series_id, h.token_count, fmt(h.residual_grams), fmt(h.redeemable_grams),
+            None if h.price_per_gram is None else fmt(h.price_per_gram),
+            fmt(h.residual_value), fmt(h.redeemable_value), h.expired,
+        )))
+        for h in report.holdings
+    ]
+    doc = {
+        "party": report.party,
+        "day": report.day,
+        "holdings": holdings,
+        "total_residual_value": fmt(report.total_residual_value),
+        "total_redeemable_value": fmt(report.total_redeemable_value),
+    }
+    table = [
+        f"{h['series_id']}: {h['token_count']} tokens, residual {h['residual_g']} g, "
+        f"redeemable {h['redeemable_g']} g, value {h['residual_value']}"
+        f"{' (expired)' if h['expired'] else ''}"
+        for h in holdings
+    ]
+    table.append(f"total residual value: {doc['total_residual_value']}")
+    table.append(f"total redeemable value: {doc['total_redeemable_value']}")
+    emit(config, doc, table, [_HOLDING_FIELDS, *(list(h.values()) for h in holdings)])
     return 0
 
 
@@ -599,10 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
-        return 1
-    except RsdmError as exc:
+    except (RsdmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ from decimal import Decimal, localcontext
 from rsdm.errors import DomainError, ExpiredSeries
 from rsdm.numeric import (
     CONTEXT,
-    DEFAULT_PRECISION,
     GRAM,
     PER_GRAM,
     Quantity,
     as_decimal,
+    bound_violation,
     exact_add,
     exact_mul,
     exact_pow,
@@ -137,8 +137,6 @@ def validate_spec(spec: RsdmSpec) -> list[str]:
         violations.append("issue size must be nonnegative")
     if not spec.min_redemption_grams > 0:
         violations.append("minimum redemption must be > 0 grams")
-    # The exact path aligns exponents, so one field like 1E+999999999
-    # would make the first vault sum build a coefficient of 10^9 digits.
     for name, value in (
         ("initial weight", spec.initial_weight),
         ("decay factor", spec.daily_decay_factor),
@@ -146,11 +144,9 @@ def validate_spec(spec: RsdmSpec) -> list[str]:
         ("inspection fee", spec.inspection_fee),
         ("minimum redemption", spec.min_redemption_grams),
     ):
-        if len(value.as_tuple().digits) > DEFAULT_PRECISION or abs(value.adjusted()) > DEFAULT_PRECISION:
-            violations.append(
-                f"{name} must have at most {DEFAULT_PRECISION} digits and an "
-                f"adjusted exponent within ±{DEFAULT_PRECISION}"
-            )
+        problem = bound_violation(name, value)
+        if problem:
+            violations.append(problem)
     return violations
 
 

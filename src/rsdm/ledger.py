@@ -41,6 +41,7 @@ from rsdm.errors import (
     LedgerError,
     MissingQuote,
     ReplayError,
+    RsdmError,
     SequenceGap,
     UnknownSeries,
 )
@@ -456,7 +457,7 @@ def replay(events: Iterable[LedgerEvent]) -> LedgerState:
     for event in events:
         try:
             writes, series = _effects(fold, event, None)
-        except LedgerError as exc:
+        except RsdmError as exc:
             raise ReplayError(event.sequence, str(exc)) from exc
         fold.balances.update(writes)
         for name, value in series.items():
@@ -680,8 +681,11 @@ def state_from_snapshot(text: str) -> LedgerState:
             cumulative_payouts={
                 sid: as_decimal(v) for sid, v in doc.get("cumulative_payouts", {}).items()
             },
-            issued_tokens={sid: int(v) for sid, v in doc.get("issued_tokens", {}).items()},
-            last_sequence=int(doc.get("last_sequence", 0)),
+            issued_tokens={
+                sid: _json_int(v, f"issued_tokens {sid!r}")
+                for sid, v in doc.get("issued_tokens", {}).items()
+            },
+            last_sequence=_json_int(doc.get("last_sequence", 0), "last_sequence"),
         )
     except (DomainError, ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed snapshot: {exc}") from exc
@@ -726,8 +730,3 @@ def quotes_from_csv(text: str) -> list[PriceQuote]:
         except (ValueError, AttributeError) as exc:
             raise DomainError(f"quotes CSV line {i}: {exc}") from exc
     return quotes
-
-
-def load_quotes_csv(path) -> list[PriceQuote]:
-    with open(path, encoding="utf-8") as fh:
-        return quotes_from_csv(fh.read())

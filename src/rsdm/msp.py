@@ -643,12 +643,15 @@ def instance_from_json_dict(data: object) -> MspInstance:
                 str(fid): dec(u, f"/currencies/{i}/coverage/{fid}")
                 for fid, u in coverage_data.items()
             }
+            mandatory = c.get("mandatory", False)
+            if not isinstance(mandatory, bool):
+                problems.append(f"/currencies/{i}/mandatory: expected a boolean")
             currencies.append(
                 CurrencyCandidate(
                     id=str(c["id"]),
                     currency_class=class_values[cls_name],
                     coverage=coverage,
-                    mandatory=bool(c.get("mandatory", False)),
+                    mandatory=mandatory,
                 )
             )
 

@@ -72,6 +72,16 @@ def as_decimal(value: str | int | Decimal) -> Decimal:
     return result
 
 
+def bound_violation(name: str, value: Decimal) -> str | None:
+    """The complaint against *value* if it is too wide for the exact
+    path, else None. The exact path aligns exponents, so one value like
+    1E+999999999 would build a coefficient of 10^9 digits."""
+    if len(value.as_tuple().digits) > DEFAULT_PRECISION or abs(value.adjusted()) > DEFAULT_PRECISION:
+        return (f"{name} must have at most {DEFAULT_PRECISION} digits and an "
+                f"adjusted exponent within ±{DEFAULT_PRECISION}")
+    return None
+
+
 def _unsigned_zero(value: Decimal) -> Decimal:
     """Drop the sign of a negative zero; every other value passes through."""
     return value if value else value.copy_abs()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import CONTEXT, as_decimal
+from rsdm.numeric import CONTEXT, as_decimal, bound_violation
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,15 @@ class FeeSchedule:
 
 
 def _nonneg(value: Decimal | str | int, what: str) -> Decimal:
+    """A nonnegative fee, rate or duration, no wider than a series spec
+    field may be (a wider one overflows the timeline's sums and builds
+    a giant integer in ``breakeven_horizon``)."""
     result = as_decimal(value)
     if result < 0:
         raise DomainError(f"{what} must be nonnegative")
+    problem = bound_violation(what, result)
+    if problem:
+        raise DomainError(problem)
     return result
 
 
@@ -315,8 +321,3 @@ def records_from_csv(text: str) -> list[RedemptionRecord]:
         except (ValueError, AttributeError) as exc:
             raise DomainError(f"records CSV line {i}: {exc}") from exc
     return records
-
-
-def load_records_csv(path) -> list[RedemptionRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return records_from_csv(fh.read())

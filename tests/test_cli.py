@@ -53,6 +53,23 @@ class TestDecayCommands:
                            "--w", "1", "--days", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("command, flag, value, problem", [
+        ("residual", "--theta", "1.5", "decay factor must be in (0, 1]"),
+        ("residual", "--w", "-3", "initial weight must be > 0"),
+        ("residual", "--w", "1E+99999999", "initial weight must have at most 34 digits"),
+        ("residual", "--expiry-days", "0", "expiry must be a positive number of days"),
+        ("redeem-quote", "--fee-rate", "1.5", "fee rate must be in [0, 1)"),
+        ("redeem-quote", "--theta", "0", "decay factor must be in (0, 1]"),
+    ])
+    def test_adhoc_spec_is_validated(self, command, flag, value, problem, capsys):
+        args = {"--theta": "0.99996", "--w": "1", "--days": "0"}
+        if command == "redeem-quote":
+            args["--fee-rate"] = "0.003"
+        args[flag] = value
+        code, out, err = run(capsys, "decay", command, *(x for kv in args.items() for x in kv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid spec: ") and problem in err
+
 
 class TestSolvencyCommands:
     def test_breakeven(self, capsys):
@@ -60,6 +77,12 @@ class TestSolvencyCommands:
                            "--alpha", "0.01")
         assert code == 0
         assert out == "31\n"
+
+    @pytest.mark.parametrize("beta, alpha", [("1", "1E-999999"), ("1E+9999999", "1")])
+    def test_breakeven_rejects_values_wider_than_a_spec_field(self, beta, alpha, capsys):
+        code, out, err = run(capsys, "solvency", "breakeven", "--beta", beta, "--alpha", alpha)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "adjusted exponent within" in err
 
     def test_breakeven_never(self, capsys):
         code, out, _ = run(capsys, "solvency", "breakeven", "--beta", "1",
@@ -306,6 +329,68 @@ class TestLedgerCommands:
         code, out, _ = run(capsys, "ledger", "replay", "--log", str(log))
         assert code == 0
         assert json.loads(out)["balances"]["5"] == {"AU35": 10}
+
+
+SIMULATE = ["solvency", "simulate", "--flat-fee", "0.03", "--rate", "0.0001", "--horizon", "400"]
+
+#: One command per file argument; ``PATH`` marks the argument under test.
+FILE_ARGUMENTS = {
+    "--log": ["ledger", "value", "--log", "PATH", "--quotes", "quotes.csv",
+              "--party", "alice", "--day", "1"],
+    "--event-file": ["ledger", "append", "--log", "events.jsonl", "--event-file", "PATH"],
+    "--records": [*SIMULATE, "--records", "PATH"],
+    "--quotes": ["ledger", "value", "--log", "events.jsonl", "--quotes", "PATH",
+                 "--party", "alice", "--day", "1"],
+    "--config": ["--config", "PATH", "demand", "supply", "global_demand.json"],
+    "instance": ["msp", "solve", "PATH"],
+    "scenario": ["demand", "supply", "PATH"],
+    "--snapshot": ["ledger", "replay", "--log", "events.jsonl", "--snapshot", "PATH"],
+    "--out": [*SIMULATE, "--records", "jiaozi_solvency.csv", "--out", "PATH"],
+}
+
+
+class TestUnusablePaths:
+    """A path that is missing, a directory, or not UTF-8 text gives exit 1
+    and one ``error:`` line, never a traceback, for reads and writes."""
+
+    @pytest.fixture(autouse=True)
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RSDM_DATA_DIR", raising=False)
+        (tmp_path / "events.jsonl").write_text("", encoding="utf-8")
+        (tmp_path / "quotes.csv").write_text("day,asset_id,price\n0,XAU,100\n", encoding="utf-8")
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.txt").write_bytes(b"caf\xe9\n")
+
+    @pytest.mark.parametrize("path", ["no_such_dir/no_such_file", "a_directory"])
+    @pytest.mark.parametrize("argument", FILE_ARGUMENTS)
+    def test_unusable_path(self, argument, path, capsys):
+        argv = [path if a == "PATH" else a for a in FILE_ARGUMENTS[argument]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argument", ["--log", "--event-file", "--records", "--quotes",
+                                          "--config", "instance", "scenario"])
+    def test_input_that_is_not_utf8(self, argument, capsys):
+        argv = ["latin1.txt" if a == "PATH" else a for a in FILE_ARGUMENTS[argument]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: latin1.txt is not UTF-8 text: 'utf-8' codec can't decode " \
+                      "byte 0xe9 in position 3: invalid continuation byte\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["ledger", "init", "--log", "events.jsonl/new.jsonl"],
+        ["ledger", "replay", "--log", "no_such_log.jsonl"],
+        ["ledger", "append", "--log", "a_directory", "--event",
+         '{"sequence": 1, "day": 0, "kind": "transfer", "series_id": "S", '
+         '"party": "a", "counterparty": "b", "token_count": 1}'],
+    ], ids=["init-under-a-file", "replay-missing-log", "append-to-a-directory"])
+    def test_ledger_log_paths(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestConfigAndDispatch:

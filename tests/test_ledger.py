@@ -316,6 +316,22 @@ class TestSequencing:
             ledger.replay(events)
         assert err.value.sequence == 3
 
+    @pytest.mark.parametrize("day, cause", [(50, ExpiredSeries), (9, DomainError)],
+                             ids=["after-expiry", "before-issue-date"])
+    def test_replay_names_a_redeem_outside_the_series_life(self, day, cause):
+        # a 30-day series issued on day 10
+        short = decay.RsdmSpec(date(1970, 1, 11), "XAU", D("1"), D("0.99996"),
+                               30, D("0.003"), min_redemption_grams=D("1"))
+        events = [
+            LedgerEvent(1, 10, EventKind.ISSUE, "SHORT", "alice",
+                        token_count=100, series_spec=short),
+            LedgerEvent(2, day, EventKind.REDEEM, "SHORT", "alice", token_count=10),
+        ]
+        with pytest.raises(ReplayError) as err:
+            ledger.replay(events)
+        assert err.value.sequence == 2
+        assert isinstance(err.value.__cause__, cause)
+
 
 class TestReplayAndPersistence:
     def _sample_log(self):
@@ -403,6 +419,10 @@ class TestMalformedDocuments:
         '{"vault": []}',
         '{"issued_tokens": {"AU35": null}}',
         '{"last_sequence": "x"}',
+        '{"last_sequence": true}',
+        '{"last_sequence": 2.7}',
+        json.dumps({"series": {"AU35": GOLD.to_json_dict()}, "issued_tokens": {"AU35": True}}),
+        json.dumps({"series": {"AU35": GOLD.to_json_dict()}, "issued_tokens": {"AU35": 2.7}}),
     ])
     def test_snapshot(self, text):
         with pytest.raises(DomainError, match="malformed snapshot"):

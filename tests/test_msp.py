@@ -404,6 +404,15 @@ class TestJsonInterchange:
         assert any("/functions" in p for p in err.value.problems)
         assert any("/max_parallel" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("flag", ["false", 1, None], ids=["str", "int", "null"])
+    def test_mandatory_must_be_a_boolean(self, flag):
+        # bool() would read "false" as mandatory
+        doc = msp.instance_to_json_dict(desk_instance())
+        doc["currencies"][0]["mandatory"] = flag
+        with pytest.raises(SchemaError) as err:
+            msp.instance_from_json_dict(doc)
+        assert err.value.problems == ["/currencies/0/mandatory: expected a boolean"]
+
     def test_solution_document(self):
         result = msp.solve_exhaustive(desk_instance())
         doc = msp.solution_to_json_dict(result)

@@ -105,6 +105,24 @@ class TestBreakevenHorizon:
         with pytest.raises(NeverBankrupt):
             solvency.breakeven_horizon(Decimal("1"), Decimal("0"))
 
+    @pytest.mark.parametrize("fee, rate", [("1", "1E-999999"), ("1E+9999999", "1"),
+                                           ("1" * 35, "1"), ("1", "0E-35")])
+    def test_breakeven_rejects_values_wider_than_a_spec_field(self, fee, rate):
+        # Fraction would build (or print) an integer of millions of digits
+        with pytest.raises(DomainError, match="adjusted exponent within"):
+            solvency.breakeven_horizon(fee, rate)
+
+    @pytest.mark.parametrize("schedule", [
+        lambda: FeeSchedule.flat("1E+999999999", "1"),
+        lambda: FeeSchedule.flat("0.03", "1E+999999999"),
+        lambda: FeeSchedule.mean_holding_based("1E+999999", "1"),
+        lambda: FeeSchedule.deadline_based(10, "1E-99999999"),
+    ], ids=["flat-fee", "rate", "mean-days", "deadline-rate"])
+    def test_schedule_rejects_values_wider_than_a_spec_field(self, schedule):
+        # unchecked, the timeline's context sums overflow
+        with pytest.raises(DomainError, match="adjusted exponent within"):
+            schedule()
+
     @given(fee=fees, rate=rates, tokens=st.integers(1, 1000))
     def test_breakeven_consistency(self, fee, rate, tokens):
         horizon = solvency.breakeven_horizon(fee, rate)
