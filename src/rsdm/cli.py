@@ -134,8 +134,9 @@ def replay_log(name: str) -> ledger.LedgerState:
 
 
 def fmt(value: Decimal) -> str:
-    """Decimal-string rendering on the settlement grid."""
-    return str(numeric.settle(value))
+    """Plain decimal-string rendering on the settlement grid (never
+    E-notation, which ``str`` picks below 1E-6)."""
+    return format(numeric.settle(value), "f")
 
 
 def emit(config: CliConfig, doc: dict, table_lines: list[str] | None,
@@ -192,6 +193,8 @@ def cmd_decay_residual(args, config: CliConfig) -> int:
 
 
 def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
+    if args.count < 1:
+        raise DomainError(f"token count must be positive, got {args.count}")
     quote = decay.redemption_quote(_adhoc_spec(args), args.days)
     count = Decimal(args.count)
     doc = {

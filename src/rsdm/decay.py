@@ -225,6 +225,8 @@ def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:
     demurrage, for example, maps to a daily factor just under 1.
     """
     rate = as_decimal(annual_rate)
+    if problem := bound_violation("annual rate", rate):
+        raise DomainError(problem)
     if rate <= -1:
         raise DomainError(f"annual rate must exceed -1 (total loss), got {rate}")
     return nth_root(exact_add(Decimal(1), rate), DAYS_PER_YEAR)
@@ -233,6 +235,8 @@ def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:
 def annual_rate_from_daily_factor(daily_factor: Decimal | str | int) -> Decimal:
     """Annual rate implied by a daily factor: factor**365 - 1."""
     factor = as_decimal(daily_factor)
+    if problem := bound_violation("daily factor", factor):
+        raise DomainError(problem)
     if factor <= 0:
         raise DomainError(f"daily factor must be positive, got {factor}")
     compounded = exact_pow(factor, DAYS_PER_YEAR)

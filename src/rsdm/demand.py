@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 
 from rsdm.errors import DomainError, SchemaError
-from rsdm.numeric import CONTEXT, as_decimal
+from rsdm.numeric import CONTEXT, as_decimal, bound_violation
 
 #: Troy ounces per metric tonne (31.1034768 g per ozt).
 TROY_OUNCES_PER_TONNE = Decimal("32150.7466")
@@ -45,6 +45,8 @@ class DemandScenario:
             "other_supply",
         ):
             object.__setattr__(self, name, as_decimal(getattr(self, name)))
+            if problem := bound_violation(name, getattr(self, name)):
+                raise DomainError(problem)
         for name in ("marshallian_k", "gdp", "fiat_multiplier", "sdm_multiplier"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

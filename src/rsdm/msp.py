@@ -15,31 +15,22 @@ Two objectives are supported:
   before summing (adding a second currency that duplicates an already
   fully covered function earns nothing).
 
-One include-first depth-first search answers both objectives. It
-closes the include branch once the cardinality budget is used up and
-the exclude branch of a mandatory currency, and cuts a node when a
-threshold is out of reach even with every remaining candidate. The
-three solvers are three calls into it:
+Every question about a given selection (both objectives, the raw
+scores, the feasibility check, the coverage report, a solver's numbers)
+reads one coverage tally of its per-function sums. All arithmetic runs
+in the 34-digit decimal context and adds in one fixed order, so every
+number is reproducible to its last digit.
 
-* ``solve_exhaustive`` is the unbounded walk in instance order, the
-  subset-enumeration oracle (guarded to small pools);
-* ``solve_branch_and_bound`` (linear) and ``solve_saturating`` order
-  candidates by descending net marginal and also cut nodes whose
-  objective bound is below the incumbent: the committed objective plus
-  the top-budget positive marginals ahead, or, for the saturating
-  objective through its linearization (auxiliary y_k <= 1, y_k <=
-  weighted coverage sum), each function's min(1, weighted coverage so
-  far plus all remaining coverage).
-
-A bound that ties the incumbent is still explored, and among
+One include-first depth-first search sits behind the three solvers:
+``solve_exhaustive`` is its unbounded walk in instance order, the
+subset-enumeration oracle, while ``solve_branch_and_bound`` (linear) and
+``solve_saturating`` also cut on an objective bound. Among
 equal-objective optima the lexicographically smallest sorted id tuple
 wins, so results are schedule-independent. Every solver first rejects,
 with SchemaError, an instance that breaks an invariant the cuts rely on
 (nonnegative weights and penalty, coverage in [0, 1], a nonempty pool,
-a positive cardinality bound).
-
-All arithmetic is decimal; with the usual short score mantissas every
-sum is exact, and the solvers' objectives agree to the digit.
+a positive cardinality bound, and weights, thresholds and penalty within
+the width rule of ``numeric.bound_violation``).
 """
 
 from __future__ import annotations
@@ -47,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
-from rsdm.numeric import CONTEXT, as_decimal
+from rsdm.numeric import CONTEXT, as_decimal, bound_violation
 
 EXHAUSTIVE_POOL_LIMIT = 25
 
@@ -147,6 +139,21 @@ class FeasibilityVerdict:
     violations: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class FunctionCoverage:
+    function_id: str
+    achieved: Decimal  # raw coverage sum over the selection
+    threshold: Decimal
+    saturated_value: Decimal  # min(1, weighted coverage sum)
+    covered: bool  # achieved >= threshold
+
+
+@dataclass(frozen=True)
+class CoverageReport:
+    rows: tuple[FunctionCoverage, ...]
+    all_covered: bool
+
+
 def default_function_catalog(
     weight: Decimal | str | int = _ONE, threshold: Decimal | str | int = _ZERO
 ) -> tuple[MonetaryFunction, ...]:
@@ -179,18 +186,20 @@ def default_function_catalog(
 
 def validate_instance(instance: MspInstance) -> list[str]:
     """Report invariant violations and certain-infeasibility warnings,
-    each prefixed with a JSON-pointer path into the instance document."""
+    each prefixed with a JSON-pointer path into the instance document.
+    Only an instance that keeps every invariant gets the warnings."""
     problems = _invariant_violations(instance)
+    if problems:
+        return problems
     # Certain-infeasibility necessary condition: reported as warnings so
     # such instances still reach the solvers (which answer Infeasible).
-    with localcontext(CONTEXT):
-        for i, f in enumerate(instance.functions):
-            total = sum((c.score(f.id) for c in instance.currencies), _ZERO)
-            if total < f.threshold:
-                problems.append(
-                    f"warning: /functions/{i}/threshold: threshold {f.threshold} "
-                    f"unreachable (total coverage across the pool is {total})"
-                )
+    pool = _Tally(instance, instance.currencies).raw()
+    for i, (f, total) in enumerate(zip(instance.functions, pool)):
+        if total < f.threshold:
+            problems.append(
+                f"warning: /functions/{i}/threshold: threshold {f.threshold} "
+                f"unreachable (total coverage across the pool is {total})"
+            )
     return problems
 
 
@@ -205,16 +214,19 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
         problems.append("/max_parallel: must be a positive integer")
     if instance.balance_penalty < 0:
         problems.append("/balance_penalty: must be nonnegative")
+    if problem := bound_violation("balance_penalty", instance.balance_penalty):
+        problems.append(f"/balance_penalty: {problem}")
 
     seen_functions = set()
     for i, f in enumerate(instance.functions):
         if f.id in seen_functions:
             problems.append(f"/functions/{i}/id: duplicate function id {f.id!r}")
         seen_functions.add(f.id)
-        if f.weight < 0:
-            problems.append(f"/functions/{i}/weight: weight must be nonnegative")
-        if f.threshold < 0:
-            problems.append(f"/functions/{i}/threshold: threshold must be nonnegative")
+        for name, value in (("weight", f.weight), ("threshold", f.threshold)):
+            if value < 0:
+                problems.append(f"/functions/{i}/{name}: {name} must be nonnegative")
+            if problem := bound_violation(name, value):
+                problems.append(f"/functions/{i}/{name}: {problem}")
 
     seen_currencies = set()
     mandatory_count = 0
@@ -242,78 +254,117 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Objective evaluation and feasibility
+# Queries on a selection
 # ---------------------------------------------------------------------------
 
 
-def _selection_set(instance: MspInstance, selection: Iterable[str]) -> set[str]:
+def _chosen(
+    instance: MspInstance, selection: Iterable[str]
+) -> tuple[set[str], list[CurrencyCandidate]]:
+    """The distinct selected ids and the candidates they name, in pool
+    order; raises DomainError naming every unknown id."""
     sel = set(selection)
-    known = {c.id for c in instance.currencies}
-    unknown = sel - known
+    chosen = [c for c in instance.currencies if c.id in sel]
+    unknown = sel.difference(c.id for c in chosen)
     if unknown:
         raise DomainError(f"unknown currency ids in selection: {sorted(unknown)}")
-    return sel
+    return sel, chosen
+
+
+class _Tally:
+    """The chosen candidates' scores, each read once, in one column per
+    function (catalog order) in the candidates' order. Every sum starts
+    from Decimal(0) and adds in that order, which fixes the last digit
+    of a 34-digit sum; a query computes only the sums it reads."""
+
+    def __init__(self, instance: MspInstance, chosen: Sequence[CurrencyCandidate]) -> None:
+        self.weights = [f.weight for f in instance.functions]
+        self.columns = [[c.score(f.id) for c in chosen] for f in instance.functions]
+
+    def raw(self) -> list[Decimal]:
+        with localcontext(CONTEXT):
+            return [sum(column, _ZERO) for column in self.columns]
+
+    def weighted(self) -> list[Decimal]:
+        with localcontext(CONTEXT):
+            return [sum((w * u for u in column), _ZERO)
+                    for w, column in zip(self.weights, self.columns)]
+
+    def linear(self) -> Decimal:
+        """The weighted scores summed candidate by candidate, then function by function."""
+        with localcontext(CONTEXT):
+            products = [[w * u for u in column] for w, column in zip(self.weights, self.columns)]
+            return sum(chain.from_iterable(zip(*products)), _ZERO)
+
+
+def _objective(
+    instance: MspInstance, selection: Iterable[str], kind: ObjectiveKind
+) -> tuple[Decimal, _Tally]:
+    """The objective of *selection* (the penalty counts distinct ids) and its tally."""
+    sel, chosen = _chosen(instance, selection)
+    tally = _Tally(instance, chosen)
+    with localcontext(CONTEXT):
+        if kind is ObjectiveKind.LINEAR:
+            total = tally.linear()
+        else:
+            total = sum((min(_ONE, w) for w in tally.weighted()), _ZERO)
+        return total - instance.balance_penalty * len(sel), tally
 
 
 def evaluate_linear_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Weighted coverage summed over the selection, minus
     balance_penalty * selection size."""
-    sel = _selection_set(instance, selection)
-    with localcontext(CONTEXT):
-        total = _ZERO
-        for c in instance.currencies:
-            if c.id in sel:
-                for f in instance.functions:
-                    total += f.weight * c.score(f.id)
-        return total - instance.balance_penalty * len(sel)
+    return _objective(instance, selection, ObjectiveKind.LINEAR)[0]
 
 
 def evaluate_saturating_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Per-function weighted coverage capped at 1, summed, minus
     balance_penalty * selection size."""
-    sel = _selection_set(instance, selection)
-    with localcontext(CONTEXT):
-        total = _ZERO
-        for f in instance.functions:
-            achieved = sum(
-                (f.weight * c.score(f.id) for c in instance.currencies if c.id in sel),
-                _ZERO,
-            )
-            total += min(_ONE, achieved)
-        return total - instance.balance_penalty * len(sel)
+    return _objective(instance, selection, ObjectiveKind.SATURATING)[0]
 
 
 def raw_function_scores(instance: MspInstance, selection: Iterable[str]) -> dict[str, Decimal]:
     """Unweighted coverage sum per function over the selection (the
     quantity the per-function thresholds constrain)."""
-    sel = _selection_set(instance, selection)
-    with localcontext(CONTEXT):
-        return {
-            f.id: sum((c.score(f.id) for c in instance.currencies if c.id in sel), _ZERO)
-            for f in instance.functions
-        }
+    raw = _Tally(instance, _chosen(instance, selection)[1]).raw()
+    return {f.id: total for f, total in zip(instance.functions, raw)}
 
 
 def check_feasible(instance: MspInstance, selection: Iterable[str]) -> FeasibilityVerdict:
     """List every violated constraint: cardinality, per-function
     threshold (on raw coverage sums), and mandatory inclusion."""
-    sel = _selection_set(instance, selection)
+    sel, chosen = _chosen(instance, selection)
     violations = []
     if len(sel) > instance.max_parallel:
         violations.append(
             f"cardinality: {len(sel)} currencies selected, at most "
             f"{instance.max_parallel} may circulate in parallel"
         )
-    scores = raw_function_scores(instance, sel)
-    for f in instance.functions:
-        if scores[f.id] < f.threshold:
-            violations.append(
-                f"threshold {f.id}: achieved {scores[f.id]}, required {f.threshold}"
-            )
+    for f, achieved in zip(instance.functions, _Tally(instance, chosen).raw()):
+        if achieved < f.threshold:
+            violations.append(f"threshold {f.id}: achieved {achieved}, required {f.threshold}")
     for c in instance.currencies:
         if c.mandatory and c.id not in sel:
             violations.append(f"mandatory: {c.id} must be included in the monetary system")
     return FeasibilityVerdict(feasible=not violations, violations=tuple(violations))
+
+
+def coverage_report(instance: MspInstance, selection: Iterable[str]) -> CoverageReport:
+    """Per-function coverage of a selection: raw achieved sum vs its
+    threshold, the saturated weighted value, and whether the union of
+    the selected currencies covers the whole catalog."""
+    tally = _Tally(instance, _chosen(instance, selection)[1])
+    rows = tuple(
+        FunctionCoverage(
+            function_id=f.id,
+            achieved=achieved,
+            threshold=f.threshold,
+            saturated_value=min(_ONE, w),
+            covered=achieved >= f.threshold,
+        )
+        for f, achieved, w in zip(instance.functions, tally.raw(), tally.weighted())
+    )
+    return CoverageReport(rows=rows, all_covered=all(r.covered for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +394,13 @@ def _infeasibility_reasons(instance: MspInstance) -> tuple[str, ...]:
     return tuple(reasons)
 
 
-def _solution(
-    instance: MspInstance, selection: tuple[str, ...], kind: ObjectiveKind
-) -> MspSolution:
-    evaluate = (
-        evaluate_linear_objective if kind is ObjectiveKind.LINEAR
-        else evaluate_saturating_objective
-    )
+def _solution(instance: MspInstance, selection: tuple[str, ...], kind: ObjectiveKind) -> MspSolution:
+    objective, tally = _objective(instance, selection, kind)
     return MspSolution(
         selection=selection,
-        objective=evaluate(instance, selection),
+        objective=objective,
         objective_kind=kind,
-        per_function_score=raw_function_scores(instance, selection),
+        per_function_score={f.id: total for f, total in zip(instance.functions, tally.raw())},
     )
 
 
@@ -506,53 +552,6 @@ def solve_saturating(instance: MspInstance) -> MspSolution | Infeasible:
     which the concavity of min makes admissible.
     """
     return _search(instance, ObjectiveKind.SATURATING, bounded=True)
-
-
-# ---------------------------------------------------------------------------
-# Coverage reporting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FunctionCoverage:
-    function_id: str
-    achieved: Decimal  # raw coverage sum over the selection
-    threshold: Decimal
-    saturated_value: Decimal  # min(1, weighted coverage sum)
-    covered: bool  # achieved >= threshold
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    rows: tuple[FunctionCoverage, ...]
-    all_covered: bool
-
-
-def coverage_report(instance: MspInstance, selection: Iterable[str]) -> CoverageReport:
-    """Per-function coverage of a selection: raw achieved sum vs its
-    threshold, the saturated weighted value, and whether the union of
-    the selected currencies covers the whole catalog."""
-    sel = _selection_set(instance, selection)
-    rows = []
-    with localcontext(CONTEXT):
-        for f in instance.functions:
-            achieved = sum(
-                (c.score(f.id) for c in instance.currencies if c.id in sel), _ZERO
-            )
-            weighted = sum(
-                (f.weight * c.score(f.id) for c in instance.currencies if c.id in sel),
-                _ZERO,
-            )
-            rows.append(
-                FunctionCoverage(
-                    function_id=f.id,
-                    achieved=achieved,
-                    threshold=f.threshold,
-                    saturated_value=min(_ONE, weighted),
-                    covered=achieved >= f.threshold,
-                )
-            )
-    return CoverageReport(rows=tuple(rows), all_covered=all(r.covered for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ from typing import Iterable, Sequence
 from rsdm.errors import DomainError, NeverBankrupt
 from rsdm.numeric import CONTEXT, as_decimal, bound_violation
 
+#: Longest span ``simulate_issuer`` replays, in days: a century (the
+#: timeline holds one point per day).
+MAX_SIMULATED_DAYS = 36_525
+
 
 @dataclass(frozen=True)
 class RedemptionRecord:
@@ -267,6 +271,11 @@ def simulate_issuer(
     start = ordered[0].purchase_day
     if horizon_day < ordered[-1].purchase_day:
         raise DomainError("horizon must reach the last purchase day")
+    if horizon_day - start + 1 > MAX_SIMULATED_DAYS:
+        raise DomainError(
+            f"simulating days {start} to {horizon_day} exceeds the limit of "
+            f"{MAX_SIMULATED_DAYS} days"
+        )
 
     income = [Decimal(0)] * (horizon_day - start + 1)
     step = [0] * (horizon_day - start + 2)  # tokens starting (+) and ending (-) storage

@@ -42,6 +42,38 @@ class TestDecayCommands:
         assert code == 0
         assert out == "-0.014494225\n"
 
+    @pytest.mark.parametrize("days, text", [("30", "0.000000001"), ("21", "0.000000477")])
+    def test_small_residual_in_plain_notation(self, days, text, capsys):
+        code, out, _ = run(capsys, "decay", "residual", "--theta", "0.5", "--w", "1",
+                           "--days", days)
+        assert (code, out) == (0, text + "\n")
+
+    @pytest.mark.parametrize("fmt_args, fee_text", [
+        ((), "fee_g: 0.000000000"),
+        (("--format", "json"), '"fee_g": "0.000000000"'),
+    ])
+    def test_zero_fee_in_plain_notation(self, fmt_args, fee_text, capsys):
+        code, out, _ = run(capsys, *fmt_args, "decay", "redeem-quote", "--theta", "0.99996",
+                           "--w", "1", "--days", "1", "--fee-rate", "0")
+        assert code == 0
+        assert fee_text in out and "E" not in out
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_redeem_quote_count_below_one_rejected(self, count, capsys):
+        code, out, err = run(capsys, "decay", "redeem-quote", "--theta", "0.99996",
+                             "--w", "1", "--days", "1", "--fee-rate", "0.003",
+                             "--count", count)
+        assert (code, out) == (1, "")
+        assert err == f"error: token count must be positive, got {count}\n"
+
+    @pytest.mark.parametrize("flag, what", [("--daily", "daily factor"),
+                                            ("--annual", "annual rate")])
+    def test_convert_rate_rejects_wide_input(self, flag, what, capsys):
+        code, out, err = run(capsys, "decay", "convert-rate", flag, "1E+999999")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {what} must have at most 34 digits")
+        assert len(err.splitlines()) == 1
+
     def test_expired_is_domain_error(self, capsys):
         code, _, err = run(capsys, "decay", "residual", "--theta", "0.99996",
                            "--w", "1", "--days", "10", "--expiry-days", "5")
@@ -98,6 +130,15 @@ class TestSolvencyCommands:
         assert code == 0
         assert out.splitlines()[0] == "day,cum_profit,cum_cost,bankrupt"
         assert "first bankrupt day:" in err
+
+    def test_simulate_rejects_a_span_past_the_limit(self, capsys):
+        code, out, err = run(capsys, "solvency", "simulate",
+                             "--records", "jiaozi_solvency.csv",
+                             "--flat-fee", "0.03", "--rate", "0.0001",
+                             "--horizon", "1000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exceeds the limit of 36525 days" in err
+        assert len(err.splitlines()) == 1
 
     def test_simulate_requires_one_schedule(self, capsys):
         code, _, err = run(capsys, "solvency", "simulate",
@@ -165,6 +206,19 @@ class TestMspCommands:
         assert code == 1
         assert "/currencies/0/coverage/F1" in err
 
+    @pytest.mark.parametrize("argv", [("solve",), ("report", "--select", "EUR,XAU_RSDM"),
+                                      ("check", "--select", "EUR")])
+    def test_wide_weight_is_a_validation_error(self, argv, tmp_path, capsys):
+        preset = Path(numeric.__file__).parent / "presets" / "eurozone.json"
+        doc = json.loads(preset.read_text(encoding="utf-8"))
+        doc["functions"][0]["weight"] = "1E+999999999"
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "msp", argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: validation: /functions/0/weight: weight must have")
+        assert len(err.splitlines()) == 1
+
     def test_truncated_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "trunc.json"
         path.write_text('{"functions": [', encoding="utf-8")
@@ -200,6 +254,17 @@ class TestDemandCommands:
                            "--unknown", "sdm_reserve")
         assert code == 0
         assert out.strip() == "5000000000000.000000000"
+
+    def test_wide_scenario_field_rejected(self, tmp_path, capsys):
+        preset = Path(numeric.__file__).parent / "presets" / "global_demand.json"
+        doc = json.loads(preset.read_text(encoding="utf-8"))
+        doc["gdp"] = "1E+999999"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "demand", "solve", str(path), "--unknown", "sdm_reserve")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: gdp must have at most 34 digits")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_field_usage_error(self, capsys):
         code, _, _ = run(capsys, "demand", "solve", "global_demand.json",
@@ -258,6 +323,23 @@ class TestLedgerCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["holdings"][0]["residual_g"] == "3999.840000000"
+
+    def test_expired_holding_values_in_plain_notation(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        issue_event = {
+            "sequence": 1, "day": 0, "kind": "issue", "series_id": "AU10",
+            "party": "alice", "token_count": 5,
+            "series_spec": {**self._gold_spec_doc(), "expiry_days": 10},
+        }
+        log.write_text(json.dumps(issue_event) + "\n", encoding="utf-8")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("day,asset_id,price\n0,XAU,100\n", encoding="utf-8")
+        code, out, _ = run(capsys, "ledger", "value", "--log", str(log),
+                           "--quotes", str(quotes), "--party", "alice", "--day", "20")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "AU10: 5 tokens, residual 0.000000000 g, redeemable 0.000000000 g, "
+            "value 0.000000000 (expired)")
 
     def test_append_rejects_wrong_payout(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
@@ -470,6 +552,17 @@ class TestFmt:
 
     def test_deep_residual(self):
         assert fmt(exact_pow(Decimal("0.99996"), 18262)) == "0.481670692"
+
+    @pytest.mark.parametrize("value, text", [
+        ("1E-9", "0.000000001"),
+        ("4.77E-7", "0.000000477"),
+        ("0E-9", "0.000000000"),
+        ("0", "0.000000000"),
+        ("4E-10", "0.000000000"),
+        ("1E+3", "1000.000000000"),
+    ])
+    def test_plain_notation(self, value, text):
+        assert fmt(Decimal(value)) == text
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"

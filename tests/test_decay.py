@@ -166,6 +166,15 @@ class TestRateConversions:
         rate = decay.annual_rate_from_daily_factor(Decimal("0.99996"))
         assert abs(rate - Decimal("-0.014494224577034508681760777946")) < Decimal("1e-28")
 
+    @pytest.mark.parametrize("convert, what", [
+        (decay.daily_factor_from_annual_rate, "annual rate"),
+        (decay.annual_rate_from_daily_factor, "daily factor"),
+    ])
+    @pytest.mark.parametrize("value", ["1E+999999", "1E-999999", "0." + "1" * 35])
+    def test_input_wider_than_a_spec_field_rejected(self, convert, what, value):
+        with pytest.raises(DomainError, match=f"{what} must have at most 34 digits"):
+            convert(Decimal(value))
+
     def test_rate_below_total_loss_rejected(self):
         with pytest.raises(DomainError):
             decay.daily_factor_from_annual_rate(Decimal("-1"))

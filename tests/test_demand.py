@@ -206,6 +206,15 @@ class TestScenarioJson:
         s = scenario()
         assert DemandScenario.from_json_dict(s.to_json_dict()) == s
 
+    @pytest.mark.parametrize("field", [
+        "marshallian_k", "gdp", "fiat_multiplier", "sdm_multiplier",
+        "fiat_reserve", "sdm_reserve", "other_supply",
+    ])
+    @pytest.mark.parametrize("value", ["1E+999999", "1E-35", "1." + "1" * 34])
+    def test_field_wider_than_a_spec_field_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must have at most 34 digits"):
+            scenario(**{field: D(value)})
+
     def test_missing_field_pointer(self):
         with pytest.raises(SchemaError) as err:
             DemandScenario.from_json_dict({"marshallian_k": "0.7"})

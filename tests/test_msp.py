@@ -5,8 +5,8 @@ all sixteen subsets before the solvers were written and frozen here.
 """
 
 import random
-from dataclasses import replace
-from decimal import Decimal
+from dataclasses import fields, is_dataclass, replace
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from rsdm.msp import (
     MspInstance,
     ObjectiveKind,
 )
+from rsdm.numeric import CONTEXT
 
 D = Decimal
 
@@ -271,6 +272,11 @@ class TestInvalidInstanceRejected:
             inst, currencies=inst.currencies + (currency("BIG", {"k1": "1.5"}),)),
         "empty pool": lambda inst: replace(inst, currencies=()),
         "no parallel currency": lambda inst: replace(inst, max_parallel=0),
+        "weight too wide": lambda inst: replace(
+            inst, functions=(MonetaryFunction("k1", D("1E+999999999"), D(0)),) + inst.functions[1:]),
+        "threshold too wide": lambda inst: replace(
+            inst, functions=(MonetaryFunction("k1", D(1), D("0." + "5" * 35)),) + inst.functions[1:]),
+        "penalty too wide": lambda inst: replace(inst, balance_penalty=D("1E-999999999")),
     }
     SOLVERS = {
         "exhaustive linear": lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.LINEAR),
@@ -352,6 +358,30 @@ class TestCoverageReport:
 class TestValidateInstance:
     def test_well_formed(self):
         assert msp.validate_instance(desk_instance()) == []
+
+    def test_wide_numbers_are_named_by_pointer(self):
+        inst = replace(
+            desk_instance(),
+            functions=(MonetaryFunction("k1", D("1E+999999999"), D("1E+35")),)
+            + desk_instance().functions[1:],
+            balance_penalty=D("0." + "1" * 35),
+        )
+        rule = "must have at most 34 digits and an adjusted exponent within ±34"
+        assert msp.validate_instance(inst) == [
+            f"/balance_penalty: balance_penalty {rule}",
+            f"/functions/0/weight: weight {rule}",
+            f"/functions/0/threshold: threshold {rule}",
+        ]
+
+    def test_warnings_only_for_an_instance_that_keeps_the_invariants(self):
+        unreachable = MspInstance(
+            functions=(MonetaryFunction("k1", D(1), D("5")),),
+            currencies=(currency("c1", {"k1": "1"}),),
+            max_parallel=1,
+        )
+        assert [m[:9] for m in msp.validate_instance(unreachable)] == ["warning: "]
+        assert msp.validate_instance(replace(unreachable, max_parallel=0)) == [
+            "/max_parallel: must be a positive integer"]
 
     def test_coverage_out_of_range(self):
         inst = MspInstance(
@@ -473,3 +503,193 @@ def test_brute_force_reference_matches_solvers_on_random_instances():
         n_functions = rng.randint(2, 12)
         assert_solvers_match_brute_force(
             make_random_instance(rng, max_currencies=9, n_functions=n_functions))
+
+
+# ---------------------------------------------------------------------------
+# The per-query loops the coverage tally replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def reference_selection_set(instance, selection):
+    sel = set(selection)
+    unknown = sel - {c.id for c in instance.currencies}
+    if unknown:
+        raise DomainError(f"unknown currency ids in selection: {sorted(unknown)}")
+    return sel
+
+
+def reference_linear_objective(instance, selection):
+    sel = reference_selection_set(instance, selection)
+    with localcontext(CONTEXT):
+        total = D(0)
+        for c in instance.currencies:
+            if c.id in sel:
+                for f in instance.functions:
+                    total += f.weight * c.score(f.id)
+        return total - instance.balance_penalty * len(sel)
+
+
+def reference_saturating_objective(instance, selection):
+    sel = reference_selection_set(instance, selection)
+    with localcontext(CONTEXT):
+        total = D(0)
+        for f in instance.functions:
+            achieved = sum(
+                (f.weight * c.score(f.id) for c in instance.currencies if c.id in sel), D(0))
+            total += min(D(1), achieved)
+        return total - instance.balance_penalty * len(sel)
+
+
+def reference_raw_function_scores(instance, selection):
+    sel = reference_selection_set(instance, selection)
+    with localcontext(CONTEXT):
+        return {
+            f.id: sum((c.score(f.id) for c in instance.currencies if c.id in sel), D(0))
+            for f in instance.functions
+        }
+
+
+def reference_check_feasible(instance, selection):
+    sel = reference_selection_set(instance, selection)
+    violations = []
+    if len(sel) > instance.max_parallel:
+        violations.append(
+            f"cardinality: {len(sel)} currencies selected, at most "
+            f"{instance.max_parallel} may circulate in parallel"
+        )
+    scores = reference_raw_function_scores(instance, sel)
+    for f in instance.functions:
+        if scores[f.id] < f.threshold:
+            violations.append(f"threshold {f.id}: achieved {scores[f.id]}, required {f.threshold}")
+    for c in instance.currencies:
+        if c.mandatory and c.id not in sel:
+            violations.append(f"mandatory: {c.id} must be included in the monetary system")
+    return msp.FeasibilityVerdict(feasible=not violations, violations=tuple(violations))
+
+
+def reference_coverage_report(instance, selection):
+    sel = reference_selection_set(instance, selection)
+    rows = []
+    with localcontext(CONTEXT):
+        for f in instance.functions:
+            achieved = sum((c.score(f.id) for c in instance.currencies if c.id in sel), D(0))
+            weighted = sum(
+                (f.weight * c.score(f.id) for c in instance.currencies if c.id in sel), D(0))
+            rows.append(msp.FunctionCoverage(
+                function_id=f.id, achieved=achieved, threshold=f.threshold,
+                saturated_value=min(D(1), weighted), covered=achieved >= f.threshold))
+    return msp.CoverageReport(rows=tuple(rows), all_covered=all(r.covered for r in rows))
+
+
+def reference_validate_instance(instance):
+    problems = msp._invariant_violations(instance)
+    with localcontext(CONTEXT):
+        for i, f in enumerate(instance.functions):
+            total = sum((c.score(f.id) for c in instance.currencies), D(0))
+            if total < f.threshold:
+                problems.append(
+                    f"warning: /functions/{i}/threshold: threshold {f.threshold} "
+                    f"unreachable (total coverage across the pool is {total})"
+                )
+    return problems
+
+
+def reference_solution(instance, selection, kind):
+    """What a solver returns for the selection its search picked."""
+    evaluate = (reference_linear_objective if kind is ObjectiveKind.LINEAR
+                else reference_saturating_objective)
+    return msp.MspSolution(selection, evaluate(instance, selection), kind,
+                           reference_raw_function_scores(instance, selection))
+
+
+def exact(value):
+    """*value* with every Decimal spelt out by ``as_tuple()`` and every
+    mapping as its item list, so that a different last digit, exponent
+    or key order compares unequal."""
+    if isinstance(value, Decimal):
+        return value.as_tuple()
+    if is_dataclass(value):
+        return (type(value).__name__, [exact(getattr(value, f.name)) for f in fields(value)])
+    if isinstance(value, dict):
+        return [(k, exact(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return value
+
+
+def outcome(query, *args):
+    try:
+        return exact(query(*args))
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def wide_decimals(top_digits: int):
+    """Nonnegative decimals below 10**top_digits: two-decimal ones, and
+    34-digit mantissas whose sums and products round in the context."""
+    return st.one_of(
+        st.integers(0, 100 * 10**top_digits - 1).map(lambda k: D(k).scaleb(-2)),
+        st.integers(0, 10**34 - 1).map(lambda k: D(k).scaleb(top_digits - 34)),
+    )
+
+
+@st.composite
+def wide_instances(draw):
+    n_functions = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 7))
+    functions = tuple(
+        MonetaryFunction(f"F{k}", draw(wide_decimals(1)), draw(wide_decimals(0)))
+        for k in range(n_functions))
+    mandatory = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    currencies = [
+        CurrencyCandidate(
+            f"C{i}", CurrencyClass.OTHER,
+            {f.id: draw(wide_decimals(0))
+             for f in functions if draw(st.booleans())},
+            mandatory[i])
+        for i in range(n)
+    ]
+    return MspInstance(
+        functions=functions,
+        currencies=tuple(draw(st.permutations(currencies))),
+        max_parallel=draw(st.integers(max(1, sum(mandatory)), n)),
+        balance_penalty=draw(wide_decimals(0)),
+    )
+
+
+class TestTallyMatchesTheReferenceLoops:
+    QUERIES = (
+        (msp.evaluate_linear_objective, reference_linear_objective),
+        (msp.evaluate_saturating_objective, reference_saturating_objective),
+        (msp.raw_function_scores, reference_raw_function_scores),
+        (msp.check_feasible, reference_check_feasible),
+        (msp.coverage_report, reference_coverage_report),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=wide_instances(), data=st.data())
+    def test_queries_and_solvers(self, inst, data):
+        assert msp.validate_instance(inst) == reference_validate_instance(inst)
+        ids = [c.id for c in inst.currencies]
+        # repeated ids, any order, and now and then an unknown one
+        selection = data.draw(st.lists(st.sampled_from(ids + ["NOPE"]), max_size=9))
+        for query, reference in self.QUERIES:
+            assert outcome(query, inst, iter(selection)) == outcome(reference, inst, selection)
+        for kind, solve in (
+            (ObjectiveKind.LINEAR, msp.solve_branch_and_bound),
+            (ObjectiveKind.LINEAR, lambda i: msp.solve_exhaustive(i, ObjectiveKind.LINEAR)),
+            (ObjectiveKind.SATURATING, msp.solve_saturating),
+            (ObjectiveKind.SATURATING, lambda i: msp.solve_exhaustive(i, ObjectiveKind.SATURATING)),
+        ):
+            result = solve(inst)
+            if not isinstance(result, Infeasible):
+                expected = reference_solution(inst, result.selection, kind)
+                assert exact(result) == exact(expected)
+
+    @pytest.mark.parametrize("query, reference", QUERIES)
+    def test_duplicate_pool_ids_count_once(self, query, reference):
+        # an invalid pool, but the queries still answer it as before
+        inst = replace(desk_instance(), currencies=desk_instance().currencies + (
+            currency("GOLD", {"k1": "0.5", "k2": "0.5", "k3": "0.5"}),))
+        for selection in (["GOLD"], ["FIAT", "GOLD", "GOLD"], ["GOLD", "BTC", "RSDM"]):
+            assert outcome(query, inst, selection) == outcome(reference, inst, selection)

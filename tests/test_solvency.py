@@ -231,6 +231,13 @@ class TestSimulateIssuer:
         assert lines[1].startswith("0,1,0")
         assert len(lines) == 4
 
+    def test_span_past_the_limit_is_rejected(self):
+        # the span counts from the first purchase day, both ends included
+        recs = [RedemptionRecord("k", 1, 100, None)]
+        schedule = FeeSchedule.flat(Decimal("1"), Decimal("0.1"))
+        with pytest.raises(DomainError, match="exceeds the limit of 36525 days"):
+            solvency.simulate_issuer(recs, schedule, 100 + solvency.MAX_SIMULATED_DAYS)
+
 
 class TestFeeSchedule:
     def test_flat_requires_nonnegative(self):
