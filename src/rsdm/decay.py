@@ -233,7 +233,8 @@ def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:
 
 
 def annual_rate_from_daily_factor(daily_factor: Decimal | str | int) -> Decimal:
-    """Annual rate implied by a daily factor: factor**365 - 1."""
+    """Annual rate implied by a daily factor: factor**365 - 1, within the
+    width rule the inverse conversion puts on its input."""
     factor = as_decimal(daily_factor)
     if problem := bound_violation("daily factor", factor):
         raise DomainError(problem)
@@ -241,7 +242,10 @@ def annual_rate_from_daily_factor(daily_factor: Decimal | str | int) -> Decimal:
         raise DomainError(f"daily factor must be positive, got {factor}")
     compounded = exact_pow(factor, DAYS_PER_YEAR)
     with localcontext(CONTEXT):
-        return +compounded - 1
+        rate = +compounded - 1
+    if problem := bound_violation("implied annual rate", rate):
+        raise DomainError(problem)
+    return rate
 
 
 def net_yield(

@@ -8,26 +8,34 @@ receives the settlement-rounded redeemable quantity, the fee and decay
 portions accrue to the issuer but stay in the vault (physical metal
 only moves at redemption).
 
+One function, ``_effects``, checks every event (appended, redeemed or
+replayed) and computes what it writes, a redeem's settled payout
+included; redemption and valuation share the claim arithmetic.
+
 Conservation invariants maintained per series:
 
 * vault grams + cumulative payout grams == issued tokens * initial
   weight (exactly, because the vault is debited by the same rounded
   payout the customer receives);
+* issuer accrual + cumulative payout grams == redeemed tokens * initial
+  weight, and the balances hold at most the tokens issued;
 * issuer accrual is nondecreasing;
 * outstanding decayed claims never exceed the vault.
 
 Persistence: one JSON object per line for the event log (append-only),
-a canonical sorted-keys JSON document for state snapshots, and a
-``day,asset_id,price`` CSV for valuation quotes.
+a canonical sorted-keys JSON document for state snapshots (checked on
+load against the first two invariants), and a ``day,asset_id,price``
+CSV for valuation quotes.
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import json
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from enum import Enum
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
@@ -48,6 +56,14 @@ from rsdm.errors import (
 from rsdm.numeric import GRAM, Quantity, as_decimal, exact_add, exact_mul, exact_sub, settle
 
 _ZERO = Decimal(0)
+
+#: The per-series amounts in grams a state and its snapshot hold.
+_AMOUNTS = ("vault", "issuer_accrual", "cumulative_payouts")
+
+#: Context for a snapshot's conservation sums: exact for any amount a
+#: ledger writes (34 weight digits times a token count Python parses),
+#: and it traps, so 1E+999999999 fails at once, not as a 10^9-digit sum.
+_SNAPSHOT_SUMS = decimal.Context(prec=5_000, traps=[decimal.Inexact, decimal.Rounded])
 
 
 class EventKind(Enum):
@@ -235,64 +251,23 @@ def empty_state() -> LedgerState:
 # ---------------------------------------------------------------------------
 
 
-def _compute_redeem(state: LedgerState, event: LedgerEvent) -> tuple[Decimal, Decimal]:
-    """Validate a redeem event; return (payout, issuer accrual delta).
-
-    A payout stated on the event must equal the computed one.
-    """
-    spec = state.specs.get(event.series_id)
-    if spec is None:
-        raise UnknownSeries(f"series {event.series_id!r} has never been issued")
-    held = state.balances.get((event.party, event.series_id), 0)
-    if held < event.token_count:
-        raise InsufficientBalance(
-            f"{event.party!r} holds {held} tokens of {event.series_id!r}, "
-            f"cannot redeem {event.token_count}"
-        )
-    elapsed = event.day - epoch_day(spec.issue_date)
-    if elapsed < 0:
-        raise DomainError(f"redemption day {event.day} precedes the series issue date")
-    if elapsed > spec.expiry_days:
-        raise ExpiredSeries(
-            f"series {event.series_id!r} expired {elapsed - spec.expiry_days} days "
-            f"before the redemption; tokens pay zero"
-        )
-    quote = redemption_quote(spec, elapsed)
-    residual_total = exact_mul(quote.residual.value, Decimal(event.token_count))
-    if residual_total < spec.min_redemption_grams:
-        raise BelowMinimumRedemption(
-            f"residual {settle(residual_total):f} g is below the series minimum "
-            f"of {spec.min_redemption_grams} g"
-        )
-    payout = settle(exact_mul(quote.payout.value, Decimal(event.token_count)))
-    if event.payout_grams is not None and event.payout_grams != payout:
-        raise LedgerError(
-            f"redeem event states payout {event.payout_grams} g but the series "
-            f"arithmetic yields {payout} g"
-        )
-    face_total = exact_mul(spec.initial_weight, Decimal(event.token_count))
-    accrual = exact_sub(face_total, payout)  # decay plus fee, kept in vault
-    return payout, accrual
-
-
 def append_event(state: LedgerState, event: LedgerEvent) -> LedgerState:
     """Apply one event, returning the successor state.
 
     Any rejection raises a LedgerError subclass and leaves the input
     state untouched (value semantics: the input is never mutated).
     """
-    return _apply(state, event, None)
+    writes, series, _ = _effects(state, event)
+    return _successor(state, event, writes, series)
 
 
-def _effects(state, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None):
+def _effects(state, event: LedgerEvent):
     """Check ``event`` against ``state`` and return what it writes, without
-    writing: ``(balances, series)``, the new balance of each (party,
-    series_id) key it touches and the new value of each per-series field
-    (``specs``, ``vault``, ...) it changes for ``event.series_id``.
-
-    ``state`` is a LedgerState or ``replay``'s private fold; ``redeemed``
-    is a redeem event's (payout, accrual) from ``_compute_redeem`` on this
-    state, or None to compute it here.
+    writing: ``(balances, series, payout)``, the new balance of each
+    (party, series_id) key it touches, the new value of each per-series
+    field (``specs``, ``vault``, ...) it changes for ``event.series_id``,
+    and a redeem's settled payout (None for the other kinds), which must
+    equal a payout stated on the event.
     """
     if event.sequence != state.last_sequence + 1:
         raise SequenceGap(
@@ -328,41 +303,66 @@ def _effects(state, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None
             state.vault.get(sid, _ZERO), exact_mul(spec.initial_weight, Decimal(count))
         )
         series["issued_tokens"] = total_issued
-        return {key: state.balances.get(key, 0) + count}, series
+        return {key: state.balances.get(key, 0) + count}, series, None
 
-    if event.kind is EventKind.TRANSFER:
-        if sid not in state.specs:
-            raise UnknownSeries(f"series {sid!r} has never been issued")
-        if not event.counterparty:
-            raise LedgerError("transfer requires a counterparty")
-        held = state.balances.get(key, 0)
-        if held < count:
-            raise InsufficientBalance(
-                f"{event.party!r} holds {held} tokens of {sid!r}, cannot transfer {count}"
-            )
+    # a transfer or a redeem
+    if sid not in state.specs:
+        raise UnknownSeries(f"series {sid!r} has never been issued")
+    transfer = event.kind is EventKind.TRANSFER
+    if transfer and not event.counterparty:
+        raise LedgerError("transfer requires a counterparty")
+    held = state.balances.get(key, 0)
+    if held < count:
+        raise InsufficientBalance(
+            f"{event.party!r} holds {held} tokens of {sid!r}, cannot {event.kind.value} {count}"
+        )
+    if transfer:
         if event.counterparty == event.party:
-            return {key: held}, {}
+            return {key: held}, {}, None
         dst = (event.counterparty, sid)
-        return {key: held - count, dst: state.balances.get(dst, 0) + count}, {}
+        return {key: held - count, dst: state.balances.get(dst, 0) + count}, {}, None
 
-    if event.kind is EventKind.REDEEM:
-        payout, accrual = redeemed or _compute_redeem(state, event)
-        return {key: state.balances.get(key, 0) - count}, {
-            "vault": exact_sub(state.vault[sid], payout),
-            "cumulative_payouts": exact_add(state.cumulative_payouts.get(sid, _ZERO), payout),
-            "issuer_accrual": exact_add(state.issuer_accrual.get(sid, _ZERO), accrual),
-        }
+    spec = state.specs[sid]
+    elapsed = event.day - epoch_day(spec.issue_date)
+    if elapsed < 0:
+        raise DomainError(f"redemption day {event.day} precedes the series issue date")
+    if elapsed > spec.expiry_days:
+        raise ExpiredSeries(
+            f"series {sid!r} expired {elapsed - spec.expiry_days} days "
+            f"before the redemption; tokens pay zero"
+        )
+    residual, redeemable = _claim(spec, elapsed, count)
+    if residual < spec.min_redemption_grams:
+        raise BelowMinimumRedemption(
+            f"residual {settle(residual):f} g is below the series minimum "
+            f"of {spec.min_redemption_grams} g"
+        )
+    payout = settle(redeemable)
+    if event.payout_grams is not None and event.payout_grams != payout:
+        raise LedgerError(
+            f"redeem event states payout {event.payout_grams} g but the series "
+            f"arithmetic yields {payout} g"
+        )
+    accrual = exact_sub(exact_mul(spec.initial_weight, Decimal(count)), payout)  # decay plus fee
+    return {key: held - count}, {
+        "vault": exact_sub(state.vault[sid], payout),
+        "cumulative_payouts": exact_add(state.cumulative_payouts.get(sid, _ZERO), payout),
+        "issuer_accrual": exact_add(state.issuer_accrual.get(sid, _ZERO), accrual),
+    }, payout
 
-    raise LedgerError(f"unknown event kind {event.kind!r}")  # pragma: no cover - enum is closed
+
+def _claim(spec: RsdmSpec, elapsed: int, count: int) -> tuple[Decimal, Decimal]:
+    """The exact residual and redeemable grams of ``count`` tokens
+    ``elapsed`` days after issue, before settlement."""
+    quote = redemption_quote(spec, elapsed)
+    tokens = Decimal(count)
+    return exact_mul(quote.residual.value, tokens), exact_mul(quote.payout.value, tokens)
 
 
-def _apply(
-    state: LedgerState, event: LedgerEvent, redeemed: tuple[Decimal, Decimal] | None
-) -> LedgerState:
-    """The event step behind ``append_event`` and ``redeem``: check, then
-    build the successor. Balances share storage with ``state``, and a
-    per-series dict is copied only when the event changes it."""
-    writes, series = _effects(state, event, redeemed)
+def _successor(state: LedgerState, event: LedgerEvent, writes: dict, series: dict) -> LedgerState:
+    """The state after ``event``, from the writes ``_effects`` returned.
+    Balances share storage with ``state``, and a per-series dict is
+    copied only when the event changes it."""
     # Filled in directly: every field is already in final form, and the
     # frozen dataclass __init__ would set the seven one object.__setattr__
     # at a time, a cost that shows on every small-book event.
@@ -382,43 +382,20 @@ def _apply(
 
 
 def issue(
-    state: LedgerState,
-    series_id: str,
-    spec: RsdmSpec | None,
-    party: str,
-    token_count: int,
-    day: int,
+    state: LedgerState, series_id: str, spec: RsdmSpec | None, party: str, token_count: int, day: int
 ) -> tuple[LedgerState, LedgerEvent]:
     """Issue tokens to a party; the first issue must carry the series spec."""
-    event = LedgerEvent(
-        sequence=state.last_sequence + 1,
-        day=day,
-        kind=EventKind.ISSUE,
-        series_id=series_id,
-        party=party,
-        token_count=token_count,
-        series_spec=spec if series_id not in state.specs else None,
-    )
+    event = LedgerEvent(state.last_sequence + 1, day, EventKind.ISSUE, series_id, party,
+                        token_count=token_count,
+                        series_spec=spec if series_id not in state.specs else None)
     return append_event(state, event), event
 
 
 def transfer(
-    state: LedgerState,
-    party: str,
-    counterparty: str,
-    series_id: str,
-    token_count: int,
-    day: int,
+    state: LedgerState, party: str, counterparty: str, series_id: str, token_count: int, day: int
 ) -> tuple[LedgerState, LedgerEvent]:
-    event = LedgerEvent(
-        sequence=state.last_sequence + 1,
-        day=day,
-        kind=EventKind.TRANSFER,
-        series_id=series_id,
-        party=party,
-        counterparty=counterparty,
-        token_count=token_count,
-    )
+    event = LedgerEvent(state.last_sequence + 1, day, EventKind.TRANSFER, series_id, party,
+                        counterparty, token_count)
     return append_event(state, event), event
 
 
@@ -426,18 +403,13 @@ def redeem(
     state: LedgerState, party: str, series_id: str, token_count: int, day: int
 ) -> tuple[LedgerState, Quantity, LedgerEvent]:
     """Redeem tokens for collateral; returns the settled payout in grams
-    along with the emitted event."""
-    probe = LedgerEvent(
-        sequence=state.last_sequence + 1,
-        day=day,
-        kind=EventKind.REDEEM,
-        series_id=series_id,
-        party=party,
-        token_count=token_count,
-    )
-    payout, accrual = _compute_redeem(state, probe)
+    along with the emitted event. The payout comes from checking the
+    event, so a redeem is checked and quoted once."""
+    probe = LedgerEvent(state.last_sequence + 1, day, EventKind.REDEEM, series_id, party,
+                        token_count=token_count)
+    writes, series, payout = _effects(state, probe)
     event = replace(probe, payout_grams=payout)
-    return _apply(state, event, (payout, accrual)), Quantity(payout, GRAM), event
+    return _successor(state, event, writes, series), Quantity(payout, GRAM), event
 
 
 # ---------------------------------------------------------------------------
@@ -450,41 +422,27 @@ def replay(events: Iterable[LedgerEvent]) -> LedgerState:
 
     The first invalid event aborts with a ReplayError carrying its
     sequence number. Events are checked exactly as by ``append_event``,
-    but written in place into one private fold that becomes the
-    returned state's storage once the log is done.
+    but written in place into one state whose fields stay plain dicts
+    until the log is done; no caller sees it before.
     """
-    fold = _Fold()
+    # Not empty_state(): once vars() takes an __init__-built instance's
+    # dict, _effects reads its fields slower (a 19k-event replay, +6%).
+    fold = object.__new__(LedgerState)
+    fields = vars(fold)
+    balances = {}
+    fields.update(specs={}, balances=balances, vault={}, issuer_accrual={}, cumulative_payouts={},
+                  issued_tokens={}, last_sequence=0)
     for event in events:
         try:
-            writes, series = _effects(fold, event, None)
+            writes, series, _ = _effects(fold, event)
         except RsdmError as exc:
             raise ReplayError(event.sequence, str(exc)) from exc
-        fold.balances.update(writes)
+        balances.update(writes)
         for name, value in series.items():
-            getattr(fold, name)[event.series_id] = value
-        fold.last_sequence = event.sequence
-    return LedgerState(
-        specs=fold.specs,
-        balances=_Balances(fold.balances),
-        vault=fold.vault,
-        issuer_accrual=fold.issuer_accrual,
-        cumulative_payouts=fold.cumulative_payouts,
-        issued_tokens=fold.issued_tokens,
-        last_sequence=fold.last_sequence,
-    )
-
-
-class _Fold:
-    """``replay``'s working state: a LedgerState's fields as plain dicts,
-    written in place. Nothing outside ``replay`` ever sees one."""
-
-    __slots__ = ("specs", "balances", "vault", "issuer_accrual", "cumulative_payouts",
-                 "issued_tokens", "last_sequence")
-
-    def __init__(self) -> None:
-        self.specs, self.balances, self.vault = {}, {}, {}
-        self.issuer_accrual, self.cumulative_payouts, self.issued_tokens = {}, {}, {}
-        self.last_sequence = 0
+            fields[name][event.series_id] = value
+        fields["last_sequence"] = event.sequence
+    fields["balances"] = _Balances(balances)
+    return fold
 
 
 @dataclass(frozen=True)
@@ -525,10 +483,11 @@ def holdings_valuation(
         if q.day <= day and (q.asset_id not in latest or q.day >= latest[q.asset_id].day):
             latest[q.asset_id] = q
 
+    elapsed = {series: day - epoch_day(state.specs[series].issue_date) for series in holdings}
     uncovered = [
         series
-        for series in holdings
-        if not _is_expired(state.specs[series], day) and state.specs[series].collateral_id not in latest
+        for series, days in elapsed.items()
+        if days <= state.specs[series].expiry_days and state.specs[series].collateral_id not in latest
     ]
     if uncovered:
         raise MissingQuote(uncovered)
@@ -538,7 +497,8 @@ def holdings_valuation(
     total_redeemable = _ZERO
     for series, count in holdings.items():
         spec = state.specs[series]
-        if _is_expired(spec, day):
+        days = elapsed[series]
+        if days > spec.expiry_days:
             rows.append(
                 HoldingValuation(
                     series_id=series,
@@ -553,13 +513,10 @@ def holdings_valuation(
                 )
             )
             continue
-        elapsed = day - epoch_day(spec.issue_date)
-        if elapsed < 0:
+        if days < 0:
             raise DomainError(f"valuation day {day} precedes the issue date of {series!r}")
         quote = latest[spec.collateral_id]
-        per_token = redemption_quote(spec, elapsed)
-        residual_g = exact_mul(per_token.residual.value, Decimal(count))
-        redeemable_g = exact_mul(per_token.payout.value, Decimal(count))
+        residual_g, redeemable_g = _claim(spec, days, count)
         residual_v = exact_mul(residual_g, quote.price)
         redeemable_v = exact_mul(redeemable_g, quote.price)
         rows.append(
@@ -583,10 +540,6 @@ def holdings_valuation(
         total_residual_value=total_residual,
         total_redeemable_value=total_redeemable,
     )
-
-
-def _is_expired(spec: RsdmSpec, day: int) -> bool:
-    return day - epoch_day(spec.issue_date) > spec.expiry_days
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +588,7 @@ def state_to_snapshot(state: LedgerState) -> str:
         "last_sequence": state.last_sequence,
         "series": {sid: spec.to_json_dict() for sid, spec in state.specs.items()},
         "balances": _nest_balances(state.balances),
-        "vault": {sid: str(v) for sid, v in state.vault.items()},
-        "issuer_accrual": {sid: str(v) for sid, v in state.issuer_accrual.items()},
-        "cumulative_payouts": {sid: str(v) for sid, v in state.cumulative_payouts.items()},
+        **{field: {sid: str(v) for sid, v in getattr(state, field).items()} for field in _AMOUNTS},
         "issued_tokens": dict(state.issued_tokens),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -665,48 +616,59 @@ def state_from_snapshot(text: str) -> LedgerState:
             for party, series_map in by_party.items()
             for series, count in series_map.items()
         }
-        bad = [key for key, count in balances.items() if type(count) is not int or count < 0]
-        if bad:
-            raise DomainError(
-                f"balance {bad[0]} must be a nonnegative integer, got {balances[bad[0]]!r}")
-        specs = {sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()}
-        _check_known_series(specs, by_party, balances, doc)
-        return LedgerState(
-            specs=specs,
+        held: dict[str, int] = {}  # series_id -> tokens in all balances
+        for key, count in balances.items():
+            if type(count) is not int or count < 0:
+                raise DomainError(f"balance {key} must be a nonnegative integer, got {count!r}")
+            held[key[1]] = held.get(key[1], 0) + count
+        state = LedgerState(
+            specs={sid: RsdmSpec.from_json_dict(s) for sid, s in doc.get("series", {}).items()},
             balances=_Balances(balances),
-            vault={sid: as_decimal(v) for sid, v in doc.get("vault", {}).items()},
-            issuer_accrual={
-                sid: as_decimal(v) for sid, v in doc.get("issuer_accrual", {}).items()
-            },
-            cumulative_payouts={
-                sid: as_decimal(v) for sid, v in doc.get("cumulative_payouts", {}).items()
-            },
+            **{field: {sid: as_decimal(v) for sid, v in doc.get(field, {}).items()}
+               for field in _AMOUNTS},
             issued_tokens={
                 sid: _json_int(v, f"issued_tokens {sid!r}")
                 for sid, v in doc.get("issued_tokens", {}).items()
             },
             last_sequence=_json_int(doc.get("last_sequence", 0), "last_sequence"),
         )
+        _check_series(state, held)
+        return state
     except (DomainError, ValueError, TypeError, AttributeError) as exc:
         raise DomainError(f"malformed snapshot: {exc}") from exc
 
 
-def _check_known_series(specs: dict, by_party: dict, balances: dict, doc: dict) -> None:
-    """Every held balance and every per-series entry of a snapshot must
-    name a series of its ``"series"`` object, as ``append_event`` ensures.
-    A zero balance holds nothing and is let through. The common case is
-    set arithmetic over the keys; the offender is looked up only on error.
-    """
-    stray = set().union(*by_party.values()) - specs.keys()
+def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
+    """A snapshot's series must be as ``append_event`` leaves them. Every
+    held balance (``held``: tokens per series) and per-series entry names
+    one of them; a zero balance holds nothing and is let through, and the
+    offending balance is looked up only on error. Each series' balances
+    hold at most the tokens issued, vault plus payouts weigh every token
+    issued, and issuer accrual plus payouts every token redeemed."""
+    stray = {sid for sid, tokens in held.items() if tokens} - state.specs.keys()
     if stray:
-        for key in sorted(balances):
-            if key[1] in stray and balances[key]:
-                raise DomainError(f"balance {key} names series {key[1]!r}, missing from \"series\"")
-    for field in ("vault", "issuer_accrual", "cumulative_payouts", "issued_tokens"):
-        stray = doc.get(field, {}).keys() - specs.keys()
+        key = min(key for key, count in state.balances.items() if key[1] in stray and count)
+        raise DomainError(f"balance {key} names series {key[1]!r}, missing from \"series\"")
+    for field in (*_AMOUNTS, "issued_tokens"):
+        stray = getattr(state, field).keys() - state.specs.keys()
         if stray:
+            raise DomainError(f"{field} entry {min(stray)!r} names a series missing from \"series\"")
+    for sid, spec in state.specs.items():
+        issued = state.issued_tokens.get(sid, 0)
+        redeemed = issued - held.get(sid, 0)
+        if redeemed < 0:
             raise DomainError(
-                f"{field} entry {min(stray)!r} names a series missing from \"series\"")
+                f"balances of {sid!r} hold {issued - redeemed} tokens, more than the {issued} issued")
+        payouts = state.cumulative_payouts.get(sid, _ZERO)
+        for field, tokens, fate in (("vault", issued, "issued"), ("issuer_accrual", redeemed, "redeemed")):
+            try:
+                with localcontext(_SNAPSHOT_SUMS):
+                    kept = getattr(state, field).get(sid, _ZERO) + payouts == spec.initial_weight * tokens
+            except decimal.DecimalException:  # wider than any amount a ledger writes
+                kept = False
+            if not kept:
+                raise DomainError(f"{field} + cumulative_payouts of {sid!r} is not the weight of "
+                                  f"the {tokens} tokens {fate}")
 
 
 def quotes_from_csv(text: str) -> list[PriceQuote]:

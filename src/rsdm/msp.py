@@ -26,11 +26,12 @@ One include-first depth-first search sits behind the three solvers:
 subset-enumeration oracle, while ``solve_branch_and_bound`` (linear) and
 ``solve_saturating`` also cut on an objective bound. Among
 equal-objective optima the lexicographically smallest sorted id tuple
-wins, so results are schedule-independent. Every solver first rejects,
-with SchemaError, an instance that breaks an invariant the cuts rely on
-(nonnegative weights and penalty, coverage in [0, 1], a nonempty pool,
-a positive cardinality bound, and weights, thresholds and penalty within
-the width rule of ``numeric.bound_violation``).
+wins, so results are schedule-independent. Every solver and every query
+first rejects, with SchemaError, an instance that breaks an invariant
+the cuts and sums rely on (nonnegative weights and penalty, coverage in
+[0, 1], a nonempty pool, a positive cardinality bound, and weights,
+thresholds and penalty within the width rule of
+``numeric.bound_violation``).
 """
 
 from __future__ import annotations
@@ -253,6 +254,13 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
     return problems
 
 
+def _require_valid(instance: MspInstance) -> None:
+    """Raise SchemaError listing the broken invariants, if any."""
+    problems = _invariant_violations(instance)
+    if problems:
+        raise SchemaError(problems)
+
+
 # ---------------------------------------------------------------------------
 # Queries on a selection
 # ---------------------------------------------------------------------------
@@ -314,18 +322,21 @@ def _objective(
 def evaluate_linear_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Weighted coverage summed over the selection, minus
     balance_penalty * selection size."""
+    _require_valid(instance)
     return _objective(instance, selection, ObjectiveKind.LINEAR)[0]
 
 
 def evaluate_saturating_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Per-function weighted coverage capped at 1, summed, minus
     balance_penalty * selection size."""
+    _require_valid(instance)
     return _objective(instance, selection, ObjectiveKind.SATURATING)[0]
 
 
 def raw_function_scores(instance: MspInstance, selection: Iterable[str]) -> dict[str, Decimal]:
     """Unweighted coverage sum per function over the selection (the
     quantity the per-function thresholds constrain)."""
+    _require_valid(instance)
     raw = _Tally(instance, _chosen(instance, selection)[1]).raw()
     return {f.id: total for f, total in zip(instance.functions, raw)}
 
@@ -333,6 +344,7 @@ def raw_function_scores(instance: MspInstance, selection: Iterable[str]) -> dict
 def check_feasible(instance: MspInstance, selection: Iterable[str]) -> FeasibilityVerdict:
     """List every violated constraint: cardinality, per-function
     threshold (on raw coverage sums), and mandatory inclusion."""
+    _require_valid(instance)
     sel, chosen = _chosen(instance, selection)
     violations = []
     if len(sel) > instance.max_parallel:
@@ -353,6 +365,7 @@ def coverage_report(instance: MspInstance, selection: Iterable[str]) -> Coverage
     """Per-function coverage of a selection: raw achieved sum vs its
     threshold, the saturated weighted value, and whether the union of
     the selected currencies covers the whole catalog."""
+    _require_valid(instance)
     tally = _Tally(instance, _chosen(instance, selection)[1])
     rows = tuple(
         FunctionCoverage(
@@ -415,9 +428,7 @@ def _search(
     the net marginals (linear) or minus the penalty per currency
     (saturating, which adds the per-function min(1, weighted coverage)).
     """
-    problems = _invariant_violations(instance)
-    if problems:
-        raise SchemaError(problems)
+    _require_valid(instance)
     saturating = kind is ObjectiveKind.SATURATING
     functions = instance.functions
 

@@ -59,12 +59,22 @@ class FeeKind(Enum):
     MEAN_HOLDING_BASED = "mean-holding"
 
 
+#: The fee field each kind sets, and its name in errors (None for the
+#: integer deadline day).
+_KIND_FIELD = {
+    FeeKind.FLAT: ("flat_fee_per_token", "flat fee"),
+    FeeKind.DEADLINE_BASED: ("deadline_day", None),
+    FeeKind.MEAN_HOLDING_BASED: ("mean_holding_days", "mean holding duration"),
+}
+
+
 @dataclass(frozen=True)
 class FeeSchedule:
     """The issuer's fee regime plus the storage rate it must outrun.
 
-    Exactly the fields of the active kind are meaningful; use the
-    ``flat`` / ``deadline_based`` / ``mean_holding_based`` constructors.
+    Exactly the active kind's fee field is set, and each decimal passes
+    ``_nonneg``, or construction raises DomainError. The ``flat`` /
+    ``deadline_based`` / ``mean_holding_based`` constructors pick the kind.
     """
 
     kind: FeeKind
@@ -73,23 +83,30 @@ class FeeSchedule:
     deadline_day: int | None = None
     mean_holding_days: Decimal | None = None
 
+    def __post_init__(self) -> None:
+        name, what = _KIND_FIELD[self.kind]
+        if [n for n, _ in _KIND_FIELD.values() if getattr(self, n) is not None] != [name]:
+            raise DomainError(f"a {self.kind.value} fee schedule sets {name} and no other fee field")
+        value = getattr(self, name)
+        if what:
+            object.__setattr__(self, name, _nonneg(value, what))
+        elif type(value) is not int:
+            raise DomainError(f"deadline day must be an integer, got {type(value).__name__}")
+        object.__setattr__(self, "warehouse_rate", _nonneg(self.warehouse_rate, "warehouse rate"))
+
     @classmethod
     def flat(cls, fee_per_token: Decimal | str | int, rate: Decimal | str | int) -> "FeeSchedule":
-        fee = _nonneg(fee_per_token, "flat fee")
-        return cls(FeeKind.FLAT, _nonneg(rate, "warehouse rate"), flat_fee_per_token=fee)
+        return cls(FeeKind.FLAT, rate, flat_fee_per_token=fee_per_token)
 
     @classmethod
     def deadline_based(cls, deadline_day: int, rate: Decimal | str | int) -> "FeeSchedule":
-        alpha = _nonneg(rate, "warehouse rate")
-        return cls(FeeKind.DEADLINE_BASED, alpha, deadline_day=deadline_day)
+        return cls(FeeKind.DEADLINE_BASED, rate, deadline_day=deadline_day)
 
     @classmethod
     def mean_holding_based(
         cls, mean_days: Decimal | str | int, rate: Decimal | str | int
     ) -> "FeeSchedule":
-        mean = _nonneg(mean_days, "mean holding duration")
-        alpha = _nonneg(rate, "warehouse rate")
-        return cls(FeeKind.MEAN_HOLDING_BASED, alpha, mean_holding_days=mean)
+        return cls(FeeKind.MEAN_HOLDING_BASED, rate, mean_holding_days=mean_days)
 
     def fee_for(self, record: RedemptionRecord) -> Decimal:
         """Per-token fee charged to this customer under the active kind."""
@@ -246,7 +263,8 @@ class SolvencyTimeline:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["day", "cum_profit", "cum_cost", "bankrupt"])
         for p in self.points:
-            writer.writerow([p.day, str(p.cum_profit), str(p.cum_cost), str(p.bankrupt).lower()])
+            writer.writerow([p.day, format(p.cum_profit, "f"), format(p.cum_cost, "f"),
+                             str(p.bankrupt).lower()])
         return buf.getvalue()
 
 

@@ -74,6 +74,18 @@ class TestDecayCommands:
         assert err.startswith(f"error: {what} must have at most 34 digits")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("factor", ["1.5", "1E+34"])
+    def test_convert_rate_rejects_a_wide_implied_rate(self, factor, capsys):
+        code, out, err = run(capsys, "decay", "convert-rate", "--daily", factor)
+        assert (code, out) == (1, "")
+        assert err == ("error: implied annual rate must have at most 34 digits and an "
+                       "adjusted exponent within ±34\n")
+
+    def test_convert_rate_prints_an_implied_rate_at_the_width_rule(self, capsys):
+        code, out, _ = run(capsys, "decay", "convert-rate", "--daily", "1.2")
+        assert code == 0 and "E" not in out
+        assert out.startswith("79644319771494430769549456383.") and len(out.split(".")[0]) == 29
+
     def test_expired_is_domain_error(self, capsys):
         code, _, err = run(capsys, "decay", "residual", "--theta", "0.99996",
                            "--w", "1", "--days", "10", "--expiry-days", "5")
@@ -130,6 +142,15 @@ class TestSolvencyCommands:
         assert code == 0
         assert out.splitlines()[0] == "day,cum_profit,cum_cost,bankrupt"
         assert "first bankrupt day:" in err
+
+    def test_simulate_prints_the_timeline_in_plain_notation(self, capsys):
+        code, out, err = run(capsys, "solvency", "simulate",
+                             "--records", "jiaozi_solvency.csv",
+                             "--flat-fee", "0", "--rate", "1E-30", "--horizon", "1500")
+        assert code == 0 and err == "first bankrupt day: 1\n"
+        assert "E" not in out
+        assert out.splitlines()[1:3] == ["0,0,0.000000000000000000000000000000,false",
+                                          "1,0,0.000000000000000000000000000100,true"]
 
     def test_simulate_rejects_a_span_past_the_limit(self, capsys):
         code, out, err = run(capsys, "solvency", "simulate",

@@ -175,6 +175,16 @@ class TestRateConversions:
         with pytest.raises(DomainError, match=f"{what} must have at most 34 digits"):
             convert(Decimal(value))
 
+    @pytest.mark.parametrize("factor", ["1.5", "1E+34"])
+    def test_implied_rate_wider_than_a_spec_field_rejected(self, factor):
+        with pytest.raises(DomainError, match="implied annual rate must have at most 34 digits"):
+            decay.annual_rate_from_daily_factor(Decimal(factor))
+
+    def test_implied_rate_at_the_width_rule_kept(self):
+        rate = decay.annual_rate_from_daily_factor(Decimal("1.2"))
+        assert rate.adjusted() == 28
+        assert decay.daily_factor_from_annual_rate(rate) > 1
+
     def test_rate_below_total_loss_rejected(self):
         with pytest.raises(DomainError):
             decay.daily_factor_from_annual_rate(Decimal("-1"))

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from conftest import make_series_pool
 from rsdm import decay, ledger
 from rsdm.decay import epoch_day, validate_spec
-from rsdm.numeric import exact_add, exact_mul, exact_sub
+from rsdm.numeric import exact_add, exact_mul, exact_sub, settle
 from rsdm.errors import (
     BelowMinimumRedemption,
     DomainError,
@@ -45,8 +46,49 @@ GOLD = decay.RsdmSpec(
 
 # ---------------------------------------------------------------------------
 # Reference: the copy-per-event step the ledger used before its balances
-# shared structure. It copies every state dict, then writes the copies.
+# shared structure. It copies every state dict, then writes the copies,
+# and checks a redeem in a function of its own, as the ledger once did.
 # ---------------------------------------------------------------------------
+
+
+def reference_compute_redeem(state, event):
+    """Validate a redeem event; return (payout, issuer accrual delta).
+
+    A payout stated on the event must equal the computed one.
+    """
+    spec = state.specs.get(event.series_id)
+    if spec is None:
+        raise UnknownSeries(f"series {event.series_id!r} has never been issued")
+    held = state.balances.get((event.party, event.series_id), 0)
+    if held < event.token_count:
+        raise InsufficientBalance(
+            f"{event.party!r} holds {held} tokens of {event.series_id!r}, "
+            f"cannot redeem {event.token_count}"
+        )
+    elapsed = event.day - epoch_day(spec.issue_date)
+    if elapsed < 0:
+        raise DomainError(f"redemption day {event.day} precedes the series issue date")
+    if elapsed > spec.expiry_days:
+        raise ExpiredSeries(
+            f"series {event.series_id!r} expired {elapsed - spec.expiry_days} days "
+            f"before the redemption; tokens pay zero"
+        )
+    quote = decay.redemption_quote(spec, elapsed)
+    residual_total = exact_mul(quote.residual.value, Decimal(event.token_count))
+    if residual_total < spec.min_redemption_grams:
+        raise BelowMinimumRedemption(
+            f"residual {settle(residual_total):f} g is below the series minimum "
+            f"of {spec.min_redemption_grams} g"
+        )
+    payout = settle(exact_mul(quote.payout.value, Decimal(event.token_count)))
+    if event.payout_grams is not None and event.payout_grams != payout:
+        raise LedgerError(
+            f"redeem event states payout {event.payout_grams} g but the series "
+            f"arithmetic yields {payout} g"
+        )
+    face_total = exact_mul(spec.initial_weight, Decimal(event.token_count))
+    accrual = exact_sub(face_total, payout)  # decay plus fee, kept in vault
+    return payout, accrual
 
 
 def reference_apply(state, event, redeemed=None):
@@ -115,7 +157,7 @@ def reference_apply(state, event, redeemed=None):
         balances[dst] = balances.get(dst, 0) + event.token_count
 
     elif event.kind is EventKind.REDEEM:
-        payout, accrual = redeemed or ledger._compute_redeem(state, event)
+        payout, accrual = redeemed or reference_compute_redeem(state, event)
         key = (event.party, event.series_id)
         balances[key] = state.balance(event.party, event.series_id) - event.token_count
         vault[event.series_id] = exact_sub(vault[event.series_id], payout)
@@ -287,6 +329,17 @@ class TestRedeem:
         with pytest.raises(InsufficientBalance):
             ledger.redeem(issued_state(100), "alice", "AU35", 600, 1)
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_nonpositive_count_rejected_as_by_append_event(self, count):
+        state = issued_state()
+        event = LedgerEvent(2, 10, EventKind.REDEEM, "AU35", "alice", token_count=count)
+        with pytest.raises(LedgerError) as appended:
+            ledger.append_event(state, event)
+        with pytest.raises(LedgerError) as redeemed:
+            ledger.redeem(state, "alice", "AU35", count, 10)
+        assert type(redeemed.value) is type(appended.value) is LedgerError
+        assert str(redeemed.value) == str(appended.value) == f"token count must be positive, got {count}"
+
     def test_stated_payout_must_match(self):
         state = issued_state()
         event = LedgerEvent(
@@ -455,6 +508,38 @@ class TestMalformedDocuments:
         with pytest.raises(DomainError, match=f"malformed snapshot: {field} entry 'XX' names a series"):
             ledger.state_from_snapshot(json.dumps(doc))
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"vault": {"AU35": "0"}},
+         "vault + cumulative_payouts of 'AU35' is not the weight of the 5000 tokens issued"),
+        ({"vault": {"AU35": "1E+999999999"}},
+         "vault + cumulative_payouts of 'AU35' is not the weight of the 5000 tokens issued"),
+        ({"cumulative_payouts": {"AU35": "1E-999999999"}},
+         "vault + cumulative_payouts of 'AU35' is not the weight of the 5000 tokens issued"),
+        ({"issuer_accrual": {"AU35": "5"}},
+         "issuer_accrual + cumulative_payouts of 'AU35' is not the weight of the 1700 tokens redeemed"),
+        ({"issued_tokens": {"AU35": 3000}},
+         "balances of 'AU35' hold 3300 tokens, more than the 3000 issued"),
+        ({"balances": {"alice": {"AU35": 2000}, "bob": {"AU35": 99999999}}},
+         "balances of 'AU35' hold 100001999 tokens, more than the 5000 issued"),
+    ], ids=["empty-vault", "wide-vault", "wide-payouts", "accrual", "issued-below-held",
+            "balance-above-issued"])
+    def test_snapshot_breaking_conservation(self, change, problem):
+        # a redeem from either of the first and last used to drive the vault negative
+        state, _ = TestReplayAndPersistence()._sample_log()
+        doc = {**json.loads(ledger.state_to_snapshot(state)), **change}
+        with pytest.raises(DomainError) as err:
+            ledger.state_from_snapshot(json.dumps(doc))
+        assert str(err.value) == f"malformed snapshot: {problem}"
+
+    def test_snapshot_keeping_conservation_loads(self):
+        # a series with no payouts or accrual entries, as a book opened
+        # from a snapshot starts, and one that has paid out
+        state, _ = TestReplayAndPersistence()._sample_log()
+        state, _ = ledger.issue(state, "AG", replace(GOLD, initial_weight=D("10.5")), "carol", 7, 3)
+        text = ledger.state_to_snapshot(state)
+        assert ledger.state_to_snapshot(ledger.state_from_snapshot(text)) == text
+        assert ledger.state_from_snapshot(text).vault["AG"] == D("73.5")
+
     def test_snapshot_zero_balance_loads(self):
         state = ledger.state_from_snapshot('{"balances": {"a": {"S": 0}}}')
         assert state.balances == {("a", "S"): 0}
@@ -504,6 +589,19 @@ class TestValuation:
         with pytest.raises(MissingQuote) as err:
             ledger.holdings_valuation(state, [PriceQuote(0, "XAG", D("1"))], "alice", 0)
         assert err.value.uncovered == ["AU35"]
+
+    def test_missing_quote_wins_over_a_series_not_yet_issued(self):
+        # "AG" sorts first and is quoted, but issued after the valuation
+        # day; "ZN" is live and unquoted
+        later = decay.RsdmSpec(date(1970, 1, 31), "XAU", D("1"), D("0.99996"), 18262, D("0.003"))
+        state, _ = ledger.issue(ledger.empty_state(), "AG", later, "alice", 10, 30)
+        state, _ = ledger.issue(state, "ZN", replace(GOLD, collateral_id="XZN"), "alice", 10, 30)
+        quotes = [PriceQuote(0, "XAU", D("100"))]
+        with pytest.raises(MissingQuote) as err:
+            ledger.holdings_valuation(state, quotes, "alice", 5)
+        assert err.value.uncovered == ["ZN"]
+        with pytest.raises(DomainError, match="valuation day 5 precedes the issue date of 'AG'"):
+            ledger.holdings_valuation(state, quotes + [PriceQuote(0, "XZN", D("1"))], "alice", 5)
 
     def test_most_recent_prior_quote_used(self):
         state, _ = ledger.issue(ledger.empty_state(), "AU35", GOLD, "alice", 10, 0)
@@ -797,16 +895,21 @@ class LedgerMachine(RuleBasedStateMachine):
     def _derive(self, event, stated: bool = False):
         """Both successors of the current state under ``event``, checked
         against each other, or None when both reject it alike. With
-        ``stated``, a redeem goes through ``ledger.redeem``, which puts
-        the payout on the event."""
+        ``stated``, a redeem also goes through ``ledger.redeem``, which
+        puts the payout on the event, or must reject it alike."""
         before = snapshot(self.state)
         try:
             want = reference_apply(self.ref, event)
         except RsdmError as exc:
             note(f"{event.kind.value} rejected: {type(exc).__name__}")
-            with pytest.raises(RsdmError) as info:
-                ledger.append_event(self.state, event)
-            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            attempts = [lambda: ledger.append_event(self.state, event)]
+            if stated:
+                attempts.append(lambda: ledger.redeem(self.state, event.party, event.series_id,
+                                                      event.token_count, event.day))
+            for attempt in attempts:
+                with pytest.raises(RsdmError) as info:
+                    attempt()
+                assert type(info.value) is type(exc) and str(info.value) == str(exc)
             assert snapshot(self.state) == before
             return None
         if stated:

@@ -293,6 +293,23 @@ class TestInvalidInstanceRejected:
         with pytest.raises(SchemaError):
             self.SOLVERS[solver](inst)
 
+    QUERIES = {
+        "linear objective": msp.evaluate_linear_objective,
+        "saturating objective": msp.evaluate_saturating_objective,
+        "raw scores": msp.raw_function_scores,
+        "feasibility": msp.check_feasible,
+        "coverage report": msp.coverage_report,
+    }
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("defect", INVALID)
+    def test_query_raises_schema_error(self, defect, query):
+        inst = self.INVALID[defect](desk_instance())
+        selection = [c.id for c in inst.currencies[:2]]
+        with pytest.raises(SchemaError) as err:
+            self.QUERIES[query](inst, selection)
+        assert err.value.problems == msp.validate_instance(inst)
+
 
 class TestSolverProperties:
     @settings(max_examples=25, deadline=None)
@@ -688,8 +705,12 @@ class TestTallyMatchesTheReferenceLoops:
 
     @pytest.mark.parametrize("query, reference", QUERIES)
     def test_duplicate_pool_ids_count_once(self, query, reference):
-        # an invalid pool, but the queries still answer it as before
+        # a pool that names an id twice breaks an invariant: every query
+        # rejects it, as the solvers do, so no id reaches the tally twice;
+        # the reference loops, which do not validate, still answer it
         inst = replace(desk_instance(), currencies=desk_instance().currencies + (
             currency("GOLD", {"k1": "0.5", "k2": "0.5", "k3": "0.5"}),))
+        duplicate = f"/currencies/{len(inst.currencies) - 1}/id: duplicate currency id 'GOLD'"
         for selection in (["GOLD"], ["FIAT", "GOLD", "GOLD"], ["GOLD", "BTC", "RSDM"]):
-            assert outcome(query, inst, selection) == outcome(reference, inst, selection)
+            assert outcome(reference, inst, selection)[0] != "DomainError"
+            assert outcome(query, inst, selection) == ("DomainError", duplicate)

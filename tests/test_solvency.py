@@ -13,6 +13,7 @@ from rsdm import solvency
 from rsdm.errors import DomainError, NeverBankrupt
 from rsdm.numeric import CONTEXT
 from rsdm.solvency import (
+    FeeKind,
     FeeSchedule,
     IssuerBook,
     RedemptionRecord,
@@ -243,6 +244,41 @@ class TestFeeSchedule:
     def test_flat_requires_nonnegative(self):
         with pytest.raises(DomainError):
             FeeSchedule.flat(Decimal("-0.1"), Decimal("0.01"))
+
+    def test_flat_without_a_fee_rejected(self):
+        # unchecked, simulate_issuer multiplied None by the token count
+        with pytest.raises(DomainError, match="a flat fee schedule sets flat_fee_per_token"):
+            FeeSchedule(FeeKind.FLAT, Decimal("0.01"))
+
+    def test_fee_given_as_text_is_coerced(self):
+        # unchecked, the timeline added the str to a Decimal
+        schedule = FeeSchedule(FeeKind.FLAT, "0.0001", flat_fee_per_token="0.03")
+        assert schedule.flat_fee_per_token == Decimal("0.03") and schedule.warehouse_rate == Decimal("0.0001")
+        timeline = solvency.simulate_issuer([RedemptionRecord("k", 10, 0, None)], schedule, 2)
+        assert timeline.points[0].cum_profit == Decimal("0.30")
+
+    def test_deadline_without_a_day_rejected(self):
+        with pytest.raises(DomainError, match="a deadline fee schedule sets deadline_day"):
+            FeeSchedule(FeeKind.DEADLINE_BASED, Decimal("0.01"))
+
+    @pytest.mark.parametrize("day", ["10", True, 10.0])
+    def test_deadline_day_must_be_an_integer(self, day):
+        # unchecked, simulate_issuer compared the str with the purchase day
+        with pytest.raises(DomainError, match="deadline day must be an integer"):
+            FeeSchedule.deadline_based(day, Decimal("0.01"))
+
+    def test_field_of_another_kind_rejected(self):
+        with pytest.raises(DomainError, match="and no other fee field"):
+            FeeSchedule(FeeKind.FLAT, Decimal("0.01"), flat_fee_per_token=Decimal("1"), deadline_day=5)
+
+    @pytest.mark.parametrize("fields, what", [
+        ({"warehouse_rate": Decimal("-0.01"), "flat_fee_per_token": Decimal("1")}, "warehouse rate"),
+        ({"warehouse_rate": Decimal("0.01"), "flat_fee_per_token": Decimal("-1")}, "flat fee"),
+    ], ids=["rate", "fee"])
+    def test_negative_rate_or_fee_rejected(self, fields, what):
+        # unchecked, the timeline's cost ran negative
+        with pytest.raises(DomainError, match=f"{what} must be nonnegative"):
+            FeeSchedule(FeeKind.FLAT, **fields)
 
     def test_fee_for_dispatch(self):
         rec = RedemptionRecord("k", 1, 10, None)
