@@ -17,7 +17,6 @@ from rsdm.decay import (
     redeemable_quantity,
     redemption_quote,
     residual_weight,
-    validate_spec,
 )
 from rsdm.demand import (
     DemandScenario,

@@ -103,19 +103,16 @@ def parse_json(text: str, source: object) -> object:
 
 
 def load_instance(name: str, config: CliConfig) -> msp.MspInstance:
-    """Load and validate an msp instance.
+    """Load an msp instance and print its reachability warnings on stderr.
 
-    Parse failures, schema violations (with JSON-pointer paths), and
-    validation failures are reported distinctly; warnings go to stderr.
+    A parse failure and every schema or invariant violation (each with
+    its JSON-pointer path) raise; the instance checks its invariants
+    once, when ``instance_from_json_dict`` builds it.
     """
     path = resolve_path(name, config)
     instance = msp.instance_from_json_dict(parse_json(read_text(path), path))
-    report = msp.validate_instance(instance)
-    violations = [m for m in report if not m.startswith("warning:")]
-    if violations:
-        raise SchemaError([f"validation: {m}" for m in violations])
-    for w in report:
-        print(f"{path}: {w}", file=sys.stderr)
+    for warning in msp.validate_instance(instance):
+        print(f"{path}: {warning}", file=sys.stderr)
     return instance
 
 
@@ -172,7 +169,7 @@ def write_or_print(text: str, out: str | None, what: str) -> None:
 
 def _adhoc_spec(args) -> decay.RsdmSpec:
     expiry = args.expiry_days if args.expiry_days is not None else max(args.days, 1)
-    spec = decay.RsdmSpec(
+    return decay.RsdmSpec(
         issue_date=date(1970, 1, 1),
         collateral_id="adhoc",
         initial_weight=numeric.as_decimal(args.w),
@@ -180,10 +177,6 @@ def _adhoc_spec(args) -> decay.RsdmSpec:
         expiry_days=expiry,
         redemption_fee_rate=numeric.as_decimal(getattr(args, "fee_rate", "0") or "0"),
     )
-    violations = decay.validate_spec(spec)
-    if violations:
-        raise DomainError(f"invalid spec: {'; '.join(violations)}")
-    return spec
 
 
 def cmd_decay_residual(args, config: CliConfig) -> int:

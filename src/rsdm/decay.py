@@ -6,7 +6,8 @@ value of each token is a claim on ``initial_weight`` grams of collateral
 that shrinks by a fixed factor per elapsed day; the redemption payout
 further deducts a proportional delivery fee. All of this is exact
 integer-exponent decimal arithmetic: nothing is rounded until a
-settlement boundary.
+settlement boundary. A spec checks its own parameters when it is built,
+so no consumer re-checks one.
 
 Time is modeled as whole UTC days; intraday timing is ignored.
 """
@@ -25,6 +26,7 @@ from rsdm.numeric import (
     Quantity,
     as_decimal,
     bound_violation,
+    bounded_decimal,
     exact_add,
     exact_mul,
     exact_pow,
@@ -50,6 +52,16 @@ def date_from_epoch_day(day: int) -> date:
     return date.fromordinal(_EPOCH.toordinal() + day)
 
 
+#: The spec's decimal fields, each with its name in a width-rule complaint.
+_DECIMAL_FIELDS = {
+    "initial_weight": "initial weight",
+    "daily_decay_factor": "decay factor",
+    "redemption_fee_rate": "fee rate",
+    "inspection_fee": "inspection fee",
+    "min_redemption_grams": "minimum redemption",
+}
+
+
 @dataclass(frozen=True)
 class RsdmSpec:
     """Immutable issuance parameters of one RSDM series.
@@ -57,6 +69,11 @@ class RsdmSpec:
     ``daily_decay_factor`` is the per-day multiplier on the face value
     (1 minus the daily demurrage rate); ``redemption_fee_rate`` is the
     fraction of residual collateral the issuer keeps at redemption.
+
+    A spec is valid by construction: every issuance invariant is
+    checked, and every decimal field must obey the width rule of
+    ``numeric.bound_violation``; otherwise ``DomainError`` lists each
+    violation after ``invalid spec:``.
     """
 
     issue_date: date
@@ -70,11 +87,26 @@ class RsdmSpec:
     min_redemption_grams: Decimal = DEFAULT_MIN_REDEMPTION_GRAMS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "initial_weight", as_decimal(self.initial_weight))
-        object.__setattr__(self, "daily_decay_factor", as_decimal(self.daily_decay_factor))
-        object.__setattr__(self, "redemption_fee_rate", as_decimal(self.redemption_fee_rate))
-        object.__setattr__(self, "inspection_fee", as_decimal(self.inspection_fee))
-        object.__setattr__(self, "min_redemption_grams", as_decimal(self.min_redemption_grams))
+        for field in _DECIMAL_FIELDS:
+            object.__setattr__(self, field, as_decimal(getattr(self, field)))
+        violations = []
+        if not self.initial_weight > 0:
+            violations.append("initial weight must be > 0")
+        if not (0 < self.daily_decay_factor <= 1):
+            violations.append("decay factor must be in (0, 1]")
+        if not (0 <= self.redemption_fee_rate < 1):
+            violations.append("fee rate must be in [0, 1)")
+        if self.expiry_days <= 0:
+            violations.append("expiry must be a positive number of days")
+        if self.issue_size < 0:
+            violations.append("issue size must be nonnegative")
+        if not self.min_redemption_grams > 0:
+            violations.append("minimum redemption must be > 0 grams")
+        for field, name in _DECIMAL_FIELDS.items():
+            if problem := bound_violation(name, getattr(self, field)):
+                violations.append(problem)
+        if violations:
+            raise DomainError(f"invalid spec: {'; '.join(violations)}")
 
     def to_json_dict(self) -> dict:
         """JSON form; decimal fields as strings to preserve precision."""
@@ -120,34 +152,6 @@ def _json_int(value: object, field: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{field} must be an integer, got {type(value).__name__}")
     return value
-
-
-def validate_spec(spec: RsdmSpec) -> list[str]:
-    """Report every violated issuance invariant (empty list = valid)."""
-    violations = []
-    if not spec.initial_weight > 0:
-        violations.append("initial weight must be > 0")
-    if not (0 < spec.daily_decay_factor <= 1):
-        violations.append("decay factor must be in (0, 1]")
-    if not (0 <= spec.redemption_fee_rate < 1):
-        violations.append("fee rate must be in [0, 1)")
-    if spec.expiry_days <= 0:
-        violations.append("expiry must be a positive number of days")
-    if spec.issue_size < 0:
-        violations.append("issue size must be nonnegative")
-    if not spec.min_redemption_grams > 0:
-        violations.append("minimum redemption must be > 0 grams")
-    for name, value in (
-        ("initial weight", spec.initial_weight),
-        ("decay factor", spec.daily_decay_factor),
-        ("fee rate", spec.redemption_fee_rate),
-        ("inspection fee", spec.inspection_fee),
-        ("minimum redemption", spec.min_redemption_grams),
-    ):
-        problem = bound_violation(name, value)
-        if problem:
-            violations.append(problem)
-    return violations
 
 
 def _check_elapsed(spec: RsdmSpec, elapsed_days: int) -> None:
@@ -224,9 +228,7 @@ def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:
     relative tolerance 1e-30 (see numeric.nth_root). An annualized -2%
     demurrage, for example, maps to a daily factor just under 1.
     """
-    rate = as_decimal(annual_rate)
-    if problem := bound_violation("annual rate", rate):
-        raise DomainError(problem)
+    rate = bounded_decimal("annual rate", annual_rate)
     if rate <= -1:
         raise DomainError(f"annual rate must exceed -1 (total loss), got {rate}")
     return nth_root(exact_add(Decimal(1), rate), DAYS_PER_YEAR)
@@ -235,17 +237,13 @@ def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:
 def annual_rate_from_daily_factor(daily_factor: Decimal | str | int) -> Decimal:
     """Annual rate implied by a daily factor: factor**365 - 1, within the
     width rule the inverse conversion puts on its input."""
-    factor = as_decimal(daily_factor)
-    if problem := bound_violation("daily factor", factor):
-        raise DomainError(problem)
+    factor = bounded_decimal("daily factor", daily_factor)
     if factor <= 0:
         raise DomainError(f"daily factor must be positive, got {factor}")
     compounded = exact_pow(factor, DAYS_PER_YEAR)
     with localcontext(CONTEXT):
         rate = +compounded - 1
-    if problem := bound_violation("implied annual rate", rate):
-        raise DomainError(problem)
-    return rate
+    return bounded_decimal("implied annual rate", rate)
 
 
 def net_yield(
@@ -254,10 +252,11 @@ def net_yield(
     """Depositor's net annual benefit: decay rate plus interest rate.
 
     Simple-additive convention: a -2% decay plus 3% bank interest paid
-    in collateral nets +1% to the depositor.
+    in collateral nets +1% to the depositor. Both rates obey the width
+    rule, which keeps the exact sum small.
     """
-    decay = as_decimal(annual_decay_rate)
-    interest = as_decimal(annual_interest_rate)
+    decay = bounded_decimal("annual decay rate", annual_decay_rate)
+    interest = bounded_decimal("annual interest rate", annual_interest_rate)
     if decay <= -1 or interest <= -1:
         raise DomainError("rates must exceed -1 (total loss)")
     return exact_add(decay, interest)

@@ -11,15 +11,18 @@ collateral price implied by a reserve value over a metal stock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
 
 from rsdm.errors import DomainError, SchemaError
-from rsdm.numeric import CONTEXT, as_decimal, bound_violation
+from rsdm.numeric import CONTEXT, as_decimal, bounded_decimal
 
 #: Troy ounces per metric tonne (31.1034768 g per ozt).
 TROY_OUNCES_PER_TONNE = Decimal("32150.7466")
+
+#: The scenario fields that may be zero; every other one must be positive.
+_NONNEGATIVE = frozenset({"fiat_reserve", "sdm_reserve", "other_supply"})
 
 
 @dataclass(frozen=True)
@@ -35,35 +38,18 @@ class DemandScenario:
     other_supply: Decimal
 
     def __post_init__(self) -> None:
-        for name in (
-            "marshallian_k",
-            "gdp",
-            "fiat_multiplier",
-            "sdm_multiplier",
-            "fiat_reserve",
-            "sdm_reserve",
-            "other_supply",
-        ):
-            object.__setattr__(self, name, as_decimal(getattr(self, name)))
-            if problem := bound_violation(name, getattr(self, name)):
-                raise DomainError(problem)
-        for name in ("marshallian_k", "gdp", "fiat_multiplier", "sdm_multiplier"):
-            if getattr(self, name) <= 0:
+        names = [f.name for f in fields(self)]
+        for name in names:
+            object.__setattr__(self, name, bounded_decimal(name, getattr(self, name)))
+        for name in names:  # the positive fields come first
+            if name in _NONNEGATIVE:
+                if getattr(self, name) < 0:
+                    raise DomainError(f"{name} must be nonnegative")
+            elif getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        for name in ("fiat_reserve", "sdm_reserve", "other_supply"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "marshallian_k": str(self.marshallian_k),
-            "gdp": str(self.gdp),
-            "fiat_multiplier": str(self.fiat_multiplier),
-            "sdm_multiplier": str(self.sdm_multiplier),
-            "fiat_reserve": str(self.fiat_reserve),
-            "sdm_reserve": str(self.sdm_reserve),
-            "other_supply": str(self.other_supply),
-        }
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: object) -> "DemandScenario":
@@ -71,15 +57,7 @@ class DemandScenario:
             raise SchemaError(["/: expected a JSON object"])
         problems = []
         values = {}
-        for name in (
-            "marshallian_k",
-            "gdp",
-            "fiat_multiplier",
-            "sdm_multiplier",
-            "fiat_reserve",
-            "sdm_reserve",
-            "other_supply",
-        ):
+        for name in (f.name for f in fields(cls)):
             if name not in data:
                 problems.append(f"/{name}: missing required field")
                 continue
@@ -105,8 +83,8 @@ def money_supply(scenario: DemandScenario) -> Decimal:
 
 def money_demand(marshallian_k: Decimal | str | int, gdp: Decimal | str | int) -> Decimal:
     """Broad money demanded: monetization rate times GDP."""
-    k = as_decimal(marshallian_k)
-    v = as_decimal(gdp)
+    k = bounded_decimal("marshallian_k", marshallian_k)
+    v = bounded_decimal("gdp", gdp)
     if k <= 0 or v <= 0:
         raise DomainError("marshallian K and GDP must be positive")
     with localcontext(CONTEXT):
@@ -139,8 +117,9 @@ class UnknownSolution:
 def solve_unknown(scenario: DemandScenario, unknown: Unknown | str) -> UnknownSolution:
     """Solve the equilibrium for one field, holding the others fixed.
 
-    The equilibrium is linear in every solvable field, so the solution
-    is unique whenever the field's coefficient is nonzero.
+    The equilibrium is linear in every solvable field, and each field's
+    coefficient is a scenario multiplier or GDP, positive by
+    construction, so the solution is unique.
     """
     if not isinstance(unknown, Unknown):
         try:
@@ -155,18 +134,12 @@ def solve_unknown(scenario: DemandScenario, unknown: Unknown | str) -> UnknownSo
         fiat_part = scenario.fiat_multiplier * scenario.fiat_reserve
         sdm_part = scenario.sdm_multiplier * scenario.sdm_reserve
         if unknown is Unknown.FIAT_RESERVE:
-            if scenario.fiat_multiplier == 0:
-                raise DomainError("fiat multiplier must be nonzero to solve for its reserve")
             value = (demand - sdm_part - scenario.other_supply) / scenario.fiat_multiplier
         elif unknown is Unknown.SDM_RESERVE:
-            if scenario.sdm_multiplier == 0:
-                raise DomainError("sdm multiplier must be nonzero to solve for its reserve")
             value = (demand - fiat_part - scenario.other_supply) / scenario.sdm_multiplier
         elif unknown is Unknown.OTHER_SUPPLY:
             value = demand - fiat_part - sdm_part
         else:  # MARSHALLIAN_K
-            if scenario.gdp == 0:
-                raise DomainError("gdp must be nonzero to solve for the Marshallian K")
             value = (fiat_part + sdm_part + scenario.other_supply) / scenario.gdp
     return UnknownSolution(unknown=unknown, value=value, negative=value < 0)
 
@@ -176,8 +149,8 @@ def collateral_requirement(
 ) -> Decimal:
     """Base reserve needed to support a target broad-money share:
     target divided by the money multiplier."""
-    share = as_decimal(target_share)
-    mult = as_decimal(multiplier)
+    share = bounded_decimal("target share", target_share)
+    mult = bounded_decimal("money multiplier", multiplier)
     if mult <= 0:
         raise DomainError("money multiplier must be positive")
     with localcontext(CONTEXT):
@@ -189,8 +162,8 @@ def implied_metal_price(
 ) -> Decimal:
     """Accounting units per troy ounce implied by a reserve value spread
     over a metal stock in tonnes."""
-    value = as_decimal(reserve_value)
-    tonnes = as_decimal(metal_mass_tonnes)
+    value = bounded_decimal("reserve value", reserve_value)
+    tonnes = bounded_decimal("metal mass", metal_mass_tonnes)
     if tonnes <= 0:
         raise DomainError("metal mass must be positive")
     with localcontext(CONTEXT):
@@ -223,9 +196,9 @@ def household_storability(
     steel of the same value does not. Storable iff the implied mass is
     at or under the household threshold.
     """
-    value = as_decimal(redeemed_value)
-    price = as_decimal(price_per_kg)
-    threshold = as_decimal(threshold_kg)
+    value = bounded_decimal("redeemed value", redeemed_value)
+    price = bounded_decimal("price per kilogram", price_per_kg)
+    threshold = bounded_decimal("storage threshold", threshold_kg)
     if price <= 0:
         raise DomainError("price per kilogram must be positive")
     if threshold <= 0:

@@ -10,7 +10,10 @@ only moves at redemption).
 
 One function, ``_effects``, checks every event (appended, redeemed or
 replayed) and computes what it writes, a redeem's settled payout
-included; redemption and valuation share the claim arithmetic.
+included; redemption and valuation share the claim arithmetic. A
+series spec is valid by construction (``RsdmSpec`` checks itself), so
+an event, a log line or a snapshot carrying an invalid one fails where
+it is read, and no event check repeats the spec's.
 
 Conservation invariants maintained per series:
 
@@ -40,7 +43,7 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-from rsdm.decay import RsdmSpec, _json_int, epoch_day, redemption_quote, validate_spec
+from rsdm.decay import RsdmSpec, _json_int, epoch_day, redemption_quote
 from rsdm.errors import (
     BelowMinimumRedemption,
     DomainError,
@@ -53,7 +56,9 @@ from rsdm.errors import (
     SequenceGap,
     UnknownSeries,
 )
-from rsdm.numeric import GRAM, Quantity, as_decimal, exact_add, exact_mul, exact_sub, settle
+from rsdm.numeric import (
+    GRAM, Quantity, as_decimal, bounded_decimal, exact_add, exact_mul, exact_sub, settle,
+)
 
 _ZERO = Decimal(0)
 
@@ -134,7 +139,7 @@ class PriceQuote:
     price: Decimal  # accounting units per gram
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "price", as_decimal(self.price))
+        object.__setattr__(self, "price", bounded_decimal("quote price", self.price))
         if self.price < 0:
             raise DomainError(f"quote price must be nonnegative, got {self.price}")
 
@@ -285,9 +290,6 @@ def _effects(state, event: LedgerEvent):
         if spec is None:
             if event.series_spec is None:
                 raise LedgerError(f"first issue of series {sid!r} must carry the series spec")
-            violations = validate_spec(event.series_spec)
-            if violations:
-                raise LedgerError(f"invalid series spec for {sid!r}: {'; '.join(violations)}")
             spec = series["specs"] = event.series_spec
         elif event.series_spec is not None and event.series_spec != spec:
             raise LedgerError(f"series {sid!r} already registered with different parameters")
@@ -686,9 +688,9 @@ def quotes_from_csv(text: str) -> list[PriceQuote]:
                 PriceQuote(
                     day=int(row["day"]),
                     asset_id=row["asset_id"].strip(),
-                    price=as_decimal(row["price"].strip()),
+                    price=row["price"].strip(),
                 )
             )
-        except (ValueError, AttributeError) as exc:
+        except (DomainError, ValueError, AttributeError) as exc:
             raise DomainError(f"quotes CSV line {i}: {exc}") from exc
     return quotes

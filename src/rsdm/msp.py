@@ -26,12 +26,12 @@ One include-first depth-first search sits behind the three solvers:
 subset-enumeration oracle, while ``solve_branch_and_bound`` (linear) and
 ``solve_saturating`` also cut on an objective bound. Among
 equal-objective optima the lexicographically smallest sorted id tuple
-wins, so results are schedule-independent. Every solver and every query
-first rejects, with SchemaError, an instance that breaks an invariant
-the cuts and sums rely on (nonnegative weights and penalty, coverage in
-[0, 1], a nonempty pool, a positive cardinality bound, and weights,
-thresholds and penalty within the width rule of
-``numeric.bound_violation``).
+wins, so results are schedule-independent. An instance checks, once,
+when it is built, the invariants the cuts and sums rely on (nonnegative
+weights and penalty, coverage in [0, 1], a nonempty pool, a positive
+cardinality bound, and weights, thresholds and penalty within the width
+rule of ``numeric.bound_violation``) and raises SchemaError if one is
+broken, so no solver or query re-checks it.
 """
 
 from __future__ import annotations
@@ -102,6 +102,10 @@ class CurrencyCandidate:
 
 @dataclass(frozen=True)
 class MspInstance:
+    """A selection problem, valid by construction: building one that
+    breaks an invariant the solvers rely on raises SchemaError listing
+    every violation with its JSON-pointer path."""
+
     functions: tuple[MonetaryFunction, ...]
     currencies: tuple[CurrencyCandidate, ...]
     max_parallel: int
@@ -111,6 +115,8 @@ class MspInstance:
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "currencies", tuple(self.currencies))
         object.__setattr__(self, "balance_penalty", as_decimal(self.balance_penalty))
+        if problems := _invariant_violations(self):
+            raise SchemaError(problems)
 
     def currency(self, currency_id: str) -> CurrencyCandidate:
         for c in self.currencies:
@@ -186,22 +192,18 @@ def default_function_catalog(
 
 
 def validate_instance(instance: MspInstance) -> list[str]:
-    """Report invariant violations and certain-infeasibility warnings,
-    each prefixed with a JSON-pointer path into the instance document.
-    Only an instance that keeps every invariant gets the warnings."""
-    problems = _invariant_violations(instance)
-    if problems:
-        return problems
-    # Certain-infeasibility necessary condition: reported as warnings so
-    # such instances still reach the solvers (which answer Infeasible).
+    """Certain-infeasibility warnings, each prefixed with a JSON-pointer
+    path into the instance document: thresholds the whole pool cannot
+    reach. They are warnings because such an instance still reaches the
+    solvers, which answer Infeasible; the invariants were checked when
+    the instance was built."""
     pool = _Tally(instance, instance.currencies).raw()
-    for i, (f, total) in enumerate(zip(instance.functions, pool)):
-        if total < f.threshold:
-            problems.append(
-                f"warning: /functions/{i}/threshold: threshold {f.threshold} "
-                f"unreachable (total coverage across the pool is {total})"
-            )
-    return problems
+    return [
+        f"warning: /functions/{i}/threshold: threshold {f.threshold} "
+        f"unreachable (total coverage across the pool is {total})"
+        for i, (f, total) in enumerate(zip(instance.functions, pool))
+        if total < f.threshold
+    ]
 
 
 def _invariant_violations(instance: MspInstance) -> list[str]:
@@ -252,13 +254,6 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
             f"cardinality bound {instance.max_parallel}"
         )
     return problems
-
-
-def _require_valid(instance: MspInstance) -> None:
-    """Raise SchemaError listing the broken invariants, if any."""
-    problems = _invariant_violations(instance)
-    if problems:
-        raise SchemaError(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +317,18 @@ def _objective(
 def evaluate_linear_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Weighted coverage summed over the selection, minus
     balance_penalty * selection size."""
-    _require_valid(instance)
     return _objective(instance, selection, ObjectiveKind.LINEAR)[0]
 
 
 def evaluate_saturating_objective(instance: MspInstance, selection: Iterable[str]) -> Decimal:
     """Per-function weighted coverage capped at 1, summed, minus
     balance_penalty * selection size."""
-    _require_valid(instance)
     return _objective(instance, selection, ObjectiveKind.SATURATING)[0]
 
 
 def raw_function_scores(instance: MspInstance, selection: Iterable[str]) -> dict[str, Decimal]:
     """Unweighted coverage sum per function over the selection (the
     quantity the per-function thresholds constrain)."""
-    _require_valid(instance)
     raw = _Tally(instance, _chosen(instance, selection)[1]).raw()
     return {f.id: total for f, total in zip(instance.functions, raw)}
 
@@ -344,7 +336,6 @@ def raw_function_scores(instance: MspInstance, selection: Iterable[str]) -> dict
 def check_feasible(instance: MspInstance, selection: Iterable[str]) -> FeasibilityVerdict:
     """List every violated constraint: cardinality, per-function
     threshold (on raw coverage sums), and mandatory inclusion."""
-    _require_valid(instance)
     sel, chosen = _chosen(instance, selection)
     violations = []
     if len(sel) > instance.max_parallel:
@@ -365,7 +356,6 @@ def coverage_report(instance: MspInstance, selection: Iterable[str]) -> Coverage
     """Per-function coverage of a selection: raw achieved sum vs its
     threshold, the saturated weighted value, and whether the union of
     the selected currencies covers the whole catalog."""
-    _require_valid(instance)
     tally = _Tally(instance, _chosen(instance, selection)[1])
     rows = tuple(
         FunctionCoverage(
@@ -421,14 +411,12 @@ def _search(
     instance: MspInstance, kind: ObjectiveKind, bounded: bool
 ) -> MspSolution | Infeasible:
     """The depth-first search behind every solver (see the module
-    docstring). Raises SchemaError on an instance that breaks an
-    invariant of ``validate_instance``, since the cuts rely on them.
+    docstring); its cuts rely on the invariants every instance keeps.
 
     ``committed`` is the part of the objective linear in the selection:
     the net marginals (linear) or minus the penalty per currency
     (saturating, which adds the per-function min(1, weighted coverage)).
     """
-    _require_valid(instance)
     saturating = kind is ObjectiveKind.SATURATING
     functions = instance.functions
 

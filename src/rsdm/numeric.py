@@ -82,6 +82,14 @@ def bound_violation(name: str, value: Decimal) -> str | None:
     return None
 
 
+def bounded_decimal(name: str, value: str | int | Decimal) -> Decimal:
+    """*value* read by ``as_decimal``; DomainError if it breaks the width rule."""
+    result = as_decimal(value)
+    if problem := bound_violation(name, result):
+        raise DomainError(problem)
+    return result
+
+
 def _unsigned_zero(value: Decimal) -> Decimal:
     """Drop the sign of a negative zero; every other value passes through."""
     return value if value else value.copy_abs()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import CONTEXT, as_decimal, bound_violation
+from rsdm.numeric import CONTEXT, as_decimal, bounded_decimal
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -124,10 +124,7 @@ def _nonneg(value: Decimal | str | int, what: str) -> Decimal:
     result = as_decimal(value)
     if result < 0:
         raise DomainError(f"{what} must be nonnegative")
-    problem = bound_violation(what, result)
-    if problem:
-        raise DomainError(problem)
-    return result
+    return bounded_decimal(what, result)
 
 
 @dataclass(frozen=True)
@@ -345,6 +342,6 @@ def records_from_csv(text: str) -> list[RedemptionRecord]:
                     redemption_day=int(redemption) if redemption else None,
                 )
             )
-        except (ValueError, AttributeError) as exc:
+        except (DomainError, ValueError, AttributeError) as exc:
             raise DomainError(f"records CSV line {i}: {exc}") from exc
     return records

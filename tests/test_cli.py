@@ -161,6 +161,15 @@ class TestSolvencyCommands:
         assert err.startswith("error: ") and "exceeds the limit of 36525 days" in err
         assert len(err.splitlines()) == 1
 
+    def test_simulate_names_the_line_of_a_rejected_record(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_text("customer_id,token_count,purchase_day,redemption_day\n"
+                           "a,1,0,\nb,0,1,\n", encoding="utf-8")
+        code, out, err = run(capsys, "solvency", "simulate", "--records", str(records),
+                             "--flat-fee", "0.03", "--rate", "0.0001", "--horizon", "10")
+        assert (code, out) == (1, "")
+        assert err == "error: records CSV line 3: token count must be positive, got 0\n"
+
     def test_simulate_requires_one_schedule(self, capsys):
         code, _, err = run(capsys, "solvency", "simulate",
                            "--records", "jiaozi_solvency.csv",
@@ -237,7 +246,7 @@ class TestMspCommands:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "msp", argv[0], str(path), *argv[1:])
         assert (code, out) == (1, "")
-        assert err.startswith("error: validation: /functions/0/weight: weight must have")
+        assert err.startswith("error: /functions/0/weight: weight must have")
         assert len(err.splitlines()) == 1
 
     def test_truncated_file_is_parse_error(self, tmp_path, capsys):
@@ -402,6 +411,35 @@ class TestLedgerCommands:
         assert code == 1
         assert err.startswith("error: malformed ledger event")
         assert log.read_text(encoding="utf-8") == ""
+
+    def test_append_rejects_an_invalid_spec(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        run(capsys, "ledger", "init", "--log", str(log))
+        issue_event = {
+            "sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35",
+            "party": "alice", "token_count": 5,
+            "series_spec": {**self._gold_spec_doc(), "daily_decay_factor": "1.5"},
+        }
+        code, out, err = run(capsys, "ledger", "append", "--log", str(log),
+                             "--event", json.dumps(issue_event))
+        assert (code, out) == (1, "")
+        assert err == "error: malformed ledger event: invalid spec: decay factor must be in (0, 1]\n"
+        assert log.read_text(encoding="utf-8") == ""
+
+    def test_value_rejects_a_quote_too_wide(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        issue_event = {
+            "sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35",
+            "party": "alice", "token_count": 5000, "series_spec": self._gold_spec_doc(),
+        }
+        log.write_text(json.dumps(issue_event) + "\n", encoding="utf-8")
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("day,asset_id,price\n0,XAU,1E+1000000\n", encoding="utf-8")
+        code, out, err = run(capsys, "ledger", "value", "--log", str(log),
+                             "--quotes", str(quotes), "--party", "alice", "--day", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: quotes CSV line 2: quote price must have at most 34 digits")
+        assert len(err.splitlines()) == 1
 
     def test_replay_names_the_malformed_line(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"

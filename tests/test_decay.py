@@ -213,20 +213,38 @@ class TestNetYield:
         with pytest.raises(DomainError):
             decay.net_yield(Decimal("-1"), Decimal("0.03"))
 
+    @pytest.mark.parametrize("rates", [("1E+10000000", "0"), ("0", "1E-35")])
+    def test_rates_obey_the_width_rule(self, rates):
+        # unchecked, the exact sum of the first pair has 10,000,001 digits
+        with pytest.raises(DomainError, match="must have at most 34 digits"):
+            decay.net_yield(*rates)
+
 
 class TestValidateSpec:
+    # a spec checks itself on construction
     def test_worked_parameters_valid(self):
-        assert decay.validate_spec(GOLD) == []
+        assert replace(GOLD) == GOLD
 
     def test_decay_factor_above_one(self):
-        spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), Decimal("1.1"),
-                              100, Decimal("0"))
-        assert any("decay factor" in v for v in decay.validate_spec(spec))
+        with pytest.raises(DomainError) as err:
+            decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), Decimal("1.1"),
+                           100, Decimal("0"))
+        assert str(err.value) == "invalid spec: decay factor must be in (0, 1]"
 
     def test_fee_rate_at_one(self):
-        spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), Decimal("0.99996"),
-                              100, Decimal("1.0"))
-        assert any("fee rate" in v for v in decay.validate_spec(spec))
+        with pytest.raises(DomainError, match=r"invalid spec: fee rate must be in \[0, 1\)"):
+            decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), Decimal("0.99996"),
+                           100, Decimal("1.0"))
+
+    def test_every_violation_in_order(self):
+        with pytest.raises(DomainError) as err:
+            decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("0"), Decimal("0"), 0,
+                           Decimal("1"), issue_size=-1, min_redemption_grams=Decimal("1E+35"))
+        assert str(err.value) == (
+            "invalid spec: initial weight must be > 0; decay factor must be in (0, 1]; "
+            "fee rate must be in [0, 1); expiry must be a positive number of days; "
+            "issue size must be nonnegative; minimum redemption must have at most 34 "
+            "digits and an adjusted exponent within ±34")
 
     @pytest.mark.parametrize("field, value", [
         ("initial_weight", "1E+999999999"),
@@ -237,14 +255,14 @@ class TestValidateSpec:
         ("min_redemption_grams", "1E+35"),
     ])
     def test_decimal_beyond_working_precision(self, field, value):
-        spec = replace(GOLD, **{field: Decimal(value)})
-        assert any("at most 34 digits" in v for v in decay.validate_spec(spec))
+        with pytest.raises(DomainError, match="at most 34 digits"):
+            replace(GOLD, **{field: Decimal(value)})
 
     def test_decimal_at_working_precision_accepted(self):
         spec = replace(GOLD, initial_weight=Decimal("1" * 34),
                        daily_decay_factor=Decimal("0." + "9" * 33),
                        min_redemption_grams=Decimal("1E-34"))
-        assert decay.validate_spec(spec) == []
+        assert spec.initial_weight == Decimal("1" * 34)
 
 
 class TestSpecJson:

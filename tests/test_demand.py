@@ -62,6 +62,10 @@ class TestMoneyDemand:
         with pytest.raises(DomainError):
             demand.money_demand(D("0"), D("10"))
 
+    def test_inputs_obey_the_width_rule(self):
+        with pytest.raises(DomainError, match="gdp must have at most 34 digits"):
+            demand.money_demand(D("1"), D("1E+999999"))
+
 
 class TestEquilibriumResidual:
     def test_constructed_equilibrium(self):
@@ -138,6 +142,12 @@ class TestCollateralRequirement:
         with pytest.raises(DomainError):
             demand.collateral_requirement(D("1"), D("0"))
 
+    @pytest.mark.parametrize("args", [("1E+999999", "1E-999999"), ("1", "1E-999999")])
+    def test_inputs_obey_the_width_rule(self, args):
+        # unchecked, the quotient overflows the 34-digit context
+        with pytest.raises(DomainError, match="must have at most 34 digits"):
+            demand.collateral_requirement(*args)
+
     @given(share=st.decimals(min_value=D("0"), max_value=D("1e14"),
                              allow_nan=False, allow_infinity=False, places=0),
            mult=st.decimals(min_value=D("0.5"), max_value=D("16"),
@@ -162,6 +172,11 @@ class TestImpliedMetalPrice:
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(DomainError):
             demand.implied_metal_price(D("1"), D("0"))
+
+    @pytest.mark.parametrize("args", [("1E+999999", "1E-999999"), ("1", "1E-999999")])
+    def test_inputs_obey_the_width_rule(self, args):
+        with pytest.raises(DomainError, match="must have at most 34 digits"):
+            demand.implied_metal_price(*args)
 
     def test_reconstructs_reserve_value(self):
         price = demand.implied_metal_price(D("5e12"), D("50000"))
@@ -188,6 +203,11 @@ class TestHouseholdStorability:
     def test_zero_price_rejected(self):
         with pytest.raises(DomainError):
             demand.household_storability(D("1"), D("0"), D("2"))
+
+    @pytest.mark.parametrize("args", [("1E+999999", "1E-999999", "2"), ("1", "1", "1E+999999")])
+    def test_inputs_obey_the_width_rule(self, args):
+        with pytest.raises(DomainError, match="must have at most 34 digits"):
+            demand.household_storability(*args)
 
     @given(price=st.decimals(min_value=D("1"), max_value=D("1e6"),
                              allow_nan=False, allow_infinity=False, places=2),

@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from conftest import make_series_pool
 from rsdm import decay, ledger
-from rsdm.decay import epoch_day, validate_spec
+from rsdm.decay import epoch_day
 from rsdm.numeric import exact_add, exact_mul, exact_sub, settle
 from rsdm.errors import (
     BelowMinimumRedemption,
@@ -113,11 +113,6 @@ def reference_apply(state, event, redeemed=None):
                 raise LedgerError(
                     f"first issue of series {event.series_id!r} must carry the series spec"
                 )
-            violations = validate_spec(event.series_spec)
-            if violations:
-                raise LedgerError(
-                    f"invalid series spec for {event.series_id!r}: {'; '.join(violations)}"
-                )
             spec = event.series_spec
             specs[event.series_id] = spec
         elif event.series_spec is not None and event.series_spec != spec:
@@ -201,16 +196,14 @@ class TestIssue:
             ledger.append_event(ledger.empty_state(), event)
 
     def test_invalid_spec_rejected(self):
-        bad = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("1.1"), 100, D("0"))
-        with pytest.raises(LedgerError, match="decay factor"):
-            ledger.issue(ledger.empty_state(), "BAD", bad, "alice", 1, 0)
+        with pytest.raises(DomainError, match="decay factor"):
+            decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("1.1"), 100, D("0"))
 
     def test_huge_exponent_rejected_before_any_sum(self):
         # accepted, the first vault sum would build a 10^9-digit coefficient
-        bad = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1E+999999999"), D("0.99996"),
-                             100, D("0"))
-        with pytest.raises(LedgerError, match="at most 34 digits"):
-            ledger.issue(ledger.empty_state(), "BAD", bad, "alice", 1, 0)
+        with pytest.raises(DomainError, match="at most 34 digits"):
+            decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1E+999999999"), D("0.99996"),
+                           100, D("0"))
 
     def test_issue_size_cap(self):
         capped = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("0.99996"),
@@ -544,6 +537,36 @@ class TestMalformedDocuments:
         state = ledger.state_from_snapshot('{"balances": {"a": {"S": 0}}}')
         assert state.balances == {("a", "S"): 0}
 
+    INVALID_SPEC = "invalid spec: decay factor must be in (0, 1]"
+
+    def test_invalid_spec_in_an_event(self):
+        spec = {**GOLD.to_json_dict(), "daily_decay_factor": "1.5"}
+        with pytest.raises(DomainError) as err:
+            LedgerEvent.from_json_dict({**self.EVENT, "series_spec": spec})
+        assert str(err.value) == f"malformed ledger event: {self.INVALID_SPEC}"
+
+    def test_invalid_spec_in_a_log_names_its_line(self):
+        first = ledger.events_to_jsonl([LedgerEvent(1, 0, EventKind.ISSUE, "AU35", "alice",
+                                                    token_count=5, series_spec=GOLD)])
+        spec = {**GOLD.to_json_dict(), "daily_decay_factor": "1.5"}
+        second = json.dumps({**self.EVENT, "sequence": 2, "series_id": "BAD",
+                             "series_spec": spec})
+        with pytest.raises(DomainError) as err:
+            ledger.events_from_jsonl(first + second + "\n")
+        assert str(err.value) == f"event log line 2: malformed ledger event: {self.INVALID_SPEC}"
+
+    def test_snapshot_with_an_invalid_spec_does_not_load(self):
+        # loaded, a 100-token book with a 100 g vault paid 19,117,580.6 g
+        # to a redeem of its 100 tokens on day 30
+        spec = replace(GOLD, min_redemption_grams=D("1"))
+        state, _ = ledger.issue(ledger.empty_state(), "AU", spec, "a", 100, 0)
+        doc = json.loads(ledger.state_to_snapshot(state))
+        assert doc["vault"] == {"AU": "100"}
+        doc["series"]["AU"]["daily_decay_factor"] = "1.5"
+        with pytest.raises(DomainError) as err:
+            ledger.state_from_snapshot(json.dumps(doc))
+        assert str(err.value) == f"malformed snapshot: {self.INVALID_SPEC}"
+
     @pytest.mark.parametrize("spec", [
         {**GOLD.to_json_dict(), "expiry_days": None},
         {**GOLD.to_json_dict(), "issue_date": "2020-13-01"},
@@ -572,6 +595,21 @@ class TestHoldingsOf:
 
 
 class TestValuation:
+    def test_quote_price_obeys_the_width_rule(self):
+        with pytest.raises(DomainError, match="quote price must have at most 34 digits"):
+            PriceQuote(0, "XAU", "1E+1000000")
+
+    @pytest.mark.parametrize("row, problem", [
+        ("5,XAU,-2", "quote price must be nonnegative, got -2"),
+        ("5,XAU,1E+1000000", "quote price must have at most 34 digits"),
+        ("5,XAU,abc", "not a decimal number: 'abc'"),
+    ])
+    def test_quotes_csv_names_the_rejected_line(self, row, problem):
+        text = f"day,asset_id,price\n0,XAU,100\n{row}\n"
+        with pytest.raises(DomainError) as err:
+            ledger.quotes_from_csv(text)
+        assert str(err.value).startswith(f"quotes CSV line 3: {problem}")
+
     def test_residual_value_at_issue(self):
         state, _ = ledger.issue(ledger.empty_state(), "AU35", GOLD, "alice", 10, 0)
         report = ledger.holdings_valuation(state, [PriceQuote(0, "XAU", D("100"))],

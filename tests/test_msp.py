@@ -4,6 +4,7 @@ The desk instance's optimum was computed by brute-force enumeration of
 all sixteen subsets before the solvers were written and frozen here.
 """
 
+import json
 import random
 from dataclasses import fields, is_dataclass, replace
 from decimal import Decimal, localcontext
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_optimum, make_random_instance
-from rsdm import msp
+from rsdm import cli, msp
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
 from rsdm.msp import (
     CurrencyCandidate,
@@ -263,52 +264,72 @@ class TestSolverEquivalence:
 
 
 class TestInvalidInstanceRejected:
-    # the solvers' cuts assume the invariants validate_instance enforces
+    # the solvers' cuts assume these invariants, so no instance that
+    # breaks one can be built
+    RULE = "must have at most 34 digits and an adjusted exponent within ±34"
     INVALID = {
-        "negative penalty": lambda inst: replace(inst, balance_penalty=D("-0.1")),
-        "negative weight": lambda inst: replace(
-            inst, functions=(MonetaryFunction("k1", D(-1), D(0)),) + inst.functions[1:]),
-        "coverage above one": lambda inst: replace(
-            inst, currencies=inst.currencies + (currency("BIG", {"k1": "1.5"}),)),
-        "empty pool": lambda inst: replace(inst, currencies=()),
-        "no parallel currency": lambda inst: replace(inst, max_parallel=0),
-        "weight too wide": lambda inst: replace(
-            inst, functions=(MonetaryFunction("k1", D("1E+999999999"), D(0)),) + inst.functions[1:]),
-        "threshold too wide": lambda inst: replace(
-            inst, functions=(MonetaryFunction("k1", D(1), D("0." + "5" * 35)),) + inst.functions[1:]),
-        "penalty too wide": lambda inst: replace(inst, balance_penalty=D("1E-999999999")),
-    }
-    SOLVERS = {
-        "exhaustive linear": lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.LINEAR),
-        "exhaustive saturating": lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.SATURATING),
-        "branch and bound": msp.solve_branch_and_bound,
-        "saturating": msp.solve_saturating,
+        "negative penalty": (
+            lambda inst: replace(inst, balance_penalty=D("-0.1")),
+            ["/balance_penalty: must be nonnegative"]),
+        "negative weight": (
+            lambda inst: replace(
+                inst, functions=(MonetaryFunction("k1", D(-1), D(0)),) + inst.functions[1:]),
+            ["/functions/0/weight: weight must be nonnegative"]),
+        "coverage above one": (
+            lambda inst: replace(
+                inst, currencies=inst.currencies + (currency("BIG", {"k1": "1.5"}),)),
+            ["/currencies/4/coverage/k1: coverage must lie in [0, 1]"]),
+        "empty pool": (
+            lambda inst: replace(inst, currencies=()),
+            ["/currencies: at least one currency candidate is required"]),
+        "no parallel currency": (
+            lambda inst: replace(inst, max_parallel=0),
+            ["/max_parallel: must be a positive integer",
+             "/max_parallel: 1 mandatory currencies exceed the cardinality bound 0"]),
+        "weight too wide": (
+            lambda inst: replace(
+                inst,
+                functions=(MonetaryFunction("k1", D("1E+999999999"), D(0)),) + inst.functions[1:]),
+            [f"/functions/0/weight: weight {RULE}"]),
+        "threshold too wide": (
+            lambda inst: replace(
+                inst,
+                functions=(MonetaryFunction("k1", D(1), D("0." + "5" * 35)),) + inst.functions[1:]),
+            [f"/functions/0/threshold: threshold {RULE}"]),
+        "penalty too wide": (
+            lambda inst: replace(inst, balance_penalty=D("1E-999999999")),
+            [f"/balance_penalty: balance_penalty {RULE}"]),
     }
 
-    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("defect", INVALID)
-    def test_solver_raises_schema_error(self, defect, solver):
-        inst = self.INVALID[defect](desk_instance())
-        assert msp.validate_instance(inst)
-        with pytest.raises(SchemaError):
-            self.SOLVERS[solver](inst)
-
-    QUERIES = {
-        "linear objective": msp.evaluate_linear_objective,
-        "saturating objective": msp.evaluate_saturating_objective,
-        "raw scores": msp.raw_function_scores,
-        "feasibility": msp.check_feasible,
-        "coverage report": msp.coverage_report,
-    }
-
-    @pytest.mark.parametrize("query", QUERIES)
-    @pytest.mark.parametrize("defect", INVALID)
-    def test_query_raises_schema_error(self, defect, query):
-        inst = self.INVALID[defect](desk_instance())
-        selection = [c.id for c in inst.currencies[:2]]
+    def test_construction_raises_schema_error(self, defect):
+        build, problems = self.INVALID[defect]
         with pytest.raises(SchemaError) as err:
-            self.QUERIES[query](inst, selection)
-        assert err.value.problems == msp.validate_instance(inst)
+            build(desk_instance())
+        assert err.value.problems == problems
+
+    def test_a_valid_instance_is_checked_once(self, monkeypatch, tmp_path, capsys):
+        original = msp._invariant_violations
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return original(instance)
+
+        inst = desk_instance()
+        monkeypatch.setattr(msp, "_invariant_violations", counted)
+        selection = ["FIAT", "RSDM"]
+        msp.solve_branch_and_bound(inst)
+        for query in (msp.evaluate_linear_objective, msp.evaluate_saturating_objective,
+                      msp.raw_function_scores, msp.check_feasible, msp.coverage_report):
+            query(inst, selection)
+        assert calls == []
+
+        path = tmp_path / "desk.json"
+        path.write_text(json.dumps(msp.instance_to_json_dict(inst)), encoding="utf-8")
+        assert cli.main(["msp", "solve", str(path)]) == 0
+        assert len(calls) == 1
+        assert '"selection"' in capsys.readouterr().out
 
 
 class TestSolverProperties:
@@ -377,14 +398,15 @@ class TestValidateInstance:
         assert msp.validate_instance(desk_instance()) == []
 
     def test_wide_numbers_are_named_by_pointer(self):
-        inst = replace(
-            desk_instance(),
-            functions=(MonetaryFunction("k1", D("1E+999999999"), D("1E+35")),)
-            + desk_instance().functions[1:],
-            balance_penalty=D("0." + "1" * 35),
-        )
+        with pytest.raises(SchemaError) as err:
+            replace(
+                desk_instance(),
+                functions=(MonetaryFunction("k1", D("1E+999999999"), D("1E+35")),)
+                + desk_instance().functions[1:],
+                balance_penalty=D("0." + "1" * 35),
+            )
         rule = "must have at most 34 digits and an adjusted exponent within ±34"
-        assert msp.validate_instance(inst) == [
+        assert err.value.problems == [
             f"/balance_penalty: balance_penalty {rule}",
             f"/functions/0/weight: weight {rule}",
             f"/functions/0/threshold: threshold {rule}",
@@ -397,17 +419,18 @@ class TestValidateInstance:
             max_parallel=1,
         )
         assert [m[:9] for m in msp.validate_instance(unreachable)] == ["warning: "]
-        assert msp.validate_instance(replace(unreachable, max_parallel=0)) == [
-            "/max_parallel: must be a positive integer"]
+        with pytest.raises(SchemaError) as err:
+            replace(unreachable, max_parallel=0)
+        assert err.value.problems == ["/max_parallel: must be a positive integer"]
 
     def test_coverage_out_of_range(self):
-        inst = MspInstance(
-            functions=(MonetaryFunction("k1", D(1), D(0)),),
-            currencies=(currency("c1", {"k1": "1.3"}),),
-            max_parallel=1,
-        )
-        report = msp.validate_instance(inst)
-        assert any("/currencies/0/coverage/k1" in m and "[0, 1]" in m for m in report)
+        with pytest.raises(SchemaError) as err:
+            MspInstance(
+                functions=(MonetaryFunction("k1", D(1), D(0)),),
+                currencies=(currency("c1", {"k1": "1.3"}),),
+                max_parallel=1,
+            )
+        assert any("/currencies/0/coverage/k1" in m and "[0, 1]" in m for m in err.value.problems)
 
     def test_unreachable_threshold_is_warning(self):
         inst = MspInstance(
@@ -419,13 +442,14 @@ class TestValidateInstance:
         assert any(m.startswith("warning:") and "unreachable" in m for m in report)
 
     def test_mandatory_exceeds_cardinality(self):
-        inst = MspInstance(
-            functions=(MonetaryFunction("k1", D(1), D(0)),),
-            currencies=(currency("a", {"k1": "1"}, mandatory=True),
-                        currency("b", {"k1": "1"}, mandatory=True)),
-            max_parallel=1,
-        )
-        assert any("mandatory" in m for m in msp.validate_instance(inst))
+        with pytest.raises(SchemaError) as err:
+            MspInstance(
+                functions=(MonetaryFunction("k1", D(1), D(0)),),
+                currencies=(currency("a", {"k1": "1"}, mandatory=True),
+                            currency("b", {"k1": "1"}, mandatory=True)),
+                max_parallel=1,
+            )
+        assert any("mandatory" in m for m in err.value.problems)
 
 
 class TestJsonInterchange:
@@ -703,14 +727,10 @@ class TestTallyMatchesTheReferenceLoops:
                 expected = reference_solution(inst, result.selection, kind)
                 assert exact(result) == exact(expected)
 
-    @pytest.mark.parametrize("query, reference", QUERIES)
-    def test_duplicate_pool_ids_count_once(self, query, reference):
-        # a pool that names an id twice breaks an invariant: every query
-        # rejects it, as the solvers do, so no id reaches the tally twice;
-        # the reference loops, which do not validate, still answer it
-        inst = replace(desk_instance(), currencies=desk_instance().currencies + (
-            currency("GOLD", {"k1": "0.5", "k2": "0.5", "k3": "0.5"}),))
-        duplicate = f"/currencies/{len(inst.currencies) - 1}/id: duplicate currency id 'GOLD'"
-        for selection in (["GOLD"], ["FIAT", "GOLD", "GOLD"], ["GOLD", "BTC", "RSDM"]):
-            assert outcome(reference, inst, selection)[0] != "DomainError"
-            assert outcome(query, inst, selection) == ("DomainError", duplicate)
+    def test_duplicate_pool_ids_count_once(self):
+        # a pool that names an id twice breaks an invariant, so no such
+        # instance can be built and no id reaches the tally twice
+        with pytest.raises(SchemaError) as err:
+            replace(desk_instance(), currencies=desk_instance().currencies + (
+                currency("GOLD", {"k1": "0.5", "k2": "0.5", "k3": "0.5"}),))
+        assert err.value.problems == ["/currencies/4/id: duplicate currency id 'GOLD'"]

@@ -70,8 +70,8 @@ class TestEurozone:
 
 class TestGoldSeries:
     def test_spec_loads_and_validates(self):
+        # a spec checks itself on construction: loading it validates it
         spec = decay.RsdmSpec.from_json_dict(json.loads(_preset_text("gold_rsdm_spec.json")))
-        assert decay.validate_spec(spec) == []
         assert spec.daily_decay_factor == D("0.99996")
         assert spec.issue_size == 2_000_000_000
         assert spec.min_redemption_grams == 1000

@@ -309,6 +309,16 @@ class TestRecordsCsv:
         with pytest.raises(DomainError, match="line 2"):
             solvency.records_from_csv(text)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("b,0,1,", "token count must be positive, got 0"),
+        ("b,5,10,3", "redemption day 3 precedes purchase day 10"),
+    ])
+    def test_rejected_record_reports_line(self, row, problem):
+        text = f"customer_id,token_count,purchase_day,redemption_day\na,1,0,\n{row}\n"
+        with pytest.raises(DomainError) as err:
+            solvency.records_from_csv(text)
+        assert str(err.value) == f"records CSV line 3: {problem}"
+
 
 class TestRecordInvariants:
     def test_redemption_before_purchase_rejected(self):
