@@ -308,6 +308,41 @@ class TestInvalidInstanceRejected:
             build(desk_instance())
         assert err.value.problems == problems
 
+    ROUTES = {
+        "reader": None,
+        "solve linear bnb": ["solve"],
+        "solve linear exhaustive": ["solve", "--method", "exhaustive"],
+        "solve saturating bnb": ["solve", "--objective", "saturating"],
+        "solve saturating exhaustive": ["solve", "--objective", "saturating",
+                                        "--method", "exhaustive"],
+        "check": ["check", "--select", "FIAT,RSDM"],
+        "report": ["report", "--select", "FIAT,RSDM"],
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("defect", INVALID)
+    def test_every_route_refuses_the_document(self, defect, route, monkeypatch,
+                                              tmp_path, capsys):
+        # the defect cannot be built with the check on: build it once with
+        # the check off to write the document a caller could hand in
+        build, problems = self.INVALID[defect]
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(msp, "_invariant_violations", lambda instance: [])
+            doc = msp.instance_to_json_dict(build(desk_instance()))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        argv = self.ROUTES[route]
+        if argv is None:
+            with pytest.raises(SchemaError) as err:
+                msp.instance_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+            assert err.value.problems == problems
+            return
+        assert cli.main(["msp", argv[0], str(path), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "".join(f"error: {problem}\n" for problem in problems)
+
     def test_a_valid_instance_is_checked_once(self, monkeypatch, tmp_path, capsys):
         original = msp._invariant_violations
         calls = []
