@@ -29,23 +29,18 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
-from importlib import resources
 from pathlib import Path
 
 from rsdm import decay, demand, ledger, msp, numeric, solvency
 from rsdm.errors import DomainError, NeverBankrupt, RsdmError, SchemaError
 
 
-def default_data_dir() -> Path:
-    return Path(str(resources.files("rsdm").joinpath("presets")))
-
-
 @dataclass
 class CliConfig:
-    data_dir: Path = field(default_factory=default_data_dir)
+    data_dir: Path = Path(__file__).with_name("presets")
     output_format: str = "table"
 
 

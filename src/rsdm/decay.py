@@ -96,9 +96,13 @@ class RsdmSpec:
             violations.append("decay factor must be in (0, 1]")
         if not (0 <= self.redemption_fee_rate < 1):
             violations.append("fee rate must be in [0, 1)")
-        if self.expiry_days <= 0:
+        if type(self.expiry_days) is not int:
+            violations.append(f"expiry days must be an integer, got {type(self.expiry_days).__name__}")
+        elif self.expiry_days <= 0:
             violations.append("expiry must be a positive number of days")
-        if self.issue_size < 0:
+        if type(self.issue_size) is not int:
+            violations.append(f"issue size must be an integer, got {type(self.issue_size).__name__}")
+        elif self.issue_size < 0:
             violations.append("issue size must be nonnegative")
         if not self.min_redemption_grams > 0:
             violations.append("minimum redemption must be > 0 grams")
@@ -224,9 +228,9 @@ def redeemable_quantity(spec: RsdmSpec, elapsed_days: int) -> Quantity:
 def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:
     """Daily decay factor equivalent to a given annual rate.
 
-    Returns (1 + annual_rate)**(1/365) via Newton root-finding at
-    relative tolerance 1e-30 (see numeric.nth_root). An annualized -2%
-    demurrage, for example, maps to a daily factor just under 1.
+    Returns (1 + annual_rate)**(1/365) in the 34-digit working precision
+    (see numeric.nth_root). An annualized -2% demurrage, for example,
+    maps to a daily factor just under 1.
     """
     rate = bounded_decimal("annual rate", annual_rate)
     if rate <= -1:

@@ -33,9 +33,7 @@ CSV for valuation quotes.
 
 from __future__ import annotations
 
-import csv
 import decimal
-import io
 import json
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
@@ -57,7 +55,8 @@ from rsdm.errors import (
     UnknownSeries,
 )
 from rsdm.numeric import (
-    GRAM, Quantity, as_decimal, bounded_decimal, exact_add, exact_mul, exact_sub, settle,
+    GRAM, Quantity, as_decimal, bounded_decimal, exact_add, exact_mul, exact_sub, read_csv_table,
+    settle,
 )
 
 _ZERO = Decimal(0)
@@ -279,6 +278,8 @@ def _effects(state, event: LedgerEvent):
             f"expected sequence {state.last_sequence + 1}, got {event.sequence}"
         )
     count = event.token_count
+    if type(count) is not int:
+        raise LedgerError(f"token count must be an integer, got {type(count).__name__}")
     if count <= 0:
         raise LedgerError(f"token count must be positive, got {count}")
     sid = event.series_id
@@ -578,7 +579,7 @@ def read_event_log(path) -> list[LedgerEvent]:
 
 def append_event_line(path, event: LedgerEvent) -> None:
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(event.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(events_to_jsonl([event]))
 
 
 def state_to_snapshot(state: LedgerState) -> str:
@@ -675,22 +676,5 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
 
 def quotes_from_csv(text: str) -> list[PriceQuote]:
     """Parse quotes from CSV with header ``day,asset_id,price``."""
-    reader = csv.DictReader(io.StringIO(text))
-    expected = ["day", "asset_id", "price"]
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-        raise DomainError(
-            f"quotes CSV must have header {','.join(expected)!r}, got {reader.fieldnames}"
-        )
-    quotes = []
-    for i, row in enumerate(reader, start=2):
-        try:
-            quotes.append(
-                PriceQuote(
-                    day=int(row["day"]),
-                    asset_id=row["asset_id"].strip(),
-                    price=row["price"].strip(),
-                )
-            )
-        except (DomainError, ValueError, AttributeError) as exc:
-            raise DomainError(f"quotes CSV line {i}: {exc}") from exc
-    return quotes
+    return read_csv_table(text, "quotes", ["day", "asset_id", "price"], lambda row: PriceQuote(
+        day=int(row["day"]), asset_id=row["asset_id"].strip(), price=row["price"].strip()))

@@ -29,9 +29,9 @@ equal-objective optima the lexicographically smallest sorted id tuple
 wins, so results are schedule-independent. An instance checks, once,
 when it is built, the invariants the cuts and sums rely on (nonnegative
 weights and penalty, coverage in [0, 1], a nonempty pool, a positive
-cardinality bound, and weights, thresholds and penalty within the width
-rule of ``numeric.bound_violation``) and raises SchemaError if one is
-broken, so no solver or query re-checks it.
+integer cardinality bound, and weights, thresholds and penalty within
+the width rule of ``numeric.bound_violation``) and raises SchemaError if
+one is broken, so no solver or query re-checks it.
 """
 
 from __future__ import annotations
@@ -213,7 +213,10 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
         problems.append("/functions: at least one monetary function is required")
     if len(instance.currencies) < 1:
         problems.append("/currencies: at least one currency candidate is required")
-    if instance.max_parallel < 1:
+    integral = type(instance.max_parallel) is int
+    if not integral:
+        problems.append("/max_parallel: expected an integer")
+    elif instance.max_parallel < 1:
         problems.append("/max_parallel: must be a positive integer")
     if instance.balance_penalty < 0:
         problems.append("/balance_penalty: must be nonnegative")
@@ -248,7 +251,7 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
                     f"/currencies/{i}/coverage/{fid}: coverage must lie in [0, 1]"
                 )
 
-    if mandatory_count > instance.max_parallel:
+    if integral and mandatory_count > instance.max_parallel:
         problems.append(
             f"/max_parallel: {mandatory_count} mandatory currencies exceed the "
             f"cardinality bound {instance.max_parallel}"
@@ -433,21 +436,19 @@ def _search(
         if bounded:
             rows.sort(key=lambda r: (r[3], r[0].id), reverse=True)
         n = len(rows)
+        # sorted rows put the positive net marginals first, so a bound's
+        # best picks from row p on are positive[p:p + budget]
+        positive = [r[3] for r in rows if r[3] > 0]
 
-        # suffix_raw[p], suffix_weighted[p]: coverage summed over candidates
-        # p..n-1; suffix_pos[p]: their positive net marginals, descending
+        # suffix_raw[p], suffix_weighted[p]: coverage summed over candidates p..n-1
         zeros = [_ZERO] * len(functions)
         suffix_raw = [zeros]
         suffix_weighted = [zeros]
-        suffix_pos: list[list[Decimal]] = [[]]
-        for _, raw_row, weighted_row, marginal in reversed(rows):
+        for _, raw_row, weighted_row, _ in reversed(rows):
             suffix_raw.append([s + u for s, u in zip(suffix_raw[-1], raw_row)])
             suffix_weighted.append([s + w for s, w in zip(suffix_weighted[-1], weighted_row)])
-            positive = suffix_pos[-1]
-            suffix_pos.append(sorted(positive + [marginal], reverse=True) if marginal > 0 else positive)
         suffix_raw.reverse()
         suffix_weighted.reverse()
-        suffix_pos.reverse()
 
         best_obj: Decimal | None = None
         best_sel: tuple[str, ...] | None = None
@@ -460,7 +461,7 @@ def _search(
 
         def bound(p: int, weighted: list[Decimal], committed: Decimal, budget: int) -> Decimal:
             if not saturating:
-                return committed + sum(suffix_pos[p][:budget], _ZERO)
+                return committed + sum(positive[p:p + budget], _ZERO)
             if budget == 0:
                 return value(weighted, committed)
             reachable = (min(_ONE, w + s) for w, s in zip(weighted, suffix_weighted[p]))
@@ -527,12 +528,12 @@ def solve_branch_and_bound(instance: MspInstance) -> MspSolution | Infeasible:
 
     Nodes fix currencies one at a time (include branch first, candidates
     ordered by descending net marginal). The upper bound at a node is
-    the committed objective plus the sum of the positive net marginals
-    of unfixed currencies, truncated to the remaining cardinality
-    budget, admissible because marginal contributions are independent
-    in the linear objective. A node is also cut when some function's
-    threshold is unreachable even by including every remaining
-    candidate. Subtrees whose bound ties the incumbent are still
+    the committed objective plus the positive net marginals of the next
+    unfixed currencies, as many as the remaining cardinality budget
+    allows (by that order, the largest left), admissible because
+    marginal contributions are independent in the linear objective. A
+    node is also cut when some function's threshold is unreachable even
+    by including every remaining candidate. Subtrees whose bound ties the incumbent are still
     explored, so the tie-breaking rule sees every optimum.
     """
     return _search(instance, ObjectiveKind.LINEAR, bounded=True)

@@ -1,9 +1,11 @@
-"""Exact decimal arithmetic and dimensioned quantities.
+"""Exact decimal arithmetic, dimensioned quantities, and the input parsers.
 
 Conventions used across the package:
 
 * All weights, prices and rates are ``decimal.Decimal``; floats are
-  rejected at the boundary so binary rounding can never leak in.
+  rejected at the boundary so binary rounding can never leak in. The
+  boundary parsers live here: ``as_decimal`` and ``bounded_decimal``
+  read one value, ``read_csv_table`` a CSV table.
 * General-purpose arithmetic runs in a 34-significant-digit context
   with banker's rounding (ROUND_HALF_EVEN).
 * Face-value decay uses *exact* arithmetic: addition, multiplication
@@ -12,13 +14,17 @@ Conventions used across the package:
   rounding, so no rounding happens until a settlement boundary.
 * Settlement boundaries (payouts, ledger entries) round to 9 decimal
   places of grams, half-even.
+* ``nth_root`` is exp(ln(v)/n) with 10 guard digits, rounded once.
 """
 
 from __future__ import annotations
 
+import csv
 import decimal
+import io
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import Callable
 
 from rsdm.errors import DomainError
 
@@ -39,9 +45,6 @@ _EXACT = decimal.Context(
 )
 
 _SETTLEMENT_QUANTUM = Decimal(1).scaleb(-SETTLEMENT_DECIMALS)
-
-#: Relative step size at which ``nth_root`` stops iterating.
-_NTH_ROOT_TOLERANCE = Decimal("1E-30")
 
 
 def as_decimal(value: str | int | Decimal) -> Decimal:
@@ -149,17 +152,12 @@ def settle(value: Decimal) -> Decimal:
 
 
 def nth_root(value: Decimal, n: int) -> Decimal:
-    """Positive n-th root of a positive decimal by Newton's method.
+    """Positive n-th root of a positive decimal: exp(ln(value)/n), with
+    10 guard digits past the working precision and rounded into it once.
 
-    Algorithm
-    ---------
-    1. Seed with exp(ln(value)/n) evaluated in the working context.
-    2. Newton steps on f(y) = y**n - value:
-           y' = y - (y**n - value) / (n * y**(n-1))
-       iterated until |y' - y| <= tolerance * y'.
-
-    The tolerance is 1e-30 relative, comfortably below the 34-digit
-    working precision.
+    ``ln`` and ``exp`` are correctly rounded, so Newton steps on
+    y**n - value change no digit of the rounded result;
+    ``tests/test_numeric.py`` checks this against them.
     """
     if n <= 0:
         raise DomainError("root order must be a positive integer")
@@ -170,14 +168,28 @@ def nth_root(value: Decimal, n: int) -> Decimal:
     with localcontext(CONTEXT) as ctx:
         ctx.prec = DEFAULT_PRECISION + 10
         y = (value.ln() / n).exp()
-        n_dec = Decimal(n)
-        for _ in range(64):
-            prev = y
-            y = y - (y**n - value) / (n_dec * y ** (n - 1))
-            if abs(y - prev) <= _NTH_ROOT_TOLERANCE * abs(y):
-                break
     with localcontext(CONTEXT):
         return +y  # round back into the working precision
+
+
+def read_csv_table(text: str, what: str, header: list[str], build: Callable[[dict], object]) -> list:
+    """The rows of a ``what`` CSV table whose first line is ``header``
+    (spaces around a name ignored), each passed to ``build`` as a dict
+    keyed by ``header`` (a missing cell is None). A DomainError,
+    ValueError or AttributeError from ``build`` is re-raised as a
+    DomainError naming the row's line: the header is line 1, and blank
+    lines, which the reader skips, are not counted."""
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
+        raise DomainError(f"{what} CSV must have header {','.join(header)!r}, got {reader.fieldnames}")
+    reader.fieldnames = header
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        try:
+            rows.append(build(row))
+        except (DomainError, ValueError, AttributeError) as exc:
+            raise DomainError(f"{what} CSV line {i}: {exc}") from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------

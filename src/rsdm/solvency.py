@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import CONTEXT, as_decimal, bounded_decimal
+from rsdm.numeric import CONTEXT, as_decimal, bounded_decimal, read_csv_table
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -40,6 +40,10 @@ class RedemptionRecord:
     redemption_day: int | None = None
 
     def __post_init__(self) -> None:
+        for what, value in (("token count", self.token_count), ("purchase day", self.purchase_day),
+                            ("redemption day", self.redemption_day if self.closed else 0)):
+            if type(value) is not int:
+                raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
         if self.token_count <= 0:
             raise DomainError(f"token count must be positive, got {self.token_count}")
         if self.redemption_day is not None and self.redemption_day < self.purchase_day:
@@ -320,28 +324,14 @@ def simulate_issuer(
 _RECORD_FIELDS = ["customer_id", "token_count", "purchase_day", "redemption_day"]
 
 
+def _record(row: dict) -> RedemptionRecord:
+    redemption = row["redemption_day"].strip()
+    return RedemptionRecord(row["customer_id"].strip(), int(row["token_count"]),
+                            int(row["purchase_day"]), int(redemption) if redemption else None)
+
+
 def records_from_csv(text: str) -> list[RedemptionRecord]:
     """Parse records from CSV with header
     ``customer_id,token_count,purchase_day,redemption_day``; an empty
     redemption_day marks an open position."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != _RECORD_FIELDS:
-        raise DomainError(
-            f"records CSV must have header {','.join(_RECORD_FIELDS)!r}, "
-            f"got {reader.fieldnames}"
-        )
-    records = []
-    for i, row in enumerate(reader, start=2):
-        try:
-            redemption = row["redemption_day"].strip()
-            records.append(
-                RedemptionRecord(
-                    customer_id=row["customer_id"].strip(),
-                    token_count=int(row["token_count"]),
-                    purchase_day=int(row["purchase_day"]),
-                    redemption_day=int(redemption) if redemption else None,
-                )
-            )
-        except (DomainError, ValueError, AttributeError) as exc:
-            raise DomainError(f"records CSV line {i}: {exc}") from exc
-    return records
+    return read_csv_table(text, "records", _RECORD_FIELDS, _record)

@@ -601,6 +601,49 @@ class TestConfigAndDispatch:
         assert len(lines) == 13 and all(line.endswith("true") for line in lines[1:])
 
 
+class TestStderrLines:
+    # warnings, notes and refusals no other test prints, each exactly
+    def test_solve_warns_of_an_unreachable_threshold_and_succeeds(self, tmp_path, capsys):
+        doc = {"functions": [{"id": "F1", "weight": "1", "threshold": "5"}],
+               "currencies": [{"id": "c1", "class": "Fiat", "coverage": {"F1": "1"}}],
+               "max_parallel": 1, "balance_penalty": "0"}
+        path = tmp_path / "unreachable.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "msp", "solve", str(path))
+        assert code == 0
+        assert err == (f"{path}: warning: /functions/0/threshold: threshold 5 unreachable "
+                       "(total coverage across the pool is 1)\n")
+        assert json.loads(out) == {"infeasible": True, "reasons": [
+            "threshold F1: 5 unreachable even selecting every candidate (total coverage 1)"]}
+
+    def test_append_to_a_missing_log(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        code, out, err = run(capsys, "ledger", "append", "--log", str(log), "--event", "{}")
+        assert (code, out) == (1, "")
+        assert err == f"error: no such event log: {log} (run 'ledger init' first)\n"
+        assert not log.exists()
+
+    @pytest.mark.parametrize("flags", [(), ("--event", "{}", "--event-file", "event.json")],
+                             ids=["neither", "both"])
+    def test_append_needs_exactly_one_event_source(self, flags, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        log.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "ledger", "append", "--log", str(log), *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: exactly one of --event or --event-file is required\n"
+        assert log.read_text(encoding="utf-8") == ""
+
+    def test_demand_solve_notes_a_negative_solution(self, tmp_path, capsys):
+        scenario = {"marshallian_k": "0.7", "gdp": "100", "fiat_multiplier": "5",
+                    "sdm_multiplier": "8", "fiat_reserve": "20", "sdm_reserve": "1",
+                    "other_supply": "0"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run(capsys, "demand", "solve", str(path), "--unknown", "sdm_reserve")
+        assert (code, out) == (0, "-3.750000000\n")
+        assert err == "note: negative solution (economically infeasible)\n"
+
+
 class TestFmt:
     def test_long_integer_part(self):
         value = Decimal("123456789012345678901234567890.1234567895")

@@ -258,6 +258,21 @@ class TestValidateSpec:
         with pytest.raises(DomainError, match="at most 34 digits"):
             replace(GOLD, **{field: Decimal(value)})
 
+    @pytest.mark.parametrize("field, what", [("expiry_days", "expiry days"),
+                                             ("issue_size", "issue size")])
+    @pytest.mark.parametrize("value", ["5", 5.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_integer_field_of_a_spec_built_in_python(self, field, what, value):
+        # the JSON reader refuses these first; a library caller gets the same DomainError
+        with pytest.raises(DomainError) as err:
+            replace(GOLD, **{field: value})
+        assert str(err.value) == f"invalid spec: {what} must be an integer, got {type(value).__name__}"
+
+    def test_integer_field_listed_with_the_other_violations(self):
+        with pytest.raises(DomainError) as err:
+            replace(GOLD, redemption_fee_rate=Decimal(1), expiry_days="100", issue_size=-1)
+        assert str(err.value) == ("invalid spec: fee rate must be in [0, 1); expiry days must be "
+                                  "an integer, got str; issue size must be nonnegative")
+
     def test_decimal_at_working_precision_accepted(self):
         spec = replace(GOLD, initial_weight=Decimal("1" * 34),
                        daily_decay_factor=Decimal("0." + "9" * 33),

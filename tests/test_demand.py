@@ -239,3 +239,27 @@ class TestScenarioJson:
         with pytest.raises(SchemaError) as err:
             DemandScenario.from_json_dict({"marshallian_k": "0.7"})
         assert any("/gdp" in p for p in err.value.problems)
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("doc, problems", [
+        ([1], ["/: expected a JSON object"]),
+        ({**scenario().to_json_dict(), "gdp": "lots", "sdm_reserve": 1.5},
+         ["/gdp: not a decimal string: 'lots'", "/sdm_reserve: not a decimal string: 1.5"]),
+    ], ids=["not an object", "not decimals"])
+    def test_reader(self, doc, problems):
+        with pytest.raises(SchemaError) as err:
+            DemandScenario.from_json_dict(doc)
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("marshallian_k", "0", "marshallian_k must be positive"),
+        ("sdm_multiplier", "0.0", "sdm_multiplier must be positive"),
+        ("fiat_reserve", "-1", "fiat_reserve must be nonnegative"),
+        ("sdm_reserve", "-0.5", "sdm_reserve must be nonnegative"),
+    ])
+    def test_field_out_of_range(self, field, value, message):
+        with pytest.raises(DomainError) as err:
+            scenario(**{field: D(value)})
+        assert type(err.value) is DomainError
+        assert str(err.value) == message

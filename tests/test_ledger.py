@@ -333,6 +333,16 @@ class TestRedeem:
         assert type(redeemed.value) is type(appended.value) is LedgerError
         assert str(redeemed.value) == str(appended.value) == f"token count must be positive, got {count}"
 
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("count", ["5", 5.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_token_count_of_an_event_built_in_python(self, kind, count):
+        # the JSON reader refuses these first; a library caller gets a LedgerError
+        event = LedgerEvent(2, 10, kind, "AU35", "alice", "bob", token_count=count)
+        with pytest.raises(LedgerError) as err:
+            ledger.append_event(issued_state(), event)
+        assert type(err.value) is LedgerError
+        assert str(err.value) == f"token count must be an integer, got {type(count).__name__}"
+
     def test_stated_payout_must_match(self):
         state = issued_state()
         event = LedgerEvent(
@@ -576,6 +586,56 @@ class TestMalformedDocuments:
             LedgerEvent.from_json_dict({**self.EVENT, "series_spec": spec})
         with pytest.raises(DomainError, match="malformed snapshot: malformed series spec"):
             ledger.state_from_snapshot(json.dumps({"series": {"AU35": spec}}))
+
+
+def _first_issue_line() -> str:
+    return ledger.events_to_jsonl([LedgerEvent(1, 0, EventKind.ISSUE, "AU35", "alice",
+                                               token_count=5, series_spec=GOLD)])
+
+
+class TestRejectionMessages:
+    # each rejection below, with its exact type and message
+    REJECTIONS = {
+        "re-issue with a different spec": (
+            lambda: ledger.append_event(issued_state(), LedgerEvent(
+                2, 1, EventKind.ISSUE, "AU35", "bob", token_count=1,
+                series_spec=replace(GOLD, redemption_fee_rate=D("0.01")))),
+            LedgerError, "series 'AU35' already registered with different parameters"),
+        "issue before the series issue date": (
+            lambda: ledger.append_event(ledger.empty_state(), LedgerEvent(
+                1, 5, EventKind.ISSUE, "LATE", "alice", token_count=1,
+                series_spec=replace(GOLD, issue_date=date(1970, 1, 10)))),
+            LedgerError, "issue event day precedes the series issue date"),
+        "transfer without a counterparty": (
+            lambda: ledger.append_event(issued_state(), LedgerEvent(
+                2, 1, EventKind.TRANSFER, "AU35", "alice", token_count=1)),
+            LedgerError, "transfer requires a counterparty"),
+        "invalid JSON on a log line": (
+            lambda: ledger.events_from_jsonl(_first_issue_line() + "\n{oops\n"),
+            DomainError, "event log line 3: invalid JSON: Expecting property name enclosed in "
+                         "double quotes: line 1 column 2 (char 1)"),
+        "invalid snapshot JSON": (
+            lambda: ledger.state_from_snapshot('{"last_sequence": 1,}'),
+            DomainError, "invalid snapshot JSON: Expecting property name enclosed in double "
+                         "quotes: line 1 column 21 (char 20)"),
+        "quotes CSV with the wrong header": (
+            lambda: ledger.quotes_from_csv("day,asset,price\n0,XAU,100\n"),
+            DomainError, "quotes CSV must have header 'day,asset_id,price', "
+                         "got ['day', 'asset', 'price']"),
+    }
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_rejection(self, case):
+        call, error, message = self.REJECTIONS[case]
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_quotes_csv_with_a_padded_header_loads(self):
+        # the header check ignores spaces around a name, and so do the rows
+        quotes = ledger.quotes_from_csv("day, asset_id, price\n0,XAU,100\n")
+        assert quotes == [PriceQuote(0, "XAU", D(100))]
 
 
 class TestHoldingsOf:

@@ -487,6 +487,81 @@ class TestValidateInstance:
         assert any("mandatory" in m for m in err.value.problems)
 
 
+def instance_doc(**changes) -> dict:
+    return {**msp.instance_to_json_dict(one_function_instance("0.5")), **changes}
+
+
+def currency_doc(**changes) -> dict:
+    return {"id": "c1", "class": "Fiat", "coverage": {"k1": "0.5"}, **changes}
+
+
+class TestRejectionsNamedByPointer:
+    # every shape check of the reader and every invariant below, each with
+    # its exact JSON-pointer problems
+    READER = {
+        "document not an object": ([1], ["/: expected a JSON object"]),
+        "functions not an array": (instance_doc(functions={"k1": {}}),
+                                   ["/functions: expected an array"]),
+        "currencies not an array": (instance_doc(currencies="c1"),
+                                    ["/currencies: expected an array"]),
+        "entries without an id": (
+            instance_doc(functions=[{"weight": "1"}], currencies=[{"class": "Fiat"}, "c2"]),
+            ["/functions/0: expected an object with an 'id'",
+             "/currencies/0: expected an object with an 'id'",
+             "/currencies/1: expected an object with an 'id'"]),
+        "unknown class": (
+            instance_doc(currencies=[currency_doc(**{"class": "Gold"})]),
+            ["/currencies/0/class: unknown class 'Gold' (expected one of "
+             "['Commodity', 'Crypto', 'Fiat', 'Other', 'RSDM'])"]),
+        "coverage not an object": (
+            instance_doc(currencies=[currency_doc(coverage=["k1"])]),
+            ["/currencies/0/coverage: expected an object"]),
+        "float and boolean coverage": (
+            instance_doc(currencies=[currency_doc(coverage={"k1": 0.5}),
+                                     currency_doc(id="c2", coverage={"k1": True})]),
+            ["/currencies/0/coverage/k1: expected a decimal string",
+             "/currencies/1/coverage/k1: expected a decimal string"]),
+        "max_parallel a string": (instance_doc(max_parallel="2"),
+                                  ["/max_parallel: expected an integer"]),
+        "max_parallel a boolean": (instance_doc(max_parallel=True),
+                                   ["/max_parallel: expected an integer"]),
+    }
+
+    @pytest.mark.parametrize("defect", READER)
+    def test_reader(self, defect):
+        doc, problems = self.READER[defect]
+        with pytest.raises(SchemaError) as err:
+            msp.instance_from_json_dict(doc)
+        assert err.value.problems == problems
+
+    INVARIANTS = {
+        "no function": (
+            dict(functions=(), currencies=(currency("c1", {}),)),
+            ["/functions: at least one monetary function is required"]),
+        "duplicate function id": (
+            dict(functions=(MonetaryFunction("k1"), MonetaryFunction("k1"))),
+            ["/functions/1/id: duplicate function id 'k1'"]),
+        "coverage of an unknown function": (
+            dict(currencies=(currency("c1", {"k1": "0.5", "k9": "0.5"}),)),
+            ["/currencies/0/coverage/k9: unknown function id 'k9'"]),
+    }
+
+    @pytest.mark.parametrize("defect", INVARIANTS)
+    def test_invariant(self, defect):
+        changes, problems = self.INVARIANTS[defect]
+        with pytest.raises(SchemaError) as err:
+            replace(one_function_instance("0.5"), **changes)
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize("value", ["2", 2.0, True, None], ids=["str", "float", "bool", "none"])
+    def test_max_parallel_of_an_instance_built_in_python(self, value):
+        # the JSON reader refuses these first; the mandatory-count comparison,
+        # which would raise TypeError, is skipped
+        with pytest.raises(SchemaError) as err:
+            replace(desk_instance(), max_parallel=value)
+        assert err.value.problems == ["/max_parallel: expected an integer"]
+
+
 class TestJsonInterchange:
     def test_round_trip(self):
         inst = desk_instance()

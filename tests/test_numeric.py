@@ -1,6 +1,7 @@
 """Exact-arithmetic primitives and dimensioned quantities."""
 
 import decimal
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from rsdm.errors import DomainError
 from rsdm.numeric import (
     ACCOUNTING_UNIT,
+    CONTEXT,
+    DEFAULT_PRECISION,
     DIMENSIONLESS,
     GRAM,
     PER_GRAM,
@@ -21,6 +24,7 @@ from rsdm.numeric import (
     exact_pow,
     exact_sub,
     nth_root,
+    read_csv_table,
     settle,
 )
 
@@ -264,6 +268,57 @@ class TestSettle:
         assert str(settle(value)) == "1" + "0" * 30 + ".000000000"
 
 
+#: Root orders of the oracle checks: small ones, a month, a year, and more.
+ROOT_ORDERS = [1, 2, 3, 5, 7, 12, 365, 1000]
+
+
+def reference_nth_root(value: Decimal, n: int) -> Decimal:
+    """The Newton-refined root ``nth_root`` must equal to the last digit:
+    its exp(ln(value)/n) seed, then Newton steps on y**n - value at the
+    same 44 digits until the relative step is at most 1E-30."""
+    if value == 1:
+        return Decimal(1)
+    with localcontext(CONTEXT) as ctx:
+        ctx.prec = DEFAULT_PRECISION + 10
+        y = (value.ln() / n).exp()
+        n_dec = Decimal(n)
+        for _ in range(64):
+            prev = y
+            y = y - (y**n - value) / (n_dec * y ** (n - 1))
+            if abs(y - prev) <= Decimal("1E-30") * abs(y):
+                break
+    with localcontext(CONTEXT):
+        return +y
+
+
+def _scaled(mantissa: int, exponent: int) -> Decimal:
+    return Decimal(mantissa).scaleb(exponent)
+
+
+#: Positive values from 1E-40 to 1E+34: mantissas of 1 to 34 digits at
+#: any scale in that range, and values within 1E-40 to 1E-1 of 1.
+root_values = st.one_of(
+    st.builds(_scaled, st.integers(1, 10**34 - 1), st.integers(-73, 0)).filter(
+        lambda v: Decimal("1E-40") <= v <= Decimal("1E+34")),
+    st.builds(lambda m, e: 1 + _scaled(m, e), st.integers(-(10**34 - 1), 10**34 - 1),
+              st.integers(-73, -35)).filter(lambda v: abs(v - 1) <= Decimal("0.1")),
+)
+
+
+def sweep_value(rng: random.Random) -> Decimal:
+    """One value of the kind ``root_values`` draws."""
+    while True:
+        digits = rng.randrange(1, 35)
+        if rng.random() < 0.5:
+            value = _scaled(rng.randrange(1, 10**digits), rng.randrange(-40 - digits, 35 - digits))
+            if Decimal("1E-40") <= value <= Decimal("1E+34"):
+                return value
+        else:
+            step = _scaled(rng.randrange(-(10**digits) + 1, 10**digits), -rng.randrange(digits + 1, 41))
+            if step and abs(step) <= Decimal("0.1"):
+                return 1 + step
+
+
 class TestNthRoot:
     def test_root_of_one(self):
         assert nth_root(Decimal(1), 365) == 1
@@ -280,6 +335,63 @@ class TestNthRoot:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             nth_root(Decimal(0), 365)
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=root_values, n=st.sampled_from(ROOT_ORDERS))
+    def test_matches_the_newton_oracle(self, value, n):
+        assert nth_root(value, n).as_tuple() == reference_nth_root(value, n).as_tuple()
+
+    def test_matches_the_newton_oracle_on_a_seeded_sweep(self):
+        rng = random.Random(2026)
+        for _ in range(10_000):
+            value, n = sweep_value(rng), rng.choice(ROOT_ORDERS)
+            assert nth_root(value, n).as_tuple() == reference_nth_root(value, n).as_tuple(), (value, n)
+
+
+class TestReadCsvTable:
+    HEADER = ["name", "count"]
+
+    @staticmethod
+    def build(row: dict) -> tuple[str, int]:
+        return row["name"].strip(), int(row["count"].strip())
+
+    def test_rows_in_order(self):
+        text = "name,count\na,1\nb, 2\n"
+        assert read_csv_table(text, "tally", self.HEADER, self.build) == [("a", 1), ("b", 2)]
+
+    def test_header_only_is_an_empty_table(self):
+        assert read_csv_table("name,count\n", "tally", self.HEADER, self.build) == []
+
+    def test_rows_are_keyed_by_the_expected_names_when_the_header_is_padded(self):
+        text = " name , count\na,1\n"
+        assert read_csv_table(text, "tally", self.HEADER, self.build) == [("a", 1)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "tally CSV must have header 'name,count', got None"),
+        ("count,name\n1,a\n", "tally CSV must have header 'name,count', got ['count', 'name']"),
+        ("name,count,extra\n", "tally CSV must have header 'name,count', got ['name', 'count', 'extra']"),
+        ("name,count\na,1\nb,x\n", "tally CSV line 3: invalid literal for int() with base 10: 'x'"),
+        ("name,count\na\n", "tally CSV line 2: 'NoneType' object has no attribute 'strip'"),
+    ])
+    def test_rejections(self, text, message):
+        with pytest.raises(DomainError) as err:
+            read_csv_table(text, "tally", self.HEADER, self.build)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("error", [DomainError("bad row"), ValueError("bad row"),
+                                       AttributeError("bad row")])
+    def test_wraps_the_row_errors_it_names(self, error):
+        def build(row):
+            raise error
+        with pytest.raises(DomainError, match="^tally CSV line 2: bad row$") as err:
+            read_csv_table("name,count\na,1\n", "tally", self.HEADER, build)
+        assert err.value.__cause__ is error
+
+    def test_other_errors_pass_through(self):
+        def build(row):
+            raise KeyError("name")
+        with pytest.raises(KeyError):
+            read_csv_table("name,count\na,1\n", "tally", self.HEADER, build)
 
 
 class TestQuantity:

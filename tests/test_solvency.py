@@ -329,6 +329,60 @@ class TestRecordInvariants:
         with pytest.raises(DomainError):
             RedemptionRecord("k", 0, 0, 1)
 
+    @pytest.mark.parametrize("field, what", [("token_count", "token count"),
+                                             ("purchase_day", "purchase day"),
+                                             ("redemption_day", "redemption day")])
+    @pytest.mark.parametrize("value", ["5", 5.0, True], ids=["str", "float", "bool"])
+    def test_integer_field_of_a_record_built_in_python(self, field, what, value):
+        # the CSV reader parses with int() first; a library caller gets a DomainError
+        with pytest.raises(DomainError) as err:
+            RedemptionRecord(**{"customer_id": "k", "token_count": 1, "purchase_day": 0,
+                                "redemption_day": 5, field: value})
+        assert str(err.value) == f"{what} must be an integer, got {type(value).__name__}"
+
+    def test_open_position_passes_the_integer_check(self):
+        assert not RedemptionRecord("k", 1, 0).closed
+
+
+class TestRejectionMessages:
+    SCHEDULE = FeeSchedule.flat(Decimal("1"), Decimal("0.1"))
+    REJECTIONS = {
+        "horizon before the last purchase": (
+            lambda: solvency.simulate_issuer(
+                [RedemptionRecord("a", 1, 0), RedemptionRecord("b", 1, 30)],
+                TestRejectionMessages.SCHEDULE, 29),
+            "horizon must reach the last purchase day"),
+        "negative reserves": (
+            lambda: IssuerBook(Decimal("-1"), Decimal("0"), Decimal("0"), Decimal("0")),
+            "own reserves must be nonnegative"),
+        "negative deposits": (
+            lambda: IssuerBook(Decimal("0"), Decimal("-0.01"), Decimal("0"), Decimal("0")),
+            "customer deposits must be nonnegative"),
+        "records CSV with the wrong header": (
+            lambda: solvency.records_from_csv("customer_id,tokens,purchase_day,redemption_day\n"),
+            "records CSV must have header 'customer_id,token_count,purchase_day,redemption_day', "
+            "got ['customer_id', 'tokens', 'purchase_day', 'redemption_day']"),
+        "records CSV with a short row": (
+            lambda: solvency.records_from_csv(
+                "customer_id,token_count,purchase_day,redemption_day\na,1,0,\nb,1\n"),
+            "records CSV line 3: 'NoneType' object has no attribute 'strip'"),
+    }
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_rejection(self, case):
+        call, message = self.REJECTIONS[case]
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_no_records_is_an_empty_timeline(self):
+        assert solvency.simulate_issuer([], self.SCHEDULE, 10) == SolvencyTimeline((), None)
+
+    def test_records_csv_with_a_padded_header_loads(self):
+        # the header check ignores spaces around a name, and so do the rows
+        text = "customer_id , token_count, purchase_day, redemption_day\na,1,0,\n"
+        assert solvency.records_from_csv(text) == [RedemptionRecord("a", 1, 0)]
+
 
 # ---------------------------------------------------------------------------
 # The day-by-day loop as the oracle for the difference-array sweep
