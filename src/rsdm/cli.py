@@ -8,10 +8,13 @@ Subcommand map::
     demand supply | solve --unknown <field>
     ledger init | append | replay | value
 
-Each handler reads its files through ``read_text`` and the library's
-text parsers, computes, and hands the result to ``emit``, which prints
-it as a table, JSON or CSV. A file's content (timeline, snapshot) and
-status lines print the same in every format.
+Each handler imports the one library module it runs, so a command loads
+that module, ``demand`` (the parser reads its ``Unknown`` choices) and
+what they import, never the other groups' modules. It reads its files through
+``read_text`` and the library's text parsers, computes, and hands the
+result to ``emit``, which prints it as a table, JSON or CSV. A file's
+content (timeline, snapshot) and status lines print the same in every
+format.
 
 Exit status: 0 success, 1 domain/validation error, 2 usage error.
 ``main`` is the one error boundary: an ``RsdmError``, a path that cannot
@@ -33,9 +36,13 @@ from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from rsdm import decay, demand, ledger, msp, numeric, solvency
+from rsdm import numeric
 from rsdm.errors import DomainError, NeverBankrupt, RsdmError, SchemaError
+
+if TYPE_CHECKING:
+    from rsdm import decay, demand, ledger, msp, solvency
 
 
 @dataclass
@@ -104,6 +111,7 @@ def load_instance(name: str, config: CliConfig) -> msp.MspInstance:
     its JSON-pointer path) raise; the instance checks its invariants
     once, when ``instance_from_json_dict`` builds it.
     """
+    from rsdm import msp
     path = resolve_path(name, config)
     instance = msp.instance_from_json_dict(parse_json(read_text(path), path))
     for warning in msp.validate_instance(instance):
@@ -112,11 +120,13 @@ def load_instance(name: str, config: CliConfig) -> msp.MspInstance:
 
 
 def load_scenario(name: str, config: CliConfig) -> demand.DemandScenario:
+    from rsdm import demand
     path = resolve_path(name, config)
     return demand.DemandScenario.from_json_dict(parse_json(read_text(path), path))
 
 
 def replay_log(name: str) -> ledger.LedgerState:
+    from rsdm import ledger
     return ledger.replay(ledger.events_from_jsonl(read_text(Path(name))))
 
 
@@ -163,6 +173,7 @@ def write_or_print(text: str, out: str | None, what: str) -> None:
 
 
 def _adhoc_spec(args) -> decay.RsdmSpec:
+    from rsdm import decay
     expiry = args.expiry_days if args.expiry_days is not None else max(args.days, 1)
     return decay.RsdmSpec(
         issue_date=date(1970, 1, 1),
@@ -175,12 +186,14 @@ def _adhoc_spec(args) -> decay.RsdmSpec:
 
 
 def cmd_decay_residual(args, config: CliConfig) -> int:
+    from rsdm import decay
     residual = fmt(decay.residual_weight(_adhoc_spec(args), args.days).value)
     emit(config, {"residual_g": residual}, [residual])
     return 0
 
 
 def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
+    from rsdm import decay
     if args.count < 1:
         raise DomainError(f"token count must be positive, got {args.count}")
     quote = decay.redemption_quote(_adhoc_spec(args), args.days)
@@ -195,6 +208,7 @@ def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
 
 
 def cmd_decay_convert_rate(args, config: CliConfig) -> int:
+    from rsdm import decay
     if args.annual is not None:
         value = fmt(decay.daily_factor_from_annual_rate(args.annual))
         label = "daily_factor"
@@ -211,6 +225,7 @@ def cmd_decay_convert_rate(args, config: CliConfig) -> int:
 
 
 def cmd_solvency_breakeven(args, config: CliConfig) -> int:
+    from rsdm import solvency
     try:
         print(solvency.breakeven_horizon(args.beta, args.alpha))
     except NeverBankrupt:
@@ -219,6 +234,7 @@ def cmd_solvency_breakeven(args, config: CliConfig) -> int:
 
 
 def _schedule_from_args(args) -> solvency.FeeSchedule:
+    from rsdm import solvency
     if sum(v is not None for v in (args.flat_fee, args.deadline_day, args.mean_days)) != 1:
         raise DomainError(
             "exactly one of --flat-fee, --deadline-day, --mean-days is required"
@@ -231,6 +247,7 @@ def _schedule_from_args(args) -> solvency.FeeSchedule:
 
 
 def cmd_solvency_simulate(args, config: CliConfig) -> int:
+    from rsdm import solvency
     records = solvency.records_from_csv(read_text(resolve_path(args.records, config)))
     timeline = solvency.simulate_issuer(records, _schedule_from_args(args), args.horizon)
     write_or_print(timeline.to_csv(), args.out, "timeline")
@@ -245,6 +262,7 @@ def cmd_solvency_simulate(args, config: CliConfig) -> int:
 
 
 def cmd_msp_solve(args, config: CliConfig) -> int:
+    from rsdm import msp
     instance = load_instance(args.instance, config)
     kind = msp.ObjectiveKind(args.objective)
     if args.method == "exhaustive":
@@ -266,6 +284,7 @@ def _parse_selection(text: str) -> list[str]:
 
 
 def cmd_msp_check(args, config: CliConfig) -> int:
+    from rsdm import msp
     instance = load_instance(args.instance, config)
     verdict = msp.check_feasible(instance, _parse_selection(args.select))
     emit(
@@ -278,6 +297,7 @@ def cmd_msp_check(args, config: CliConfig) -> int:
 
 
 def cmd_msp_report(args, config: CliConfig) -> int:
+    from rsdm import msp
     instance = load_instance(args.instance, config)
     report = msp.coverage_report(instance, _parse_selection(args.select))
     functions = [
@@ -308,6 +328,7 @@ def cmd_msp_report(args, config: CliConfig) -> int:
 
 
 def cmd_demand_supply(args, config: CliConfig) -> int:
+    from rsdm import demand
     scenario = load_scenario(args.scenario, config)
     supply = fmt(demand.money_supply(scenario))
     residual = fmt(demand.equilibrium_residual(scenario))
@@ -316,6 +337,7 @@ def cmd_demand_supply(args, config: CliConfig) -> int:
 
 
 def cmd_demand_solve(args, config: CliConfig) -> int:
+    from rsdm import demand
     solution = demand.solve_unknown(load_scenario(args.scenario, config), args.unknown)
     doc = {"unknown": solution.unknown.value, "value": fmt(solution.value),
            "negative": solution.negative}
@@ -341,6 +363,7 @@ def cmd_ledger_init(args, config: CliConfig) -> int:
 
 
 def cmd_ledger_append(args, config: CliConfig) -> int:
+    from rsdm import ledger
     path = Path(args.log)
     if not path.exists():
         raise DomainError(f"no such event log: {path} (run 'ledger init' first)")
@@ -358,6 +381,7 @@ def cmd_ledger_append(args, config: CliConfig) -> int:
 
 
 def cmd_ledger_replay(args, config: CliConfig) -> int:
+    from rsdm import ledger
     write_or_print(ledger.state_to_snapshot(replay_log(args.log)), args.snapshot, "snapshot")
     return 0
 
@@ -367,6 +391,7 @@ _HOLDING_FIELDS = ["series_id", "token_count", "residual_g", "redeemable_g",
 
 
 def cmd_ledger_value(args, config: CliConfig) -> int:
+    from rsdm import ledger
     state = replay_log(args.log)
     quotes = ledger.quotes_from_csv(read_text(resolve_path(args.quotes, config)))
     report = ledger.holdings_valuation(state, quotes, args.party, args.day)
@@ -403,6 +428,7 @@ def cmd_ledger_value(args, config: CliConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from rsdm import demand
     parser = argparse.ArgumentParser(
         prog="rsdm",
         description="Redeemable self-decaying money toolkit",

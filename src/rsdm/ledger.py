@@ -138,6 +138,8 @@ class PriceQuote:
     price: Decimal  # accounting units per gram
 
     def __post_init__(self) -> None:
+        if type(self.day) is not int:
+            raise DomainError(f"quote day must be an integer, got {type(self.day).__name__}")
         object.__setattr__(self, "price", bounded_decimal("quote price", self.price))
         if self.price < 0:
             raise DomainError(f"quote price must be nonnegative, got {self.price}")
@@ -273,6 +275,10 @@ def _effects(state, event: LedgerEvent):
     and a redeem's settled payout (None for the other kinds), which must
     equal a payout stated on the event.
     """
+    if type(event.sequence) is not int:
+        raise LedgerError(f"sequence must be an integer, got {type(event.sequence).__name__}")
+    if type(event.day) is not int:
+        raise LedgerError(f"day must be an integer, got {type(event.day).__name__}")
     if event.sequence != state.last_sequence + 1:
         raise SequenceGap(
             f"expected sequence {state.last_sequence + 1}, got {event.sequence}"

@@ -177,18 +177,18 @@ def read_csv_table(text: str, what: str, header: list[str], build: Callable[[dic
     (spaces around a name ignored), each passed to ``build`` as a dict
     keyed by ``header`` (a missing cell is None). A DomainError,
     ValueError or AttributeError from ``build`` is re-raised as a
-    DomainError naming the row's line: the header is line 1, and blank
-    lines, which the reader skips, are not counted."""
+    DomainError naming the row's physical line in ``text`` (the header
+    is line 1; blank lines are skipped but counted)."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != header:
         raise DomainError(f"{what} CSV must have header {','.join(header)!r}, got {reader.fieldnames}")
     reader.fieldnames = header
     rows = []
-    for i, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             rows.append(build(row))
         except (DomainError, ValueError, AttributeError) as exc:
-            raise DomainError(f"{what} CSV line {i}: {exc}") from exc
+            raise DomainError(f"{what} CSV line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -279,11 +279,3 @@ class Quantity:
 
 def grams(value: str | int | Decimal) -> Quantity:
     return Quantity(as_decimal(value), GRAM)
-
-
-def accounting(value: str | int | Decimal) -> Quantity:
-    return Quantity(as_decimal(value), ACCOUNTING_UNIT)
-
-
-def price_per_gram(value: str | int | Decimal) -> Quantity:
-    return Quantity(as_decimal(value), PER_GRAM)

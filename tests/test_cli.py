@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -599,6 +602,44 @@ class TestConfigAndDispatch:
         lines = out.splitlines()
         assert lines[0] == "function_id,achieved,threshold,saturated_value,covered"
         assert len(lines) == 13 and all(line.endswith("true") for line in lines[1:])
+
+
+class TestModulesLoaded:
+    """A command loads its own group's modules and none of the others'."""
+
+    SCRIPT = ("import json, sys\n"
+              "from rsdm import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(n for n in sys.modules if n.startswith('rsdm.'))]))\n")
+
+    CASES = {
+        "decay": (["residual", "--theta", "0.99996", "--w", "1", "--days", "1"],
+                  ["cli", "decay", "demand", "errors", "numeric"]),
+        "solvency": (["breakeven", "--beta", "1", "--alpha", "0.01"],
+                     ["cli", "demand", "errors", "numeric", "solvency"]),
+        "msp": (["solve", "triple_monetary.json"],
+                ["cli", "demand", "errors", "msp", "numeric"]),
+        "demand": (["supply", "global_demand.json"],
+                   ["cli", "demand", "errors", "numeric"]),
+        "ledger": (["replay", "--log", "{log}"],
+                   ["cli", "decay", "demand", "errors", "ledger", "numeric"]),
+    }
+
+    @pytest.mark.parametrize("group", CASES)
+    def test_one_group_loads_only_its_closure(self, group, tmp_path):
+        argv, closure = self.CASES[group]
+        log = tmp_path / "events.jsonl"
+        log.touch()
+        env = {k: v for k, v in os.environ.items() if k != "RSDM_DATA_DIR"}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, group,
+                               *(a.format(log=log) for a in argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert loaded == [f"rsdm.{m}" for m in closure]
 
 
 class TestStderrLines:

@@ -343,6 +343,20 @@ class TestRedeem:
         assert type(err.value) is LedgerError
         assert str(err.value) == f"token count must be an integer, got {type(count).__name__}"
 
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("cast", [str, float, lambda v: True, lambda v: None],
+                             ids=["str", "float", "bool", "none"])
+    @pytest.mark.parametrize("field", ["sequence", "day"])
+    def test_sequence_and_day_of_an_event_built_in_python(self, field, cast, kind):
+        # a LedgerError, not a SequenceGap for "2" nor a logged line that
+        # events_from_jsonl refuses
+        event = LedgerEvent(2, 10, kind, "AU35", "alice", "bob", token_count=5)
+        value = cast(getattr(event, field))
+        with pytest.raises(LedgerError) as err:
+            ledger.append_event(issued_state(), replace(event, **{field: value}))
+        assert type(err.value) is LedgerError
+        assert str(err.value) == f"{field} must be an integer, got {type(value).__name__}"
+
     def test_stated_payout_must_match(self):
         state = issued_state()
         event = LedgerEvent(
@@ -622,6 +636,9 @@ class TestRejectionMessages:
             lambda: ledger.quotes_from_csv("day,asset,price\n0,XAU,100\n"),
             DomainError, "quotes CSV must have header 'day,asset_id,price', "
                          "got ['day', 'asset', 'price']"),
+        "quote day given as a string": (
+            lambda: PriceQuote("0", "XAU", D(100)),
+            DomainError, "quote day must be an integer, got str"),
     }
 
     @pytest.mark.parametrize("case", REJECTIONS)

@@ -372,6 +372,7 @@ class TestReadCsvTable:
         ("name,count,extra\n", "tally CSV must have header 'name,count', got ['name', 'count', 'extra']"),
         ("name,count\na,1\nb,x\n", "tally CSV line 3: invalid literal for int() with base 10: 'x'"),
         ("name,count\na\n", "tally CSV line 2: 'NoneType' object has no attribute 'strip'"),
+        ("name,count\na,1\n\nb,x\n", "tally CSV line 4: invalid literal for int() with base 10: 'x'"),
     ])
     def test_rejections(self, text, message):
         with pytest.raises(DomainError) as err:
