@@ -12,11 +12,13 @@ Each handler imports the one library module it runs, so a command loads
 that module, ``demand`` (the parser reads its ``Unknown`` choices) and
 what they import, never the other groups' modules. It reads its files through
 ``read_text`` and the library's text parsers, computes, and hands the
-result to ``emit``, which prints it as a table, JSON or CSV. A file's
-content (timeline, snapshot) and status lines print the same in every
-format.
+result to ``emit``, which prints it in the ``--format`` (table, JSON or
+CSV). A file's content (timeline, snapshot) and status lines print the
+same in every format. A file argument not found in the working directory
+is looked up in ``RSDM_DATA_DIR`` or the shipped presets.
 
-Exit status: 0 success, 1 domain/validation error, 2 usage error.
+Exit status: 0 success, 1 domain/validation error, 2 usage error
+(argparse's, which also enforces each either-or flag group).
 ``main`` is the one error boundary: an ``RsdmError``, a path that cannot
 be read or written, or a file that is not UTF-8 prints ``error: ...`` on
 stderr and exits 1, never with a traceback.
@@ -32,7 +34,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
 from pathlib import Path
@@ -45,44 +46,15 @@ if TYPE_CHECKING:
     from rsdm import decay, demand, ledger, msp, solvency
 
 
-@dataclass
-class CliConfig:
-    data_dir: Path = Path(__file__).with_name("presets")
-    output_format: str = "table"
-
-
-def load_config(path: str | None) -> CliConfig:
-    config = CliConfig()
-    if path is not None:
-        doc = parse_json(read_text(Path(path)), path)
-        if not isinstance(doc, dict):
-            raise DomainError("config must be a JSON object")
-        for key, value in doc.items():
-            if key not in ("data_dir", "output_format"):
-                raise DomainError(
-                    f"unknown config key {key!r} (accepted: data_dir, output_format)"
-                )
-            if not isinstance(value, str):
-                raise DomainError(f"config {key!r} must be a string, got {type(value).__name__}")
-        if "data_dir" in doc:
-            config.data_dir = Path(doc["data_dir"])
-        if "output_format" in doc:
-            config.output_format = doc["output_format"]
-    env_dir = os.environ.get("RSDM_DATA_DIR")
-    if env_dir:
-        config.data_dir = Path(env_dir)
-    if config.output_format not in ("table", "json", "csv"):
-        raise DomainError(f"unknown output format {config.output_format!r}")
-    return config
-
-
-def resolve_path(name: str, config: CliConfig) -> Path:
+def resolve_path(name: str) -> Path:
     """A file argument resolves against the working directory first,
-    then the data directory (which ships the presets)."""
+    then the data directory: ``RSDM_DATA_DIR`` if set and nonempty, else
+    the shipped presets."""
     p = Path(name)
     if p.exists():
         return p
-    candidate = config.data_dir / name
+    data_dir = os.environ.get("RSDM_DATA_DIR") or Path(__file__).with_name("presets")
+    candidate = Path(data_dir) / name
     if candidate.exists():
         return candidate
     raise DomainError(f"no such file: {name!r} (also tried {candidate})")
@@ -104,7 +76,7 @@ def parse_json(text: str, source: object) -> object:
         raise DomainError(f"parse error in {source}: {exc}") from exc
 
 
-def load_instance(name: str, config: CliConfig) -> msp.MspInstance:
+def load_instance(name: str) -> msp.MspInstance:
     """Load an msp instance and print its reachability warnings on stderr.
 
     A parse failure and every schema or invariant violation (each with
@@ -112,16 +84,16 @@ def load_instance(name: str, config: CliConfig) -> msp.MspInstance:
     once, when ``instance_from_json_dict`` builds it.
     """
     from rsdm import msp
-    path = resolve_path(name, config)
+    path = resolve_path(name)
     instance = msp.instance_from_json_dict(parse_json(read_text(path), path))
     for warning in msp.validate_instance(instance):
         print(f"{path}: {warning}", file=sys.stderr)
     return instance
 
 
-def load_scenario(name: str, config: CliConfig) -> demand.DemandScenario:
+def load_scenario(name: str) -> demand.DemandScenario:
     from rsdm import demand
-    path = resolve_path(name, config)
+    path = resolve_path(name)
     return demand.DemandScenario.from_json_dict(parse_json(read_text(path), path))
 
 
@@ -141,15 +113,15 @@ def fmt(value: Decimal) -> str:
     return format(numeric.settle(value), "f")
 
 
-def emit(config: CliConfig, doc: dict, table_lines: list[str] | None,
+def emit(output_format: str, doc: dict, table_lines: list[str] | None,
          csv_rows: list[list] | None = None) -> None:
-    """Print one result in the configured format: *doc* as JSON,
+    """Print one result in *output_format*: *doc* as JSON,
     *csv_rows* (header first) as CSV with booleans spelt as in JSON, and
     *table_lines* otherwise. A result without CSV rows prints its table
     in CSV format; one without table lines prints its JSON."""
-    if config.output_format == "json" or table_lines is None:
+    if output_format == "json" or table_lines is None:
         print(json.dumps(doc, indent=2, sort_keys=True))
-    elif config.output_format == "csv" and csv_rows is not None:
+    elif output_format == "csv" and csv_rows is not None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         for row in csv_rows:
             writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
@@ -185,14 +157,14 @@ def _adhoc_spec(args) -> decay.RsdmSpec:
     )
 
 
-def cmd_decay_residual(args, config: CliConfig) -> int:
+def cmd_decay_residual(args) -> int:
     from rsdm import decay
     residual = fmt(decay.residual_weight(_adhoc_spec(args), args.days).value)
-    emit(config, {"residual_g": residual}, [residual])
+    emit(args.format, {"residual_g": residual}, [residual])
     return 0
 
 
-def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
+def cmd_decay_redeem_quote(args) -> int:
     from rsdm import decay
     if args.count < 1:
         raise DomainError(f"token count must be positive, got {args.count}")
@@ -203,11 +175,11 @@ def cmd_decay_redeem_quote(args, config: CliConfig) -> int:
         "fee_g": fmt(numeric.exact_mul(quote.fee.value, count)),
         "residual_g": fmt(numeric.exact_mul(quote.residual.value, count)),
     }
-    emit(config, doc, [f"{key}: {value}" for key, value in doc.items()])
+    emit(args.format, doc, [f"{key}: {value}" for key, value in doc.items()])
     return 0
 
 
-def cmd_decay_convert_rate(args, config: CliConfig) -> int:
+def cmd_decay_convert_rate(args) -> int:
     from rsdm import decay
     if args.annual is not None:
         value = fmt(decay.daily_factor_from_annual_rate(args.annual))
@@ -215,7 +187,7 @@ def cmd_decay_convert_rate(args, config: CliConfig) -> int:
     else:
         value = fmt(decay.annual_rate_from_daily_factor(args.daily))
         label = "annual_rate"
-    emit(config, {label: value}, [value])
+    emit(args.format, {label: value}, [value])
     return 0
 
 
@@ -224,21 +196,18 @@ def cmd_decay_convert_rate(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solvency_breakeven(args, config: CliConfig) -> int:
+def cmd_solvency_breakeven(args) -> int:
     from rsdm import solvency
     try:
-        print(solvency.breakeven_horizon(args.beta, args.alpha))
+        days = solvency.breakeven_horizon(args.beta, args.alpha)
     except NeverBankrupt:
-        print("never")
+        days = None
+    emit(args.format, {"breakeven_days": days}, ["never" if days is None else str(days)])
     return 0
 
 
 def _schedule_from_args(args) -> solvency.FeeSchedule:
     from rsdm import solvency
-    if sum(v is not None for v in (args.flat_fee, args.deadline_day, args.mean_days)) != 1:
-        raise DomainError(
-            "exactly one of --flat-fee, --deadline-day, --mean-days is required"
-        )
     if args.flat_fee is not None:
         return solvency.FeeSchedule.flat(args.flat_fee, args.rate)
     if args.deadline_day is not None:
@@ -246,9 +215,9 @@ def _schedule_from_args(args) -> solvency.FeeSchedule:
     return solvency.FeeSchedule.mean_holding_based(args.mean_days, args.rate)
 
 
-def cmd_solvency_simulate(args, config: CliConfig) -> int:
+def cmd_solvency_simulate(args) -> int:
     from rsdm import solvency
-    records = solvency.records_from_csv(read_text(resolve_path(args.records, config)))
+    records = solvency.records_from_csv(read_text(resolve_path(args.records)))
     timeline = solvency.simulate_issuer(records, _schedule_from_args(args), args.horizon)
     write_or_print(timeline.to_csv(), args.out, "timeline")
     if timeline.first_bankrupt_day is not None:
@@ -261,9 +230,9 @@ def cmd_solvency_simulate(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_msp_solve(args, config: CliConfig) -> int:
+def cmd_msp_solve(args) -> int:
     from rsdm import msp
-    instance = load_instance(args.instance, config)
+    instance = load_instance(args.instance)
     kind = msp.ObjectiveKind(args.objective)
     if args.method == "exhaustive":
         result = msp.solve_exhaustive(instance, kind)
@@ -275,7 +244,7 @@ def cmd_msp_solve(args, config: CliConfig) -> int:
     if not isinstance(result, msp.Infeasible):
         doc["objective"] = fmt(result.objective)
         doc["per_function_score"] = {k: fmt(v) for k, v in result.per_function_score.items()}
-    emit(config, doc, None)
+    emit(args.format, doc, None)
     return 0
 
 
@@ -283,12 +252,12 @@ def _parse_selection(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def cmd_msp_check(args, config: CliConfig) -> int:
+def cmd_msp_check(args) -> int:
     from rsdm import msp
-    instance = load_instance(args.instance, config)
+    instance = load_instance(args.instance)
     verdict = msp.check_feasible(instance, _parse_selection(args.select))
     emit(
-        config,
+        args.format,
         {"feasible": verdict.feasible, "violations": list(verdict.violations)},
         [f"feasible: {'yes' if verdict.feasible else 'no'}",
          *(f"  violated - {v}" for v in verdict.violations)],
@@ -296,9 +265,9 @@ def cmd_msp_check(args, config: CliConfig) -> int:
     return 0
 
 
-def cmd_msp_report(args, config: CliConfig) -> int:
+def cmd_msp_report(args) -> int:
     from rsdm import msp
-    instance = load_instance(args.instance, config)
+    instance = load_instance(args.instance)
     report = msp.coverage_report(instance, _parse_selection(args.select))
     functions = [
         {"id": r.function_id, "achieved": fmt(r.achieved), "threshold": fmt(r.threshold),
@@ -313,7 +282,7 @@ def cmd_msp_report(args, config: CliConfig) -> int:
     ]
     table.append(f"all functions covered: {'yes' if report.all_covered else 'no'}")
     emit(
-        config,
+        args.format,
         {"all_covered": report.all_covered, "functions": functions},
         table,
         [["function_id", "achieved", "threshold", "saturated_value", "covered"],
@@ -327,21 +296,21 @@ def cmd_msp_report(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_demand_supply(args, config: CliConfig) -> int:
+def cmd_demand_supply(args) -> int:
     from rsdm import demand
-    scenario = load_scenario(args.scenario, config)
+    scenario = load_scenario(args.scenario)
     supply = fmt(demand.money_supply(scenario))
     residual = fmt(demand.equilibrium_residual(scenario))
-    emit(config, {"supply": supply, "equilibrium_residual": residual}, [supply])
+    emit(args.format, {"supply": supply, "equilibrium_residual": residual}, [supply])
     return 0
 
 
-def cmd_demand_solve(args, config: CliConfig) -> int:
+def cmd_demand_solve(args) -> int:
     from rsdm import demand
-    solution = demand.solve_unknown(load_scenario(args.scenario, config), args.unknown)
+    solution = demand.solve_unknown(load_scenario(args.scenario), args.unknown)
     doc = {"unknown": solution.unknown.value, "value": fmt(solution.value),
            "negative": solution.negative}
-    emit(config, doc, [doc["value"]])
+    emit(args.format, doc, [doc["value"]])
     if solution.negative:
         print("note: negative solution (economically infeasible)", file=sys.stderr)
     return 0
@@ -352,7 +321,7 @@ def cmd_demand_solve(args, config: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ledger_init(args, config: CliConfig) -> int:
+def cmd_ledger_init(args) -> int:
     path = Path(args.log)
     if path.exists():
         raise DomainError(f"refusing to overwrite existing log {path}")
@@ -362,13 +331,11 @@ def cmd_ledger_init(args, config: CliConfig) -> int:
     return 0
 
 
-def cmd_ledger_append(args, config: CliConfig) -> int:
+def cmd_ledger_append(args) -> int:
     from rsdm import ledger
     path = Path(args.log)
     if not path.exists():
         raise DomainError(f"no such event log: {path} (run 'ledger init' first)")
-    if (args.event is None) == (args.event_file is None):
-        raise DomainError("exactly one of --event or --event-file is required")
     if args.event is not None:
         doc = parse_json(args.event, "--event")
     else:
@@ -380,7 +347,7 @@ def cmd_ledger_append(args, config: CliConfig) -> int:
     return 0
 
 
-def cmd_ledger_replay(args, config: CliConfig) -> int:
+def cmd_ledger_replay(args) -> int:
     from rsdm import ledger
     write_or_print(ledger.state_to_snapshot(replay_log(args.log)), args.snapshot, "snapshot")
     return 0
@@ -390,10 +357,10 @@ _HOLDING_FIELDS = ["series_id", "token_count", "residual_g", "redeemable_g",
                    "price_per_gram", "residual_value", "redeemable_value", "expired"]
 
 
-def cmd_ledger_value(args, config: CliConfig) -> int:
+def cmd_ledger_value(args) -> int:
     from rsdm import ledger
     state = replay_log(args.log)
-    quotes = ledger.quotes_from_csv(read_text(resolve_path(args.quotes, config)))
+    quotes = ledger.quotes_from_csv(read_text(resolve_path(args.quotes)))
     report = ledger.holdings_valuation(state, quotes, args.party, args.day)
     holdings = [
         dict(zip(_HOLDING_FIELDS, (
@@ -418,7 +385,7 @@ def cmd_ledger_value(args, config: CliConfig) -> int:
     ]
     table.append(f"total residual value: {doc['total_residual_value']}")
     table.append(f"total redeemable value: {doc['total_redeemable_value']}")
-    emit(config, doc, table, [_HOLDING_FIELDS, *(list(h.values()) for h in holdings)])
+    emit(args.format, doc, table, [_HOLDING_FIELDS, *(list(h.values()) for h in holdings)])
     return 0
 
 
@@ -433,12 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rsdm",
         description="Redeemable self-decaying money toolkit",
     )
-    parser.add_argument("--config", help="path to a CliConfig JSON file")
-    parser.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        help="output format (overrides config)",
-    )
+    parser.add_argument("--format", choices=["table", "json", "csv"], default="table",
+                        help="output format")
     top = parser.add_subparsers(dest="group", required=True)
 
     # decay ------------------------------------------------------------
@@ -480,9 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--records", required=True, help="redemption records CSV")
     simulate.add_argument("--horizon", type=int, required=True)
     simulate.add_argument("--rate", required=True, help="storage cost per token-day")
-    simulate.add_argument("--flat-fee", default=None)
-    simulate.add_argument("--deadline-day", type=int, default=None)
-    simulate.add_argument("--mean-days", default=None)
+    schedule = simulate.add_mutually_exclusive_group(required=True)
+    schedule.add_argument("--flat-fee")
+    schedule.add_argument("--deadline-day", type=int)
+    schedule.add_argument("--mean-days")
     simulate.add_argument("--out", default=None, help="write timeline CSV here")
     simulate.set_defaults(handler=cmd_solvency_simulate)
 
@@ -533,8 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     append = ledger_sub.add_parser("append", help="validate and append one event")
     append.add_argument("--log", required=True)
-    append.add_argument("--event", default=None, help="event JSON inline")
-    append.add_argument("--event-file", default=None)
+    source = append.add_mutually_exclusive_group(required=True)
+    source.add_argument("--event", help="event JSON inline")
+    source.add_argument("--event-file")
     append.set_defaults(handler=cmd_ledger_append)
 
     rep = ledger_sub.add_parser("replay", help="replay the log into a state snapshot")
@@ -559,10 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = load_config(args.config)
-        if args.format:
-            config.output_format = args.format
-        return args.handler(args, config)
+        return args.handler(args)
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -18,8 +18,9 @@ Two objectives are supported:
 Every question about a given selection (both objectives, the raw
 scores, the feasibility check, the coverage report, a solver's numbers)
 reads one coverage tally of its per-function sums. All arithmetic runs
-in the 34-digit decimal context and adds in one fixed order, so every
-number is reproducible to its last digit.
+in ``numeric.EXACT``: no sum or product rounds, so a number does not
+depend on the order of addition, and the solvers, the queries and
+``check_feasible`` agree on every threshold and objective comparison.
 
 One include-first depth-first search sits behind the three solvers:
 ``solve_exhaustive`` is its unbounded walk in instance order, the
@@ -29,9 +30,10 @@ equal-objective optima the lexicographically smallest sorted id tuple
 wins, so results are schedule-independent. An instance checks, once,
 when it is built, the invariants the cuts and sums rely on (nonnegative
 weights and penalty, coverage in [0, 1], a nonempty pool, a positive
-integer cardinality bound, and weights, thresholds and penalty within
-the width rule of ``numeric.bound_violation``) and raises SchemaError if
-one is broken, so no solver or query re-checks it.
+integer cardinality bound, and weights, thresholds, coverage and penalty
+within the width rule of ``numeric.bound_violation``, which keeps exact
+sums short) and raises SchemaError if one is broken, so no solver or
+query re-checks it.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
-from rsdm.numeric import CONTEXT, as_decimal, bound_violation
+from rsdm.numeric import EXACT, as_decimal, bound_violation
 
 EXHAUSTIVE_POOL_LIMIT = 25
 
@@ -250,6 +251,8 @@ def _invariant_violations(instance: MspInstance) -> list[str]:
                 problems.append(
                     f"/currencies/{i}/coverage/{fid}: coverage must lie in [0, 1]"
                 )
+            if problem := bound_violation("coverage", u):
+                problems.append(f"/currencies/{i}/coverage/{fid}: {problem}")
 
     if integral and mandatory_count > instance.max_parallel:
         problems.append(
@@ -279,28 +282,21 @@ def _chosen(
 
 class _Tally:
     """The chosen candidates' scores, each read once, in one column per
-    function (catalog order) in the candidates' order. Every sum starts
-    from Decimal(0) and adds in that order, which fixes the last digit
-    of a 34-digit sum; a query computes only the sums it reads."""
+    function (catalog order) in the candidates' order. Sums are exact; a
+    query computes only the sums it reads."""
 
     def __init__(self, instance: MspInstance, chosen: Sequence[CurrencyCandidate]) -> None:
         self.weights = [f.weight for f in instance.functions]
         self.columns = [[c.score(f.id) for c in chosen] for f in instance.functions]
 
     def raw(self) -> list[Decimal]:
-        with localcontext(CONTEXT):
+        with localcontext(EXACT):
             return [sum(column, _ZERO) for column in self.columns]
 
     def weighted(self) -> list[Decimal]:
-        with localcontext(CONTEXT):
+        with localcontext(EXACT):
             return [sum((w * u for u in column), _ZERO)
                     for w, column in zip(self.weights, self.columns)]
-
-    def linear(self) -> Decimal:
-        """The weighted scores summed candidate by candidate, then function by function."""
-        with localcontext(CONTEXT):
-            products = [[w * u for u in column] for w, column in zip(self.weights, self.columns)]
-            return sum(chain.from_iterable(zip(*products)), _ZERO)
 
 
 def _objective(
@@ -309,11 +305,12 @@ def _objective(
     """The objective of *selection* (the penalty counts distinct ids) and its tally."""
     sel, chosen = _chosen(instance, selection)
     tally = _Tally(instance, chosen)
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
+        weighted = tally.weighted()
         if kind is ObjectiveKind.LINEAR:
-            total = tally.linear()
+            total = sum(weighted, _ZERO)
         else:
-            total = sum((min(_ONE, w) for w in tally.weighted()), _ZERO)
+            total = sum((min(_ONE, w) for w in weighted), _ZERO)
         return total - instance.balance_penalty * len(sel), tally
 
 
@@ -380,7 +377,7 @@ def coverage_report(instance: MspInstance, selection: Iterable[str]) -> Coverage
 
 def _infeasibility_reasons(instance: MspInstance) -> tuple[str, ...]:
     reasons = []
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         for f in instance.functions:
             scores = sorted((c.score(f.id) for c in instance.currencies), reverse=True)
             total = sum(scores, _ZERO)
@@ -423,7 +420,7 @@ def _search(
     saturating = kind is ObjectiveKind.SATURATING
     functions = instance.functions
 
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         penalty = instance.balance_penalty
         thresholds = [f.threshold for f in functions]
         # (candidate, raw scores, weighted scores, net marginal), scores

@@ -35,9 +35,10 @@ SETTLEMENT_DECIMALS = 9
 #: Never mutated; code enters it through ``localcontext``, which copies it.
 CONTEXT = decimal.Context(prec=DEFAULT_PRECISION, rounding=decimal.ROUND_HALF_EVEN)
 
-#: Context for exact arithmetic: results never round, and if one would,
-#: the trap raises instead of rounding silently.
-_EXACT = decimal.Context(
+#: Context for exact arithmetic (decay here, every msp sum and product):
+#: results never round, and if one would, the trap raises instead of
+#: rounding silently. Never mutated, like ``CONTEXT``.
+EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
     Emin=decimal.MIN_EMIN,
@@ -79,7 +80,10 @@ def bound_violation(name: str, value: Decimal) -> str | None:
     """The complaint against *value* if it is too wide for the exact
     path, else None. The exact path aligns exponents, so one value like
     1E+999999999 would build a coefficient of 10^9 digits."""
-    if len(value.as_tuple().digits) > DEFAULT_PRECISION or abs(value.adjusted()) > DEFAULT_PRECISION:
+    # ``str`` spells out every coefficient digit, so a short string spares
+    # building the digit tuple, which costs more than the rest of the check
+    if abs(value.adjusted()) > DEFAULT_PRECISION or (
+            len(str(value)) > DEFAULT_PRECISION and len(value.as_tuple().digits) > DEFAULT_PRECISION):
         return (f"{name} must have at most {DEFAULT_PRECISION} digits and an "
                 f"adjusted exponent within ±{DEFAULT_PRECISION}")
     return None
@@ -104,17 +108,17 @@ def exact_mul(a: Decimal, b: Decimal) -> Decimal:
         return b
     if b == 1:
         return a
-    return _unsigned_zero(_EXACT.multiply(a, b))
+    return _unsigned_zero(EXACT.multiply(a, b))
 
 
 def exact_add(a: Decimal, b: Decimal) -> Decimal:
     """Add two finite decimals exactly (no context rounding)."""
-    return _unsigned_zero(_EXACT.add(a, b))
+    return _unsigned_zero(EXACT.add(a, b))
 
 
 def exact_sub(a: Decimal, b: Decimal) -> Decimal:
     """Subtract b from a exactly (no context rounding)."""
-    return _unsigned_zero(_EXACT.subtract(a, b))
+    return _unsigned_zero(EXACT.subtract(a, b))
 
 
 def exact_pow(base: Decimal, exponent: int) -> Decimal:
@@ -130,7 +134,7 @@ def exact_pow(base: Decimal, exponent: int) -> Decimal:
         raise DomainError("exact_pow requires a nonnegative integer exponent")
     if exponent == 0:
         return Decimal(1)
-    multiply = _EXACT.multiply
+    multiply = EXACT.multiply
     result = base
     for bit in bin(exponent)[3:]:
         result = multiply(result, result)

@@ -142,7 +142,7 @@ class IssuerBook:
 
     def __post_init__(self) -> None:
         for name in ("own_reserves", "customer_deposits", "period_income", "period_expenses"):
-            object.__setattr__(self, name, as_decimal(getattr(self, name)))
+            object.__setattr__(self, name, bounded_decimal(name, getattr(self, name)))
         if self.own_reserves < 0:
             raise DomainError("own reserves must be nonnegative")
         if self.customer_deposits < 0:

@@ -137,6 +137,13 @@ class TestSolvencyCommands:
         assert code == 0
         assert out == "never\n"
 
+    @pytest.mark.parametrize("alpha, days", [("0.01", 31), ("0", None)], ids=["day", "never"])
+    def test_breakeven_json(self, alpha, days, capsys):
+        code, out, err = run(capsys, "--format", "json", "solvency", "breakeven",
+                             "--beta", "0.3", "--alpha", alpha)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"breakeven_days": days}
+
     def test_simulate_jiaozi_preset(self, capsys):
         code, out, err = run(capsys, "solvency", "simulate",
                              "--records", "jiaozi_solvency.csv",
@@ -173,12 +180,17 @@ class TestSolvencyCommands:
         assert (code, out) == (1, "")
         assert err == "error: records CSV line 3: token count must be positive, got 0\n"
 
-    def test_simulate_requires_one_schedule(self, capsys):
-        code, _, err = run(capsys, "solvency", "simulate",
-                           "--records", "jiaozi_solvency.csv",
-                           "--rate", "0.0001", "--horizon", "100")
-        assert code == 1
-        assert "exactly one" in err
+    @pytest.mark.parametrize("flags, line", [
+        ((), "one of the arguments --flat-fee --deadline-day --mean-days is required"),
+        (("--flat-fee", "0.03", "--mean-days", "30"),
+         "argument --mean-days: not allowed with argument --flat-fee"),
+    ], ids=["neither", "both"])
+    def test_simulate_requires_one_schedule(self, flags, line, capsys):
+        code, out, err = run(capsys, "solvency", "simulate",
+                             "--records", "jiaozi_solvency.csv",
+                             "--rate", "0.0001", "--horizon", "100", *flags)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"rsdm solvency simulate: error: {line}"
 
 
 class TestMspCommands:
@@ -485,7 +497,6 @@ FILE_ARGUMENTS = {
     "--records": [*SIMULATE, "--records", "PATH"],
     "--quotes": ["ledger", "value", "--log", "events.jsonl", "--quotes", "PATH",
                  "--party", "alice", "--day", "1"],
-    "--config": ["--config", "PATH", "demand", "supply", "global_demand.json"],
     "instance": ["msp", "solve", "PATH"],
     "scenario": ["demand", "supply", "PATH"],
     "--snapshot": ["ledger", "replay", "--log", "events.jsonl", "--snapshot", "PATH"],
@@ -516,7 +527,7 @@ class TestUnusablePaths:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argument", ["--log", "--event-file", "--records", "--quotes",
-                                          "--config", "instance", "scenario"])
+                                          "instance", "scenario"])
     def test_input_that_is_not_utf8(self, argument, capsys):
         argv = ["latin1.txt" if a == "PATH" else a for a in FILE_ARGUMENTS[argument]]
         code, out, err = run(capsys, *argv)
@@ -544,43 +555,32 @@ class TestConfigAndDispatch:
     def test_no_arguments_usage_error(self, capsys):
         assert run(capsys)[0] == 2
 
-    @pytest.mark.parametrize("key", ["precision_digits", "settlement_decimals", "colour"])
-    def test_config_rejects_keys_other_than_data_dir_and_format(self, key, tmp_path, capsys):
-        # the numeric policy is fixed: a precision or grid setting is refused,
-        # never silently ignored
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: 3}), encoding="utf-8")
-        code, out, err = run(capsys, "--config", str(config), "decay", "residual",
-                             "--theta", "0.99996", "--w", "1", "--days", "1")
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and repr(key) in err
-
-    @pytest.mark.parametrize("doc", [{"data_dir": 5}, {"output_format": ["json"]}])
-    def test_config_value_must_be_a_string(self, doc, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run(capsys, "--config", str(config), "demand", "supply",
+    def test_config_file_is_not_an_option(self, capsys):
+        code, out, _ = run(capsys, "--config", "x.json", "demand", "supply",
                            "global_demand.json")
-        assert code == 1
-        assert err.startswith("error:") and "must be a string" in err
+        assert (code, out) == (2, "")
 
-    def test_config_keys_apply_and_leave_the_context_alone(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("RSDM_DATA_DIR", raising=False)
+    def test_data_dir_env_applies_and_leaves_the_context_alone(self, tmp_path, capsys,
+                                                                monkeypatch):
         data = tmp_path / "data"
         data.mkdir()
         (data / "only_in_data_dir.json").write_text(
             json.dumps({"marshallian_k": "0.7", "gdp": "100", "fiat_multiplier": "2",
                         "sdm_multiplier": "3", "fiat_reserve": "4", "sdm_reserve": "5",
                         "other_supply": "6"}), encoding="utf-8")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"data_dir": str(data), "output_format": "json"}),
-                          encoding="utf-8")
-        code, out, _ = run(capsys, "--config", str(config), "demand", "supply",
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RSDM_DATA_DIR", str(data))
+        code, out, _ = run(capsys, "--format", "json", "demand", "supply",
                            "only_in_data_dir.json")
         assert code == 0
         assert json.loads(out)["supply"] == "29.000000000"
         assert numeric.CONTEXT.prec == 34
         assert numeric.CONTEXT.rounding == ROUND_HALF_EVEN
+
+    def test_empty_data_dir_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("RSDM_DATA_DIR", "")
+        code, out, _ = run(capsys, "demand", "supply", "global_demand.json")
+        assert (code, out) == (0, "120000000000000.000000000\n")
 
     def test_data_dir_env_override(self, tmp_path, capsys, monkeypatch):
         # an empty data dir hides the shipped presets
@@ -664,14 +664,17 @@ class TestStderrLines:
         assert err == f"error: no such event log: {log} (run 'ledger init' first)\n"
         assert not log.exists()
 
-    @pytest.mark.parametrize("flags", [(), ("--event", "{}", "--event-file", "event.json")],
-                             ids=["neither", "both"])
-    def test_append_needs_exactly_one_event_source(self, flags, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, line", [
+        ((), "one of the arguments --event --event-file is required"),
+        (("--event", "{}", "--event-file", "event.json"),
+         "argument --event-file: not allowed with argument --event"),
+    ], ids=["neither", "both"])
+    def test_append_needs_exactly_one_event_source(self, flags, line, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
         log.write_text("", encoding="utf-8")
         code, out, err = run(capsys, "ledger", "append", "--log", str(log), *flags)
-        assert (code, out) == (1, "")
-        assert err == "error: exactly one of --event or --event-file is required\n"
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"rsdm ledger append: error: {line}"
         assert log.read_text(encoding="utf-8") == ""
 
     def test_demand_solve_notes_a_negative_solution(self, tmp_path, capsys):
@@ -716,7 +719,6 @@ def write_golden_inputs(directory: Path) -> None:
     (directory / "quotes.csv").write_text(
         "day,asset_id,price\n0,XAU,100\n5,XAU,104.5\n", encoding="utf-8"
     )
-    (directory / "config.json").write_text('{"output_format": "json"}', encoding="utf-8")
 
 
 class TestGoldenOutput:

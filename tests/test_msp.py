@@ -10,7 +10,7 @@ from dataclasses import fields, is_dataclass, replace
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_optimum, make_random_instance
@@ -24,7 +24,7 @@ from rsdm.msp import (
     MspInstance,
     ObjectiveKind,
 )
-from rsdm.numeric import CONTEXT
+from rsdm.numeric import CONTEXT, EXACT, bound_violation
 
 D = Decimal
 
@@ -296,6 +296,10 @@ class TestInvalidInstanceRejected:
                 inst,
                 functions=(MonetaryFunction("k1", D(1), D("0." + "5" * 35)),) + inst.functions[1:]),
             [f"/functions/0/threshold: threshold {RULE}"]),
+        "coverage too wide": (
+            lambda inst: replace(
+                inst, currencies=inst.currencies + (currency("TINY", {"k1": "1E-999999999"}),)),
+            [f"/currencies/4/coverage/k1: coverage {RULE}"]),
         "penalty too wide": (
             lambda inst: replace(inst, balance_penalty=D("1E-999999999")),
             [f"/balance_penalty: balance_penalty {RULE}"]),
@@ -671,7 +675,7 @@ def reference_selection_set(instance, selection):
 
 def reference_linear_objective(instance, selection):
     sel = reference_selection_set(instance, selection)
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         total = D(0)
         for c in instance.currencies:
             if c.id in sel:
@@ -682,7 +686,7 @@ def reference_linear_objective(instance, selection):
 
 def reference_saturating_objective(instance, selection):
     sel = reference_selection_set(instance, selection)
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         total = D(0)
         for f in instance.functions:
             achieved = sum(
@@ -693,7 +697,7 @@ def reference_saturating_objective(instance, selection):
 
 def reference_raw_function_scores(instance, selection):
     sel = reference_selection_set(instance, selection)
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         return {
             f.id: sum((c.score(f.id) for c in instance.currencies if c.id in sel), D(0))
             for f in instance.functions
@@ -721,7 +725,7 @@ def reference_check_feasible(instance, selection):
 def reference_coverage_report(instance, selection):
     sel = reference_selection_set(instance, selection)
     rows = []
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         for f in instance.functions:
             achieved = sum((c.score(f.id) for c in instance.currencies if c.id in sel), D(0))
             weighted = sum(
@@ -734,7 +738,7 @@ def reference_coverage_report(instance, selection):
 
 def reference_validate_instance(instance):
     problems = msp._invariant_violations(instance)
-    with localcontext(CONTEXT):
+    with localcontext(EXACT):
         for i, f in enumerate(instance.functions):
             total = sum((c.score(f.id) for c in instance.currencies), D(0))
             if total < f.threshold:
@@ -777,35 +781,84 @@ def outcome(query, *args):
 
 def wide_decimals(top_digits: int):
     """Nonnegative decimals below 10**top_digits: two-decimal ones, and
-    34-digit mantissas whose sums and products round in the context."""
+    34-digit mantissas, whose sums and products the 34-digit context
+    would round."""
     return st.one_of(
         st.integers(0, 100 * 10**top_digits - 1).map(lambda k: D(k).scaleb(-2)),
-        st.integers(0, 10**34 - 1).map(lambda k: D(k).scaleb(top_digits - 34)),
+        st.lists(st.integers(0, 9), min_size=34, max_size=34).map(
+            lambda digits: D((0, tuple(digits), top_digits - 34))),
     )
+
+
+def near_tie(draw, coverages):
+    """A threshold at, or one unit in the 34th digit either side of, the
+    pool's summed coverages rounded to 34 digits: where a sum rounded in
+    another order would land on the other side."""
+    with localcontext(EXACT):
+        total = sum(coverages, D(0))
+    with localcontext(CONTEXT):
+        rounded = +total
+        nearby = (rounded.next_minus(), rounded, rounded.next_plus())
+    return draw(st.sampled_from(
+        [t for t in nearby if t >= 0 and bound_violation("threshold", t) is None]))
 
 
 @st.composite
 def wide_instances(draw):
     n_functions = draw(st.integers(1, 5))
     n = draw(st.integers(1, 7))
-    functions = tuple(
-        MonetaryFunction(f"F{k}", draw(wide_decimals(1)), draw(wide_decimals(0)))
-        for k in range(n_functions))
+    ids = [f"F{k}" for k in range(n_functions)]
     mandatory = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    currencies = [
-        CurrencyCandidate(
-            f"C{i}", CurrencyClass.OTHER,
-            {f.id: draw(wide_decimals(0))
-             for f in functions if draw(st.booleans())},
-            mandatory[i])
-        for i in range(n)
-    ]
+    coverages = [{fid: draw(wide_decimals(0)) for fid in ids if draw(st.booleans())}
+                 for _ in range(n)]
+    functions = tuple(
+        MonetaryFunction(fid, draw(wide_decimals(1)),
+                         near_tie(draw, [c.get(fid, D(0)) for c in coverages])
+                         if draw(st.booleans()) else draw(wide_decimals(0)))
+        for fid in ids)
+    currencies = [CurrencyCandidate(f"C{i}", CurrencyClass.OTHER, coverage, mandatory[i])
+                  for i, coverage in enumerate(coverages)]
     return MspInstance(
         functions=functions,
         currencies=tuple(draw(st.permutations(currencies))),
         max_parallel=draw(st.integers(max(1, sum(mandatory)), n)),
         balance_penalty=draw(wide_decimals(0)),
     )
+
+
+def rounds_across_its_threshold() -> MspInstance:
+    """Four coverages that sum to 3.0385610787833754995244792280362455,
+    just short of the threshold; a 34-digit sum in the wrong order
+    rounds up onto it."""
+    coverages = ("0.9141777631706690743915000806360838",
+                 "0.7835337406812415868344978690736626",
+                 "0.8517812865707049996228303883685958",
+                 "0.4890682883607598386756508899579033")
+    return MspInstance(
+        functions=(MonetaryFunction("F", D(1), D("3.038561078783375499524479228036246")),),
+        currencies=tuple(currency(f"C{i}", {"F": u}) for i, u in enumerate(coverages)),
+        max_parallel=4, balance_penalty=D("0.9"))
+
+
+class TestSolversAgreeWithTheOracle:
+    """Every sum is exact, so the bounded searches, which add in their
+    own order, reach the oracle's selection, and ``check_feasible``
+    accepts it. The pinned example has no feasible selection, so every
+    solver must answer Infeasible."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=wide_instances())
+    @example(inst=rounds_across_its_threshold())
+    def test_every_solver_picks_the_oracle_selection(self, inst):
+        for kind, solve in ((ObjectiveKind.LINEAR, msp.solve_branch_and_bound),
+                            (ObjectiveKind.SATURATING, msp.solve_saturating)):
+            expected = msp.solve_exhaustive(inst, kind)
+            result = solve(inst)
+            if isinstance(expected, Infeasible):
+                assert isinstance(result, Infeasible)
+            else:
+                assert result.selection == expected.selection
+                assert msp.check_feasible(inst, result.selection).feasible
 
 
 class TestTallyMatchesTheReferenceLoops:

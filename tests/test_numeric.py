@@ -19,6 +19,7 @@ from rsdm.numeric import (
     PER_GRAM,
     Quantity,
     as_decimal,
+    bound_violation,
     exact_add,
     exact_mul,
     exact_pow,
@@ -52,6 +53,19 @@ class TestAsDecimal:
     def test_garbage_rejected(self):
         with pytest.raises(DomainError):
             as_decimal("not-a-number")
+
+
+class TestBoundViolation:
+    @settings(max_examples=300)
+    @given(sign=st.integers(0, 1), digits=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+           exponent=st.integers(-80, 40))
+    @example(sign=0, digits=[1] + [0] * 34, exponent=-34)  # 35 digits, all but one zero
+    @example(sign=1, digits=[0], exponent=-35)  # -0E-35
+    def test_matches_the_digit_tuple(self, sign, digits, exponent):
+        value = Decimal((sign, tuple(digits), exponent))
+        wide = (len(value.as_tuple().digits) > DEFAULT_PRECISION
+                or abs(value.adjusted()) > DEFAULT_PRECISION)
+        assert (bound_violation("x", value) is not None) == wide
 
 
 class TestExactOps:

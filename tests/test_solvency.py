@@ -180,6 +180,20 @@ class TestCase3Insolvency:
         book = IssuerBook(Decimal("100"), Decimal("500"), Decimal("1"), Decimal("50"))
         assert not solvency.case3_insolvent(book)
 
+    @pytest.mark.parametrize("field, value", [
+        ("own_reserves", "1E+999999999"),
+        ("customer_deposits", "0." + "1" * 35),
+        ("period_income", "-1E-999999999"),
+        ("period_expenses", "1E+35"),
+    ])
+    def test_each_field_follows_the_width_rule(self, field, value):
+        fields = {"own_reserves": "1", "customer_deposits": "0", "period_income": "0",
+                  "period_expenses": "5", field: value}
+        with pytest.raises(DomainError) as err:
+            IssuerBook(**fields)
+        assert str(err.value) == (f"{field} must have at most 34 digits and an "
+                                  "adjusted exponent within ±34")
+
 
 class TestSimulateIssuer:
     def test_never_redeeming_customer_matches_breakeven(self):
