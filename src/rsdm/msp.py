@@ -17,30 +17,40 @@ Two objectives are supported:
 
 Every question about a given selection (both objectives, the raw
 scores, the feasibility check, the coverage report, a solver's numbers)
-reads one coverage tally of its per-function sums. All arithmetic runs
-in ``numeric.EXACT``: no sum or product rounds, so a number does not
-depend on the order of addition, and the solvers, the queries and
-``check_feasible`` agree on every threshold and objective comparison.
+reads one coverage tally of its per-function sums. No sum or product
+rounds, so a number does not depend on the order of addition, and the
+solvers, the queries and ``check_feasible`` agree on every threshold and
+objective comparison: the queries and a solver's reported numbers run
+in ``numeric.EXACT``, and the search runs on exact integers, each value
+a numerator over a common denominator.
 
 One include-first depth-first search sits behind the three solvers:
 ``solve_exhaustive`` is its unbounded walk in instance order, the
 subset-enumeration oracle, while ``solve_branch_and_bound`` (linear) and
-``solve_saturating`` also cut on an objective bound. Among
-equal-objective optima the lexicographically smallest sorted id tuple
-wins, so results are schedule-independent. An instance checks, once,
-when it is built, the invariants the cuts and sums rely on (nonnegative
-weights and penalty, coverage in [0, 1], a nonempty pool, a positive
-integer cardinality bound, and weights, thresholds, coverage and penalty
-within the width rule of ``numeric.bound_violation``, which keeps exact
-sums short) and raises SchemaError if one is broken, so no solver or
-query re-checks it.
+``solve_saturating`` also cut on an objective bound. A node whose
+selection has reached ``max_parallel`` has one completion left, which
+excludes every remaining candidate: the search scores it at once, or
+drops the node if a mandatory candidate remains or a threshold is
+unmet. Among equal-objective optima the lexicographically smallest
+sorted id tuple wins, so results are schedule-independent.
+
+An instance checks, once, when it is built, the invariants the cuts and
+sums rely on (nonnegative weights and penalty, coverage in [0, 1], a
+nonempty pool, a positive integer cardinality bound, and weights,
+thresholds, coverage and penalty within the width rule of
+``numeric.bound_violation``, which keeps exact sums and common
+denominators short) and raises SchemaError if one is broken, so no
+solver or query re-checks it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
@@ -407,92 +417,146 @@ def _solution(instance: MspInstance, selection: tuple[str, ...], kind: Objective
     )
 
 
+def _over(ratios: list[tuple[int, int]], denominator: int) -> list[int]:
+    """The numerators of *ratios* over *denominator*, a common multiple
+    of their denominators."""
+    return [num * (denominator // den) for num, den in ratios]
+
+
 def _search(
     instance: MspInstance, kind: ObjectiveKind, bounded: bool
 ) -> MspSolution | Infeasible:
     """The depth-first search behind every solver (see the module
     docstring); its cuts rely on the invariants every instance keeps.
 
-    ``committed`` is the part of the objective linear in the selection:
-    the net marginals (linear) or minus the penalty per currency
-    (saturating, which adds the per-function min(1, weighted coverage)).
+    The search runs on exact integers. Raw scores and thresholds are
+    numerators over one common denominator; weighted scores, the penalty
+    and 1 are numerators over another. So every comparison is the one
+    exact decimals would make, and ``_solution`` reports the picked
+    selection in decimals. ``committed`` is the part of the objective
+    linear in the selection: the net marginals (linear) or minus the
+    penalty per currency (saturating, which adds the per-function
+    min(1, weighted coverage)).
     """
     saturating = kind is ObjectiveKind.SATURATING
     functions = instance.functions
+    max_parallel = instance.max_parallel
 
-    with localcontext(EXACT):
-        penalty = instance.balance_penalty
-        thresholds = [f.threshold for f in functions]
-        # (candidate, raw scores, weighted scores, net marginal), scores
-        # index-aligned with ``functions``
-        rows = []
-        for c in instance.currencies:
-            raw_row = [c.score(f.id) for f in functions]
-            weighted_row = [f.weight * u for f, u in zip(functions, raw_row)]
-            rows.append((c, raw_row, weighted_row, sum(weighted_row, _ZERO) - penalty))
-        if bounded:
-            rows.sort(key=lambda r: (r[3], r[0].id), reverse=True)
-        n = len(rows)
-        # sorted rows put the positive net marginals first, so a bound's
-        # best picks from row p on are positive[p:p + budget]
-        positive = [r[3] for r in rows if r[3] > 0]
+    raw_ratios = [[c.score(f.id).as_integer_ratio() for f in functions]
+                  for c in instance.currencies]
+    threshold_ratios = [f.threshold.as_integer_ratio() for f in functions]
+    weight_ratios = [f.weight.as_integer_ratio() for f in functions]
+    penalty_num, penalty_den = instance.balance_penalty.as_integer_ratio()
+    raw_den = lcm(*{den for row in raw_ratios for _, den in row},
+                  *{den for _, den in threshold_ratios})
+    weight_den = lcm(*{den for _, den in weight_ratios})
+    one = lcm(raw_den * weight_den, penalty_den)
+    penalty = penalty_num * (one // penalty_den)
+    # a weight times a raw score is over raw_den * weight_den; the scale
+    # puts it over ``one``
+    weights = [w * (one // (raw_den * weight_den)) for w in _over(weight_ratios, weight_den)]
+    thresholds = _over(threshold_ratios, raw_den)
 
-        # suffix_raw[p], suffix_weighted[p]: coverage summed over candidates p..n-1
-        zeros = [_ZERO] * len(functions)
-        suffix_raw = [zeros]
-        suffix_weighted = [zeros]
-        for _, raw_row, weighted_row, _ in reversed(rows):
-            suffix_raw.append([s + u for s, u in zip(suffix_raw[-1], raw_row)])
-            suffix_weighted.append([s + w for s, w in zip(suffix_weighted[-1], weighted_row)])
-        suffix_raw.reverse()
-        suffix_weighted.reverse()
+    # (candidate, raw scores, weighted scores, net marginal), scores
+    # index-aligned with ``functions``
+    rows = []
+    for c, ratios in zip(instance.currencies, raw_ratios):
+        raw_row = _over(ratios, raw_den)
+        weighted_row = [w * u for w, u in zip(weights, raw_row)]
+        rows.append((c, raw_row, weighted_row, sum(weighted_row) - penalty))
+    if bounded:
+        rows.sort(key=lambda r: (r[3], r[0].id), reverse=True)
+    n = len(rows)
+    # sorted rows put the positive net marginals first, so a linear
+    # bound's best picks from row p on are the positive ones among rows
+    # p..p + budget - 1; gains[i] sums the first i positive ones
+    gains = list(accumulate((r[3] for r in rows if r[3] > 0), initial=0))
+    positives = len(gains) - 1
 
-        best_obj: Decimal | None = None
-        best_sel: tuple[str, ...] | None = None
-        chosen: list[str] = []
+    # suffix_raw[p]: raw coverage summed over rows p..n-1;
+    # suffix_mandatory[p]: whether one of them is mandatory
+    zeros = [0] * len(functions)
+    suffix_raw = [zeros]
+    suffix_mandatory = [False]
+    for c, raw_row, _, _ in reversed(rows):
+        suffix_raw.append([s + u for s, u in zip(suffix_raw[-1], raw_row)])
+        suffix_mandatory.append(suffix_mandatory[-1] or c.mandatory)
+    suffix_raw.reverse()
+    suffix_mandatory.reverse()
 
-        def value(weighted: list[Decimal], committed: Decimal) -> Decimal:
-            if saturating:
-                return sum((min(_ONE, w) for w in weighted), _ZERO) + committed
-            return committed
+    # top[p][j][f]: the j largest weighted scores of function f among rows
+    # p..n-1, summed, for j up to max_parallel (and n - p)
+    top: list[list[list[int]]] = []
+    if saturating and bounded:
+        largest: list[list[int]] = [[] for _ in functions]  # ascending
+        top = [[zeros]]
+        for _, _, weighted_row, _ in reversed(rows):
+            for column, w in zip(largest, weighted_row):
+                insort(column, w)
+                if len(column) > max_parallel:
+                    del column[0]
+            top.append([list(sums) for sums in
+                        zip(*(accumulate(reversed(column), initial=0) for column in largest))])
+        top.reverse()
 
-        def bound(p: int, weighted: list[Decimal], committed: Decimal, budget: int) -> Decimal:
-            if not saturating:
-                return committed + sum(positive[p:p + budget], _ZERO)
-            if budget == 0:
-                return value(weighted, committed)
-            reachable = (min(_ONE, w + s) for w, s in zip(weighted, suffix_weighted[p]))
-            return sum(reachable, _ZERO) + committed
+    best_obj: int | None = None
+    best_sel: tuple[str, ...] | None = None
+    chosen: list[str] = []
 
-        def node(p: int, raw: list[Decimal], weighted: list[Decimal], committed: Decimal) -> None:
-            nonlocal best_obj, best_sel
-            for total, rest, threshold in zip(raw, suffix_raw[p], thresholds):
-                if total + rest < threshold:
+    def value(weighted: list[int], committed: int) -> int:
+        if saturating:
+            return sum(min(one, w) for w in weighted) + committed
+        return committed
+
+    def bound(p: int, weighted: list[int], committed: int, budget: int) -> int:
+        if not saturating:
+            return committed + gains[min(p + budget, positives)] - gains[min(p, positives)]
+        # j further picks cost j * penalty and add at most the top j
+        # scores of each function; the bracket is concave in j, so the
+        # first j that does not raise it ends the climb
+        tops = top[p]
+        best = sum(min(one, w) for w in weighted)
+        for j in range(1, min(budget, len(tops) - 1) + 1):
+            reach = sum(min(one, w + t) for w, t in zip(weighted, tops[j])) - j * penalty
+            if reach <= best:
+                break
+            best = reach
+        return committed + best
+
+    def node(p: int, raw: list[int], weighted: list[int], committed: int) -> None:
+        nonlocal best_obj, best_sel
+        if p == n or len(chosen) == max_parallel:
+            # the one completion left excludes every remaining candidate
+            if suffix_mandatory[p]:
+                return
+            for total, threshold in zip(raw, thresholds):
+                if total < threshold:
                     return
-            budget = instance.max_parallel - len(chosen)
-            if bounded and best_obj is not None and bound(p, weighted, committed, budget) < best_obj:
+            obj = value(weighted, committed)
+            sel = tuple(sorted(chosen))
+            # the shared tie-break: on equal objective the smaller sorted id tuple wins
+            if best_obj is None or obj > best_obj or (obj == best_obj and sel < best_sel):
+                best_obj, best_sel = obj, sel
+            return
+        for total, rest, threshold in zip(raw, suffix_raw[p], thresholds):
+            if total + rest < threshold:
                 return
-            if p == n:
-                obj = value(weighted, committed)
-                sel = tuple(sorted(chosen))
-                # the shared tie-break: on equal objective the smaller sorted id tuple wins
-                if best_obj is None or obj > best_obj or (obj == best_obj and sel < best_sel):
-                    best_obj, best_sel = obj, sel
-                return
-            c, raw_row, weighted_row, marginal = rows[p]
-            if budget > 0:
-                chosen.append(c.id)
-                node(
-                    p + 1,
-                    [a + u for a, u in zip(raw, raw_row)],
-                    [a + w for a, w in zip(weighted, weighted_row)] if saturating else weighted,
-                    committed - penalty if saturating else committed + marginal,
-                )
-                chosen.pop()
-            if not c.mandatory:
-                node(p + 1, raw, weighted, committed)
+        budget = max_parallel - len(chosen)
+        if bounded and best_obj is not None and bound(p, weighted, committed, budget) < best_obj:
+            return
+        c, raw_row, weighted_row, marginal = rows[p]
+        chosen.append(c.id)
+        node(
+            p + 1,
+            [a + u for a, u in zip(raw, raw_row)],
+            [a + w for a, w in zip(weighted, weighted_row)] if saturating else weighted,
+            committed - penalty if saturating else committed + marginal,
+        )
+        chosen.pop()
+        if not c.mandatory:
+            node(p + 1, raw, weighted, committed)
 
-        node(0, zeros, zeros, _ZERO)
+    node(0, zeros, zeros, 0)
 
     if best_sel is None:
         return Infeasible(_infeasibility_reasons(instance))
@@ -505,11 +569,14 @@ def solve_exhaustive(
     """Subset-enumeration oracle: walk every subset, keep the feasible
     ones, return the best under the shared tie-breaking rule.
 
-    The walk skips subtrees that are infeasible for every completion
-    (cardinality already exceeded, a mandatory currency excluded, or a
-    threshold out of reach); that prunes no feasible subset, so the
-    result is identical to full enumeration plus filtering. Guarded to
-    pools of at most 25.
+    The walk skips subtrees that are infeasible for every completion (a
+    mandatory currency excluded, or a threshold out of reach), and a
+    selection that has reached the cardinality bound goes straight to
+    its one completion, which excludes every remaining candidate. That
+    prunes no feasible subset, so the result is identical to full
+    enumeration plus filtering. The walk compares exact integers (see
+    the module docstring), and the reported objective and scores are
+    computed in exact decimals. Guarded to pools of at most 25.
     """
     n = len(instance.currencies)
     if n > EXHAUSTIVE_POOL_LIMIT:
@@ -530,8 +597,11 @@ def solve_branch_and_bound(instance: MspInstance) -> MspSolution | Infeasible:
     allows (by that order, the largest left), admissible because
     marginal contributions are independent in the linear objective. A
     node is also cut when some function's threshold is unreachable even
-    by including every remaining candidate. Subtrees whose bound ties the incumbent are still
-    explored, so the tie-breaking rule sees every optimum.
+    by including every remaining candidate, and a node with no budget
+    left goes straight to its one completion, as in
+    ``solve_exhaustive``. Subtrees whose bound ties the incumbent are
+    still explored, so the tie-breaking rule sees every optimum. The
+    search compares exact integers; the reported numbers are decimals.
     """
     return _search(instance, ObjectiveKind.LINEAR, bounded=True)
 
@@ -544,9 +614,17 @@ def solve_saturating(instance: MspInstance) -> MspSolution | Infeasible:
     maximizing sum(y_k) - penalty * selection size drives every y_k to
     the min of its two ceilings, so the linearized optimum equals the
     saturating one. The search is the same depth-first branch-and-bound
-    over the 0-1 currency variables; at any node the bound sets each
-    y_k optimistically to min(1, committed + all remaining coverage),
-    which the concavity of min makes admissible.
+    over the 0-1 currency variables, with the same cuts. Its bound at a
+    node with budget b left, committed weighted coverage c_k and
+    committed penalties P is
+
+        max over 0 <= j <= b of  sum_k min(1, c_k + top_k(j)) - j * penalty - P,
+
+    where top_k(j) sums the j largest weighted scores of function k
+    among the unfixed candidates. It is admissible: j more currencies
+    cost exactly j * penalty and add at most top_k(j) to each function.
+    top_k is concave in j and min(1, .) keeps that, so the bracket is
+    concave, and its maximum is where it first stops rising.
     """
     return _search(instance, ObjectiveKind.SATURATING, bounded=True)
 

@@ -14,7 +14,7 @@ Conventions used across the package:
   rounding, so no rounding happens until a settlement boundary.
 * Settlement boundaries (payouts, ledger entries) round to 9 decimal
   places of grams, half-even.
-* ``nth_root`` is exp(ln(v)/n) with 10 guard digits, rounded once.
+* ``nth_root`` is exp(ln(v)/n) with 10 guard digits, correctly rounded.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ EXACT = decimal.Context(
 )
 
 _SETTLEMENT_QUANTUM = Decimal(1).scaleb(-SETTLEMENT_DECIMALS)
+_HALF = Decimal("0.5")
+_ROOT_ERROR = Decimal("1E-42")  # see nth_root
 
 
 def as_decimal(value: str | int | Decimal) -> Decimal:
@@ -156,12 +158,18 @@ def settle(value: Decimal) -> Decimal:
 
 
 def nth_root(value: Decimal, n: int) -> Decimal:
-    """Positive n-th root of a positive decimal: exp(ln(value)/n), with
-    10 guard digits past the working precision and rounded into it once.
+    """Positive n-th root of a positive decimal, correctly rounded to the
+    working precision: exp(ln(value)/n), with 10 guard digits past it,
+    rounded into it once.
 
-    ``ln`` and ``exp`` are correctly rounded, so Newton steps on
-    y**n - value change no digit of the rounded result;
-    ``tests/test_numeric.py`` checks this against them.
+    ``ln``, the division and ``exp`` each round once, so the 44-digit
+    value is within (|ln(value)/n| + 1) * 1E-43 of the root, relative.
+    Where that bound (taken ten times wider) reaches a 34-digit half-way
+    point, the half-way point's n-th power, computed exactly, decides
+    which way the root rounds. The bound stays below half a 34-digit
+    unit while |ln(value)/n| is below about 1E+7, which every value
+    within the width rule of ``bound_violation`` meets.
+    ``tests/test_numeric.py`` checks the result against Newton steps.
     """
     if n <= 0:
         raise DomainError("root order must be a positive integer")
@@ -171,7 +179,19 @@ def nth_root(value: Decimal, n: int) -> Decimal:
         return Decimal(1)
     with localcontext(CONTEXT) as ctx:
         ctx.prec = DEFAULT_PRECISION + 10
-        y = (value.ln() / n).exp()
+        x = value.ln() / n
+        y = x.exp()
+        error = y * (abs(x) + 1) * _ROOT_ERROR
+    with localcontext(CONTEXT) as ctx:
+        ctx.rounding = decimal.ROUND_DOWN
+        low = +y  # the 34-digit neighbours of y
+        high = low.next_plus()
+    half = EXACT.multiply(EXACT.add(low, high), _HALF)
+    if EXACT.subtract(y, half).copy_abs() <= error:
+        power = exact_pow(half, n)
+        if power != value:
+            return low if power > value else high
+        y = half  # the root is the half-way point itself
     with localcontext(CONTEXT):
         return +y  # round back into the working precision
 

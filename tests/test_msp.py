@@ -897,3 +897,234 @@ class TestTallyMatchesTheReferenceLoops:
             replace(desk_instance(), currencies=desk_instance().currencies + (
                 currency("GOLD", {"k1": "0.5", "k2": "0.5", "k3": "0.5"}),))
         assert err.value.problems == ["/currencies/4/id: duplicate currency id 'GOLD'"]
+
+
+# ---------------------------------------------------------------------------
+# The decimal search the integer one replaced, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_search(instance, kind, bounded):
+    """The search the integer one replaced: the same walk, in exact
+    decimals, with the bound Σ_f min(1, w_f + all remaining coverage) for
+    the saturating kind and no jump at budget 0.
+
+    ``committed`` is the part of the objective linear in the selection:
+    the net marginals (linear) or minus the penalty per currency
+    (saturating, which adds the per-function min(1, weighted coverage)).
+    """
+    saturating = kind is ObjectiveKind.SATURATING
+    functions = instance.functions
+
+    with localcontext(EXACT):
+        penalty = instance.balance_penalty
+        thresholds = [f.threshold for f in functions]
+        # (candidate, raw scores, weighted scores, net marginal), scores
+        # index-aligned with ``functions``
+        rows = []
+        for c in instance.currencies:
+            raw_row = [c.score(f.id) for f in functions]
+            weighted_row = [f.weight * u for f, u in zip(functions, raw_row)]
+            rows.append((c, raw_row, weighted_row, sum(weighted_row, D(0)) - penalty))
+        if bounded:
+            rows.sort(key=lambda r: (r[3], r[0].id), reverse=True)
+        n = len(rows)
+        # sorted rows put the positive net marginals first, so a bound's
+        # best picks from row p on are positive[p:p + budget]
+        positive = [r[3] for r in rows if r[3] > 0]
+
+        # suffix_raw[p], suffix_weighted[p]: coverage summed over candidates p..n-1
+        zeros = [D(0)] * len(functions)
+        suffix_raw = [zeros]
+        suffix_weighted = [zeros]
+        for _, raw_row, weighted_row, _ in reversed(rows):
+            suffix_raw.append([s + u for s, u in zip(suffix_raw[-1], raw_row)])
+            suffix_weighted.append([s + w for s, w in zip(suffix_weighted[-1], weighted_row)])
+        suffix_raw.reverse()
+        suffix_weighted.reverse()
+
+        best_obj: Decimal | None = None
+        best_sel: tuple[str, ...] | None = None
+        chosen: list[str] = []
+
+        def value(weighted: list[Decimal], committed: Decimal) -> Decimal:
+            if saturating:
+                return sum((min(D(1), w) for w in weighted), D(0)) + committed
+            return committed
+
+        def bound(p: int, weighted: list[Decimal], committed: Decimal, budget: int) -> Decimal:
+            if not saturating:
+                return committed + sum(positive[p:p + budget], D(0))
+            if budget == 0:
+                return value(weighted, committed)
+            reachable = (min(D(1), w + s) for w, s in zip(weighted, suffix_weighted[p]))
+            return sum(reachable, D(0)) + committed
+
+        def node(p: int, raw: list[Decimal], weighted: list[Decimal], committed: Decimal) -> None:
+            nonlocal best_obj, best_sel
+            for total, rest, threshold in zip(raw, suffix_raw[p], thresholds):
+                if total + rest < threshold:
+                    return
+            budget = instance.max_parallel - len(chosen)
+            if bounded and best_obj is not None and bound(p, weighted, committed, budget) < best_obj:
+                return
+            if p == n:
+                obj = value(weighted, committed)
+                sel = tuple(sorted(chosen))
+                # the shared tie-break: on equal objective the smaller sorted id tuple wins
+                if best_obj is None or obj > best_obj or (obj == best_obj and sel < best_sel):
+                    best_obj, best_sel = obj, sel
+                return
+            c, raw_row, weighted_row, marginal = rows[p]
+            if budget > 0:
+                chosen.append(c.id)
+                node(
+                    p + 1,
+                    [a + u for a, u in zip(raw, raw_row)],
+                    [a + w for a, w in zip(weighted, weighted_row)] if saturating else weighted,
+                    committed - penalty if saturating else committed + marginal,
+                )
+                chosen.pop()
+            if not c.mandatory:
+                node(p + 1, raw, weighted, committed)
+
+        node(0, zeros, zeros, D(0))
+
+    if best_sel is None:
+        return Infeasible(msp._infeasibility_reasons(instance))
+    return msp._solution(instance, best_sel, kind)
+
+
+#: (solver, objective, whether ``reference_search`` runs it with its bound)
+SEARCHES = (
+    (msp.solve_branch_and_bound, ObjectiveKind.LINEAR, True),
+    (lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.LINEAR), ObjectiveKind.LINEAR, False),
+    (msp.solve_saturating, ObjectiveKind.SATURATING, True),
+    (lambda inst: msp.solve_exhaustive(inst, ObjectiveKind.SATURATING),
+     ObjectiveKind.SATURATING, False),
+)
+
+EVALUATE = {ObjectiveKind.LINEAR: msp.evaluate_linear_objective,
+            ObjectiveKind.SATURATING: msp.evaluate_saturating_objective}
+
+
+def solution_bytes(result) -> str:
+    return json.dumps(msp.solution_to_json_dict(result))
+
+
+def assert_every_search_agrees(inst: MspInstance) -> None:
+    """Each solver's solution document is, byte for byte, the decimal
+    reference search's and the one the brute-force optimum gives."""
+    expected = {}
+    for kind, evaluate in EVALUATE.items():
+        best = brute_force_optimum(inst, evaluate)
+        expected[kind] = solution_bytes(Infeasible(msp._infeasibility_reasons(inst)) if best is None
+                                        else reference_solution(inst, best[1], kind))
+    for solve, kind, bounded in SEARCHES:
+        result = solution_bytes(solve(inst))
+        assert result == solution_bytes(reference_search(inst, kind, bounded))
+        assert result == expected[kind]
+
+
+@st.composite
+def tie_instances(draw):
+    """Instances of up to 12 currencies built for ties and near-ties:
+    34-digit values, candidates that copy another's coverage, thresholds
+    at a pool sum (``near_tie``), and now and then a penalty equal to one
+    candidate's weighted coverage, linear or saturated, so that adding
+    that candidate alone nets exactly 0."""
+    n_functions = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    ids = [f"F{k}" for k in range(n_functions)]
+    coverages = []
+    for _ in range(n):
+        if coverages and draw(st.booleans()):
+            coverages.append(draw(st.sampled_from(coverages)))
+        else:
+            coverages.append({fid: draw(wide_decimals(0)) for fid in ids if draw(st.booleans())})
+    weights = {fid: draw(wide_decimals(1)) for fid in ids}
+    with localcontext(EXACT):
+        weighted = [[weights[fid] * u for fid, u in coverage.items()] for coverage in coverages]
+        marginals = [sum(row, D(0)) for row in weighted]
+        marginals += [sum((min(D(1), w) for w in row), D(0)) for row in weighted]
+    marginals = [m for m in marginals if bound_violation("balance_penalty", m) is None]
+    penalty = (draw(st.sampled_from(marginals)) if marginals and draw(st.booleans())
+               else draw(wide_decimals(0)))
+
+    def threshold(fid: str) -> Decimal:
+        # 0 half the time, so that most instances have a feasible selection
+        pick = draw(st.integers(0, 3))
+        if pick == 2:
+            return draw(wide_decimals(0))
+        if pick == 3:
+            return near_tie(draw, [c.get(fid, D(0)) for c in coverages])
+        return D(0)
+
+    functions = tuple(MonetaryFunction(fid, weights[fid], threshold(fid)) for fid in ids)
+    mandatory = [draw(st.integers(0, 5)) == 0 for _ in range(n)]
+    currencies = [CurrencyCandidate(f"C{i:02d}", CurrencyClass.OTHER, coverage, mandatory[i])
+                  for i, coverage in enumerate(coverages)]
+    # in half the draws a cardinality bound of at most 3, which binds
+    low = max(1, sum(mandatory))
+    return MspInstance(
+        functions=functions,
+        currencies=tuple(draw(st.permutations(currencies))),
+        max_parallel=draw(st.integers(low, draw(st.sampled_from([max(low, 3), n + 2])))),
+        balance_penalty=penalty,
+    )
+
+
+class TestIntegerSearchMatchesTheDecimalSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(inst=tie_instances())
+    def test_every_solver_under_both_objectives(self, inst):
+        assert_every_search_agrees(inst)
+
+    def test_a_full_selection_with_a_mandatory_candidate_ahead_is_dead(self):
+        # including A uses the whole budget while the mandatory M is still
+        # ahead, in pool order and in marginal order alike: that node has
+        # no feasible completion, so M alone is the optimum
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1", D(1), D(0)),),
+            currencies=(currency("A", {"k1": "0.9"}),
+                        currency("M", {"k1": "0.1"}, mandatory=True)),
+            max_parallel=1,
+        )
+        for solve, _, _ in SEARCHES:
+            assert solve(inst).selection == ("M",)
+        assert_every_search_agrees(inst)
+
+    @pytest.mark.parametrize("threshold, penalty, mandatory, selection", [
+        ("0", "0.6", False, ()),
+        ("0", "0.6", True, ("c1",)),
+        ("0.5", "0.6", False, ("c1",)),
+        ("0", "0.1", False, ("c1",)),
+        ("0.6", "0", False, None),
+    ])
+    def test_a_pool_of_one(self, threshold, penalty, mandatory, selection):
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1", D(1), D(threshold)),),
+            currencies=(currency("c1", {"k1": "0.5"}, mandatory=mandatory),),
+            max_parallel=1,
+            balance_penalty=D(penalty),
+        )
+        for solve, _, _ in SEARCHES:
+            result = solve(inst)
+            if selection is None:
+                assert isinstance(result, Infeasible)
+            else:
+                assert result.selection == selection
+        assert_every_search_agrees(inst)
+
+    @pytest.mark.parametrize("max_parallel", [3, 4, 9])
+    def test_a_cardinality_bound_at_or_past_the_pool(self, max_parallel):
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1", D(1), D(0)), MonetaryFunction("k2", D("0.5"), D("0.3"))),
+            currencies=(currency("a", {"k1": "0.6", "k2": "0.2"}), currency("b", {"k1": "0.7"}),
+                        currency("c", {"k2": "0.9"})),
+            max_parallel=max_parallel,
+            balance_penalty=D("0.05"),
+        )
+        assert msp.solve_branch_and_bound(inst).selection == ("a", "b", "c")
+        assert msp.solve_saturating(inst).selection == ("a", "b", "c")
+        assert_every_search_agrees(inst)

@@ -14,6 +14,7 @@ from rsdm.numeric import (
     ACCOUNTING_UNIT,
     CONTEXT,
     DEFAULT_PRECISION,
+    EXACT,
     DIMENSIONLESS,
     GRAM,
     PER_GRAM,
@@ -288,25 +289,28 @@ ROOT_ORDERS = [1, 2, 3, 5, 7, 12, 365, 1000]
 
 def reference_nth_root(value: Decimal, n: int) -> Decimal:
     """The Newton-refined root ``nth_root`` must equal to the last digit:
-    its exp(ln(value)/n) seed, then Newton steps on y**n - value at the
-    same 44 digits until the relative step is at most 1E-30."""
+    an exp(ln(value)/n) seed, then Newton steps on y**n - value at 80
+    digits until the relative step is at most 1E-40, rounded once. That
+    is more than twice the working precision: a drawn value 1 + s near 1
+    can put the first-order root 1 + s/n on a 34-digit half-way point,
+    and then the root lies only about s**2 from it."""
     if value == 1:
         return Decimal(1)
     with localcontext(CONTEXT) as ctx:
-        ctx.prec = DEFAULT_PRECISION + 10
+        ctx.prec = 80
         y = (value.ln() / n).exp()
         n_dec = Decimal(n)
         for _ in range(64):
             prev = y
             y = y - (y**n - value) / (n_dec * y ** (n - 1))
-            if abs(y - prev) <= Decimal("1E-30") * abs(y):
+            if abs(y - prev) <= Decimal("1E-40") * abs(y):
                 break
     with localcontext(CONTEXT):
         return +y
 
 
 def _scaled(mantissa: int, exponent: int) -> Decimal:
-    return Decimal(mantissa).scaleb(exponent)
+    return EXACT.scaleb(Decimal(mantissa), exponent)
 
 
 #: Positive values from 1E-40 to 1E+34: mantissas of 1 to 34 digits at
@@ -314,7 +318,7 @@ def _scaled(mantissa: int, exponent: int) -> Decimal:
 root_values = st.one_of(
     st.builds(_scaled, st.integers(1, 10**34 - 1), st.integers(-73, 0)).filter(
         lambda v: Decimal("1E-40") <= v <= Decimal("1E+34")),
-    st.builds(lambda m, e: 1 + _scaled(m, e), st.integers(-(10**34 - 1), 10**34 - 1),
+    st.builds(lambda m, e: EXACT.add(1, _scaled(m, e)), st.integers(-(10**34 - 1), 10**34 - 1),
               st.integers(-73, -35)).filter(lambda v: abs(v - 1) <= Decimal("0.1")),
 )
 
@@ -330,7 +334,7 @@ def sweep_value(rng: random.Random) -> Decimal:
         else:
             step = _scaled(rng.randrange(-(10**digits) + 1, 10**digits), -rng.randrange(digits + 1, 41))
             if step and abs(step) <= Decimal("0.1"):
-                return 1 + step
+                return EXACT.add(1, step)
 
 
 class TestNthRoot:
@@ -349,6 +353,19 @@ class TestNthRoot:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             nth_root(Decimal(0), 365)
+
+    def test_rounds_across_a_half_way_point_the_right_way(self):
+        # the root is 99999999.999999214999999999996918874999…: its
+        # 44-digit exp(ln(v)/2) lies past the half-way point …6918875
+        assert nth_root(Decimal("9999999999999843"), 2) == Decimal("99999999.99999921499999999999691887")
+
+    @pytest.mark.parametrize("root, rounded", [
+        ("1.0000000000000000000000000000000005", "1.000000000000000000000000000000000"),
+        ("1.0000000000000000000000000000000015", "1.000000000000000000000000000000002"),
+    ])
+    def test_a_root_on_a_half_way_point_rounds_half_even(self, root, rounded):
+        square = EXACT.multiply(Decimal(root), Decimal(root))
+        assert nth_root(square, 2).as_tuple() == Decimal(rounded).as_tuple()
 
     @settings(max_examples=500, deadline=None)
     @given(value=root_values, n=st.sampled_from(ROOT_ORDERS))
