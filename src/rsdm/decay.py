@@ -185,15 +185,17 @@ def purchase_price(
     """Price of one token bought from the issuer ``elapsed_days`` after issue.
 
     ``unit_price`` is the collateral's market price in accounting units
-    per gram; the token costs unit_price times its residual weight.
+    per gram, within the width rule of ``numeric.bound_violation``; the
+    token costs unit_price times its residual weight.
     """
-    if not isinstance(unit_price, Quantity):
-        unit_price = Quantity(as_decimal(unit_price), PER_GRAM)
-    elif unit_price.unit != PER_GRAM:
-        raise DomainError(f"unit price must be accounting-unit/gram, got {unit_price.unit}")
-    if unit_price.value < 0:
+    if isinstance(unit_price, Quantity):
+        if unit_price.unit != PER_GRAM:
+            raise DomainError(f"unit price must be accounting-unit/gram, got {unit_price.unit}")
+        unit_price = unit_price.value
+    price = bounded_decimal("unit price", unit_price)
+    if price < 0:
         raise DomainError("unit price must be nonnegative")
-    return unit_price * residual_weight(spec, elapsed_days)
+    return Quantity(price, PER_GRAM) * residual_weight(spec, elapsed_days)
 
 
 @dataclass(frozen=True)

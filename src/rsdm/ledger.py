@@ -10,10 +10,12 @@ only moves at redemption).
 
 One function, ``_effects``, checks every event (appended, redeemed or
 replayed) and computes what it writes, a redeem's settled payout
-included; redemption and valuation share the claim arithmetic. A
-series spec is valid by construction (``RsdmSpec`` checks itself), so
-an event, a log line or a snapshot carrying an invalid one fails where
-it is read, and no event check repeats the spec's.
+included. A redeem settles from bounds on the decay factor's power; it
+falls back to the exact claim, which valuation uses, only where the
+bounds cannot decide. A series spec is valid by construction
+(``RsdmSpec`` checks itself), so an event, a log line or a snapshot
+carrying an invalid one fails where it is read, and no event check
+repeats the spec's.
 
 Conservation invariants maintained per series:
 
@@ -55,11 +57,22 @@ from rsdm.errors import (
     UnknownSeries,
 )
 from rsdm.numeric import (
-    GRAM, Quantity, as_decimal, bounded_decimal, exact_add, exact_mul, exact_sub, read_csv_table,
-    settle,
+    DEFAULT_PRECISION, GRAM, SETTLEMENT_DECIMALS, Quantity, as_decimal, bounded_decimal, exact_add,
+    exact_mul, exact_sub, pow_bounds, read_csv_table, settle,
 )
 
 _ZERO = Decimal(0)
+
+#: Token counts stop below 10^34, the width rule's digit count, so the
+#: exact amounts an event writes stay short.
+_COUNT_LIMIT = 10**DEFAULT_PRECISION
+
+#: Digits a redeem's bounds on the decay factor's power carry past the
+#: payout's integer and grid digits. The bounds' relative width is about
+#: 4 * elapsed * 10**(1 - digits), so below 10^10 elapsed days the payout
+#: bounds lie under 4E-18 g apart and settle alike unless the payout is
+#: that close to a rounding midpoint.
+_GUARD_DIGITS = 20
 
 #: The per-series amounts in grams a state and its snapshot hold.
 _AMOUNTS = ("vault", "issuer_accrual", "cumulative_payouts")
@@ -288,6 +301,8 @@ def _effects(state, event: LedgerEvent):
         raise LedgerError(f"token count must be an integer, got {type(count).__name__}")
     if count <= 0:
         raise LedgerError(f"token count must be positive, got {count}")
+    if count >= _COUNT_LIMIT:
+        raise LedgerError(f"token count must have at most {DEFAULT_PRECISION} digits")
     sid = event.series_id
     key = (event.party, sid)
 
@@ -340,24 +355,47 @@ def _effects(state, event: LedgerEvent):
             f"series {sid!r} expired {elapsed - spec.expiry_days} days "
             f"before the redemption; tokens pay zero"
         )
+    weight = exact_mul(spec.initial_weight, Decimal(count))
+    payout = _settled_claim(spec, elapsed, count, weight)
+    if event.payout_grams is not None and event.payout_grams != payout:
+        raise LedgerError(
+            f"redeem event states payout {event.payout_grams} g but the series "
+            f"arithmetic yields {payout} g"
+        )
+    accrual = exact_sub(weight, payout)  # decay plus fee
+    return {key: held - count}, {
+        "vault": exact_sub(state.vault[sid], payout),
+        "cumulative_payouts": exact_add(state.cumulative_payouts.get(sid, _ZERO), payout),
+        "issuer_accrual": exact_add(state.issuer_accrual.get(sid, _ZERO), accrual),
+    }, payout
+
+
+def _settled_claim(spec: RsdmSpec, elapsed: int, count: int, weight: Decimal) -> Decimal:
+    """The settled payout of redeeming ``count`` tokens of initial
+    ``weight`` grams in all ``elapsed`` days after issue; raises
+    BelowMinimumRedemption if their residual is below the series minimum.
+
+    Decided from bounds on the decay factor's power (``pow_bounds``),
+    each multiplied exactly by the weight: ``settle`` is monotone, so
+    payout bounds that settle alike give the settled payout, and a
+    residual bound at or above the minimum clears it. Where the bounds
+    cannot decide (a payout near a rounding midpoint, a residual near or
+    below the minimum), the exact claim decides and words the rejection.
+    """
+    digits = max(1, weight.adjusted() + 1 + SETTLEMENT_DECIMALS + _GUARD_DIGITS)
+    low, high = pow_bounds(spec.daily_decay_factor, elapsed, digits)
+    if exact_mul(weight, low) >= spec.min_redemption_grams:
+        net = exact_mul(weight, exact_sub(Decimal(1), spec.redemption_fee_rate))
+        payout = settle(exact_mul(net, low))
+        if payout == settle(exact_mul(net, high)):
+            return payout
     residual, redeemable = _claim(spec, elapsed, count)
     if residual < spec.min_redemption_grams:
         raise BelowMinimumRedemption(
             f"residual {settle(residual):f} g is below the series minimum "
             f"of {spec.min_redemption_grams} g"
         )
-    payout = settle(redeemable)
-    if event.payout_grams is not None and event.payout_grams != payout:
-        raise LedgerError(
-            f"redeem event states payout {event.payout_grams} g but the series "
-            f"arithmetic yields {payout} g"
-        )
-    accrual = exact_sub(exact_mul(spec.initial_weight, Decimal(count)), payout)  # decay plus fee
-    return {key: held - count}, {
-        "vault": exact_sub(state.vault[sid], payout),
-        "cumulative_payouts": exact_add(state.cumulative_payouts.get(sid, _ZERO), payout),
-        "issuer_accrual": exact_add(state.issuer_accrual.get(sid, _ZERO), accrual),
-    }, payout
+    return settle(redeemable)
 
 
 def _claim(spec: RsdmSpec, elapsed: int, count: int) -> tuple[Decimal, Decimal]:
@@ -413,7 +451,7 @@ def redeem(
 ) -> tuple[LedgerState, Quantity, LedgerEvent]:
     """Redeem tokens for collateral; returns the settled payout in grams
     along with the emitted event. The payout comes from checking the
-    event, so a redeem is checked and quoted once."""
+    event, so a redeem is checked and settled once."""
     probe = LedgerEvent(state.last_sequence + 1, day, EventKind.REDEEM, series_id, party,
                         token_count=token_count)
     writes, series, payout = _effects(state, probe)

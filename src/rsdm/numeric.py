@@ -14,6 +14,9 @@ Conventions used across the package:
   rounding, so no rounding happens until a settlement boundary.
 * Settlement boundaries (payouts, ledger entries) round to 9 decimal
   places of grams, half-even.
+* A redeem's settlement does not build the exact power: ``pow_bounds``
+  brackets it between two short powers rounded down and up, and the
+  exact value is needed only where the bracket's ends settle apart.
 * ``nth_root`` is exp(ln(v)/n) with 10 guard digits, correctly rounded.
 """
 
@@ -143,6 +146,38 @@ def exact_pow(base: Decimal, exponent: int) -> Decimal:
         if bit == "1":
             result = multiply(result, base)
     return _unsigned_zero(result)
+
+
+def pow_bounds(base: Decimal, exponent: int, digits: int) -> tuple[Decimal, Decimal]:
+    """Bounds ``low <= base**exponent <= high`` for a positive base and a
+    nonnegative integer exponent, each rounded to ``digits`` digits.
+
+    The square-and-multiply chain of ``exact_pow`` runs once rounding
+    every product down and once rounding every product up. Every operand
+    is positive, so the first chain stays at or below the power and the
+    second at or above it. When the first chain rounds nothing, its value
+    is the power itself and stands for both bounds. Each chain's relative
+    error is at most about 2 * exponent * 10**(1 - digits).
+    """
+    if exponent < 0:
+        raise DomainError("pow_bounds requires a nonnegative integer exponent")
+    low, inexact = _directed_pow(base, exponent, digits, decimal.ROUND_FLOOR)
+    if not inexact:
+        return low, low
+    return low, _directed_pow(base, exponent, digits, decimal.ROUND_CEILING)[0]
+
+
+def _directed_pow(base: Decimal, exponent: int, digits: int, rounding: str) -> tuple[Decimal, bool]:
+    """base**exponent by ``exact_pow``'s chain, each product rounded to
+    ``digits`` digits in the direction ``rounding``; and whether any was."""
+    ctx = decimal.Context(prec=digits, rounding=rounding, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    multiply = ctx.multiply
+    result = base if exponent else Decimal(1)
+    for bit in bin(exponent)[3:]:
+        result = multiply(result, result)
+        if bit == "1":
+            result = multiply(result, base)
+    return result, bool(ctx.flags[decimal.Inexact])
 
 
 def settle(value: Decimal) -> Decimal:

@@ -119,6 +119,18 @@ class TestPurchasePrice:
         price = decay.purchase_price(GOLD, 0, Quantity(Decimal(100), PER_GRAM))
         assert price.value == 100
 
+    @pytest.mark.parametrize("price", ["1" * 5001, "1E+35", Quantity(Decimal("1" * 35), PER_GRAM)],
+                             ids=["5001-digit", "wide-exponent", "35-digit-quantity"])
+    def test_price_obeys_the_width_rule(self, price):
+        # a 5,001-digit price once gave a 5,051-character price
+        with pytest.raises(DomainError) as err:
+            decay.purchase_price(GOLD, 1, price)
+        assert str(err.value) == "unit price must have at most 34 digits and an adjusted exponent within ±34"
+
+    def test_widest_price_accepted(self):
+        price = Decimal("9" * 34)
+        assert Fraction(decay.purchase_price(GOLD, 1, price).value) == Fraction(price) * Fraction("0.99996")
+
 
 class TestRedemption:
     def test_day_zero_fee_applied(self):

@@ -4,19 +4,19 @@ import json
 import random
 from dataclasses import replace
 from datetime import date
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import event as note
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from conftest import make_series_pool
 from rsdm import decay, ledger
 from rsdm.decay import epoch_day
-from rsdm.numeric import exact_add, exact_mul, exact_sub, settle
+from rsdm.numeric import CONTEXT, EXACT, exact_add, exact_mul, exact_pow, exact_sub, settle
 from rsdm.errors import (
     BelowMinimumRedemption,
     DomainError,
@@ -296,14 +296,15 @@ class TestRedeem:
 
     def test_redeem_quotes_once(self, monkeypatch):
         calls = []
+        settled_claim = ledger._settled_claim
 
-        def counting_quote(spec, elapsed):
-            calls.append(elapsed)
-            return decay.redemption_quote(spec, elapsed)
+        def counting_claim(spec, elapsed, count, weight):
+            calls.append((elapsed, count))
+            return settled_claim(spec, elapsed, count, weight)
 
-        monkeypatch.setattr(ledger, "redemption_quote", counting_quote)
+        monkeypatch.setattr(ledger, "_settled_claim", counting_claim)
         state, payout, event = ledger.redeem(issued_state(), "alice", "AU35", 1000, 365)
-        assert calls == [365]
+        assert calls == [(365, 1000)]
         assert event.payout_grams == payout.value
         # the emitted event replays to the same state
         assert ledger.append_event(issued_state(), event) == state
@@ -344,6 +345,23 @@ class TestRedeem:
         assert str(err.value) == f"token count must be an integer, got {type(count).__name__}"
 
     @pytest.mark.parametrize("kind", list(EventKind))
+    @pytest.mark.parametrize("count", [10**34, 10**5000], ids=["35-digit", "5001-digit"])
+    def test_token_count_obeys_the_width_rule(self, kind, count):
+        # a 10**5000-token issue once let a redeem pay a 5,010-digit payout
+        event = LedgerEvent(2, 10, kind, "AU35", "alice", "bob", token_count=count)
+        with pytest.raises(LedgerError) as err:
+            ledger.append_event(issued_state(), event)
+        assert type(err.value) is LedgerError
+        assert str(err.value) == "token count must have at most 34 digits"
+
+    def test_widest_token_count_accepted(self):
+        count = 10**34 - 1
+        state, _ = ledger.issue(ledger.empty_state(), "AU35", GOLD, "alice", count, 0)
+        state, _ = ledger.transfer(state, "alice", "bob", "AU35", count, 1)
+        state, payout, _ = ledger.redeem(state, "bob", "AU35", count, 1)
+        assert Fraction(payout.value) == redeem_payout(count, Fraction("0.003"), 1, Fraction("0.99996"), 1)
+
+    @pytest.mark.parametrize("kind", list(EventKind))
     @pytest.mark.parametrize("cast", [str, float, lambda v: True, lambda v: None],
                              ids=["str", "float", "bool", "none"])
     @pytest.mark.parametrize("field", ["sequence", "day"])
@@ -365,6 +383,109 @@ class TestRedeem:
         )
         with pytest.raises(LedgerError, match="payout"):
             ledger.append_event(state, event)
+
+
+THETA_34 = decay.daily_factor_from_annual_rate("-0.02")  # a 34-digit daily factor
+weights = st.one_of(
+    st.sampled_from((D("1"), D("10"), D("0.001"))),
+    st.builds(lambda m, k: EXACT.scaleb(D(m), -k), st.integers(1, 10**34 - 1), st.integers(0, 34)),
+)
+
+
+class TestSettledClaim:
+    """A redeem settles from bounds on the decay factor's power and falls
+    back to the exact claim; ``reference_compute_redeem``, which works
+    on the exact claim alone, is the oracle."""
+
+    @staticmethod
+    def outcomes(spec, count, day):
+        """(ledger.redeem's, the oracle's) payout or (class, message) of
+        redeeming ``count`` freshly issued tokens of ``spec`` on ``day``."""
+        state, _ = ledger.issue(ledger.empty_state(), "S", spec, "alice", count, 0)
+        event = LedgerEvent(2, day, EventKind.REDEEM, "S", "alice", token_count=count)
+        results = []
+        for redeem in (lambda: ledger.redeem(state, "alice", "S", count, day)[1].value,
+                       lambda: reference_compute_redeem(state, event)[0]):
+            try:
+                results.append(redeem())
+            except RsdmError as exc:
+                results.append((type(exc), str(exc)))
+        return tuple(results)
+
+    @staticmethod
+    def branches(monkeypatch) -> dict:
+        """Counts, per redeem, of the exact-power branch (the rounded-down
+        chain rounded nothing), the bracket branch and the exact fallback."""
+        seen = {"exact power": 0, "bracket": 0, "fallback": 0}
+        bounds, claim = ledger.pow_bounds, ledger._claim
+
+        def counting_bounds(*args):
+            low, high = bounds(*args)
+            seen["exact power" if low is high else "bracket"] += 1
+            return low, high
+
+        def counting_claim(*args):
+            seen["fallback"] += 1
+            return claim(*args)
+
+        monkeypatch.setattr(ledger, "pow_bounds", counting_bounds)
+        monkeypatch.setattr(ledger, "_claim", counting_claim)
+        return seen
+
+    @pytest.mark.parametrize("theta", [D("0.99996"), THETA_34, D("1"), D("0.5")],
+                             ids=["6-digit", "34-digit", "one", "half"])
+    @settings(max_examples=40, deadline=None)
+    @given(day=st.one_of(st.integers(0, 60), st.integers(0, 18262), st.integers(10_000, 18262)),
+           count=st.one_of(st.integers(1, 1000), st.integers(1, 10**9)),
+           weight=weights,
+           fee=st.sampled_from((D("0"), D("0.003"), D("0.5"), D("0." + "9" * 33))),
+           minimum=st.sampled_from((D("1E-9"), D("1"), D("1000"))))
+    def test_matches_the_exact_claim(self, theta, day, count, weight, fee, minimum):
+        spec = decay.RsdmSpec(EPOCH, "XAU", weight, theta, 18262, fee, min_redemption_grams=minimum)
+        got, want = self.outcomes(spec, count, day)
+        note(f"{'paid' if isinstance(want, Decimal) else 'rejected'}, day {'1001+' if day > 1000 else '0-1000'}")
+        assert got == want
+
+    def test_exact_midpoint_rounds_half_even(self, monkeypatch):
+        # 0.5**10 = 0.0009765625 exactly: 1 token settles down to the even
+        # 0.000976562, 3 tokens (0.0029296875) up to the even 0.002929688
+        seen = self.branches(monkeypatch)
+        spec = decay.RsdmSpec(EPOCH, "XAU", D("1"), D("0.5"), 100, D("0"), min_redemption_grams=D("1E-9"))
+        assert self.outcomes(spec, 1, 10) == (D("0.000976562"),) * 2
+        assert self.outcomes(spec, 3, 10) == (D("0.002929688"),) * 2
+        assert seen == {"exact power": 2, "bracket": 0, "fallback": 0}
+
+    @pytest.mark.parametrize("theta", [D("0.99996"), THETA_34], ids=["6-digit", "34-digit"])
+    def test_bounds_settle_a_deep_redeem(self, monkeypatch, theta):
+        # the exact power has 90k (6-digit factor) or 612k digits
+        seen = self.branches(monkeypatch)
+        spec = decay.RsdmSpec(EPOCH, "XAU", D("1"), theta, 18262, D("0.003"), min_redemption_grams=D("1"))
+        got, want = self.outcomes(spec, 1000, 18000)
+        assert got == want
+        assert seen == {"exact power": 0, "bracket": 1, "fallback": 0}
+
+    def test_near_midpoint_falls_back(self, monkeypatch):
+        # a weight whose payout lies within 1E-30 of the grid midpoint
+        # 0.5000000005, far inside the bounds' width
+        power = exact_pow(D("0.99996"), 1000)
+        with localcontext(CONTEXT):
+            weight = D("0.5000000005") / power
+        assert abs(Fraction(weight) * Fraction(power) - Fraction("0.5000000005")) < Fraction("1E-30")
+        spec = decay.RsdmSpec(EPOCH, "XAU", weight, D("0.99996"), 18262, D("0"),
+                              min_redemption_grams=D("1E-9"))
+        seen = self.branches(monkeypatch)
+        state, _ = ledger.issue(ledger.empty_state(), "S", spec, "alice", 1, 0)
+        payout = ledger.redeem(state, "alice", "S", 1, 1000)[1].value
+        assert seen == {"exact power": 0, "bracket": 1, "fallback": 1}
+        assert Fraction(payout) == redeem_payout(1, Fraction(0), Fraction(weight), Fraction("0.99996"), 1000)
+
+    def test_below_minimum_falls_back_for_its_message(self, monkeypatch):
+        seen = self.branches(monkeypatch)
+        spec = decay.RsdmSpec(EPOCH, "XAU", D("1"), D("0.99996"), 18262, D("0.003"))
+        got, want = self.outcomes(spec, 1000, 18000)
+        assert got == want == (BelowMinimumRedemption, "residual 486.745246591 g is below the "
+                                                       "series minimum of 1000 g")
+        assert seen == {"exact power": 0, "bracket": 1, "fallback": 1}
 
 
 class TestSequencing:
