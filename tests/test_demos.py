@@ -1,5 +1,7 @@
-"""Every demo runs to completion as a script and prints something."""
+"""Every demo runs to completion as a script and prints exactly its
+recorded output."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = json.loads((Path(__file__).parent / "data" / "demo_golden.json").read_text(encoding="utf-8"))
+
+
+def test_every_demo_is_recorded():
+    assert sorted(GOLDEN) == [demo.name for demo in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -18,4 +25,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == GOLDEN[demo.name]
