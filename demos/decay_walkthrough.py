@@ -13,7 +13,7 @@ from datetime import date
 from decimal import Decimal
 
 from rsdm import decay
-from rsdm.numeric import settle
+from rsdm.numeric import exact_add, settle
 
 spec = decay.RsdmSpec(
     issue_date=date(2035, 1, 1),
@@ -37,7 +37,7 @@ for label, days in [
     ("50 years", 18250),
 ]:
     residual = decay.residual_weight(spec, days)
-    print(f"{label:>10}: {settle(residual.value)} g")
+    print(f"{label:>10}: {settle(residual)} g")
 
 print()
 print("=" * 64)
@@ -46,7 +46,7 @@ print("=" * 64)
 price = Decimal("95")  # accounting units per gram of gold
 for days in (0, 365, 3650):
     cost = decay.purchase_price(spec, days, price)
-    print(f"day {days:>5}: token costs {settle(cost.value)} at {price}/g")
+    print(f"day {days:>5}: token costs {settle(cost)} at {price}/g")
 
 print()
 print("=" * 64)
@@ -55,13 +55,13 @@ print("=" * 64)
 for days in (0, 365, 18250):
     quote = decay.redemption_quote(spec, days)
     print(
-        f"day {days:>5}: payout {settle(quote.payout.value)} g"
-        f" + fee {settle(quote.fee.value)} g"
-        f" = residual {settle(quote.residual.value)} g"
+        f"day {days:>5}: payout {settle(quote.payout)} g"
+        f" + fee {settle(quote.fee)} g"
+        f" = residual {settle(quote.residual)} g"
     )
 # the split is exact: payout + fee reconstructs the residual to the digit
 q = decay.redemption_quote(spec, 18250)
-assert (q.payout + q.fee).value == q.residual.value
+assert exact_add(q.payout, q.fee) == q.residual
 
 print()
 print("=" * 64)

@@ -159,7 +159,7 @@ def _adhoc_spec(args) -> decay.RsdmSpec:
 
 def cmd_decay_residual(args) -> int:
     from rsdm import decay
-    residual = fmt(decay.residual_weight(_adhoc_spec(args), args.days).value)
+    residual = fmt(decay.residual_weight(_adhoc_spec(args), args.days))
     emit(args.format, {"residual_g": residual}, [residual])
     return 0
 
@@ -171,9 +171,9 @@ def cmd_decay_redeem_quote(args) -> int:
     quote = decay.redemption_quote(_adhoc_spec(args), args.days)
     count = Decimal(args.count)
     doc = {
-        "payout_g": fmt(numeric.exact_mul(quote.payout.value, count)),
-        "fee_g": fmt(numeric.exact_mul(quote.fee.value, count)),
-        "residual_g": fmt(numeric.exact_mul(quote.residual.value, count)),
+        "payout_g": fmt(numeric.exact_mul(quote.payout, count)),
+        "fee_g": fmt(numeric.exact_mul(quote.fee, count)),
+        "residual_g": fmt(numeric.exact_mul(quote.residual, count)),
     }
     emit(args.format, doc, [f"{key}: {value}" for key, value in doc.items()])
     return 0

@@ -21,9 +21,6 @@ from decimal import Decimal, localcontext
 from rsdm.errors import DomainError, ExpiredSeries
 from rsdm.numeric import (
     CONTEXT,
-    GRAM,
-    PER_GRAM,
-    Quantity,
     as_decimal,
     bound_violation,
     bounded_decimal,
@@ -31,7 +28,6 @@ from rsdm.numeric import (
     exact_mul,
     exact_pow,
     exact_sub,
-    grams,
     nth_root,
 )
 
@@ -167,64 +163,52 @@ def _check_elapsed(spec: RsdmSpec, elapsed_days: int) -> None:
         )
 
 
-def residual_weight(spec: RsdmSpec, elapsed_days: int) -> Quantity:
-    """Residual collateral weight of one token after ``elapsed_days``.
+def residual_weight(spec: RsdmSpec, elapsed_days: int) -> Decimal:
+    """Residual collateral grams of one token after ``elapsed_days``.
 
     Exact value of initial_weight * decay_factor**elapsed_days, computed
     by exponentiation by squaring in numeric's exact decimal context.
     Unrounded: the caller decides if and when to settle.
     """
     _check_elapsed(spec, elapsed_days)
-    factor = exact_pow(spec.daily_decay_factor, elapsed_days)
-    return grams(exact_mul(spec.initial_weight, factor))
+    return exact_mul(spec.initial_weight, exact_pow(spec.daily_decay_factor, elapsed_days))
 
 
-def purchase_price(
-    spec: RsdmSpec, elapsed_days: int, unit_price: Quantity | Decimal | str | int
-) -> Quantity:
-    """Price of one token bought from the issuer ``elapsed_days`` after issue.
+def purchase_price(spec: RsdmSpec, elapsed_days: int, unit_price: Decimal | str | int) -> Decimal:
+    """Price of one token, in accounting units, bought from the issuer
+    ``elapsed_days`` after issue.
 
     ``unit_price`` is the collateral's market price in accounting units
     per gram, within the width rule of ``numeric.bound_violation``; the
-    token costs unit_price times its residual weight.
+    token costs unit_price times its residual weight, exactly.
     """
-    if isinstance(unit_price, Quantity):
-        if unit_price.unit != PER_GRAM:
-            raise DomainError(f"unit price must be accounting-unit/gram, got {unit_price.unit}")
-        unit_price = unit_price.value
     price = bounded_decimal("unit price", unit_price)
     if price < 0:
         raise DomainError("unit price must be nonnegative")
-    return Quantity(price, PER_GRAM) * residual_weight(spec, elapsed_days)
+    return exact_mul(price, residual_weight(spec, elapsed_days))
 
 
 @dataclass(frozen=True)
 class RedemptionQuote:
-    """Split of one token's residual weight at redemption.
+    """Split of one token's residual weight at redemption, in grams.
 
     payout + fee == residual exactly: the issuer's fee take is the
     residual times the fee rate, and the customer receives the rest.
     """
 
-    payout: Quantity
-    fee: Quantity
-    residual: Quantity
+    payout: Decimal
+    fee: Decimal
+    residual: Decimal
 
 
 def redemption_quote(spec: RsdmSpec, elapsed_days: int) -> RedemptionQuote:
-    """Customer payout and issuer fee for redeeming one token."""
+    """Customer payout and issuer fee for redeeming one token, unrounded:
+    the payout is (1 - fee rate) * decay_factor**elapsed_days *
+    initial_weight grams."""
     residual = residual_weight(spec, elapsed_days)
-    fee = Quantity(exact_mul(spec.redemption_fee_rate, residual.value), GRAM)
-    payout = Quantity(
-        exact_mul(exact_sub(Decimal(1), spec.redemption_fee_rate), residual.value), GRAM
-    )
+    fee = exact_mul(spec.redemption_fee_rate, residual)
+    payout = exact_mul(exact_sub(Decimal(1), spec.redemption_fee_rate), residual)
     return RedemptionQuote(payout=payout, fee=fee, residual=residual)
-
-
-def redeemable_quantity(spec: RsdmSpec, elapsed_days: int) -> Quantity:
-    """Collateral grams delivered to the customer per token redeemed:
-    (1 - fee rate) * decay_factor**elapsed_days * initial_weight."""
-    return redemption_quote(spec, elapsed_days).payout
 
 
 def daily_factor_from_annual_rate(annual_rate: Decimal | str | int) -> Decimal:

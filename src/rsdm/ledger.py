@@ -57,14 +57,15 @@ from rsdm.errors import (
     UnknownSeries,
 )
 from rsdm.numeric import (
-    DEFAULT_PRECISION, GRAM, SETTLEMENT_DECIMALS, Quantity, as_decimal, bounded_decimal, exact_add,
+    DEFAULT_PRECISION, SETTLEMENT_DECIMALS, as_decimal, bounded_decimal, exact_add,
     exact_mul, exact_sub, pow_bounds, read_csv_table, settle,
 )
 
 _ZERO = Decimal(0)
 
-#: Token counts stop below 10^34, the width rule's digit count, so the
-#: exact amounts an event writes stay short.
+#: Token counts, and the tokens issued of a series, stop below 10^34,
+#: the width rule's digit count, so the exact amounts an event writes
+#: stay short.
 _COUNT_LIMIT = 10**DEFAULT_PRECISION
 
 #: Digits a redeem's bounds on the decay factor's power carry past the
@@ -81,6 +82,13 @@ _AMOUNTS = ("vault", "issuer_accrual", "cumulative_payouts")
 #: ledger writes (34 weight digits times a token count Python parses),
 #: and it traps, so 1E+999999999 fails at once, not as a 10^9-digit sum.
 _SNAPSHOT_SUMS = decimal.Context(prec=5_000, traps=[decimal.Inexact, decimal.Rounded])
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """The settled payout of a redeem, in grams."""
+
+    value: Decimal
 
 
 class EventKind(Enum):
@@ -323,6 +331,9 @@ def _effects(state, event: LedgerEvent):
                 f"issuing {count} tokens would exceed the declared "
                 f"issue size {spec.issue_size} of {sid!r}"
             )
+        if total_issued >= _COUNT_LIMIT:
+            raise LedgerError(f"issuing {count} tokens would take the tokens issued of {sid!r} "
+                              f"past {DEFAULT_PRECISION} digits")
         series["vault"] = exact_add(
             state.vault.get(sid, _ZERO), exact_mul(spec.initial_weight, Decimal(count))
         )
@@ -403,7 +414,7 @@ def _claim(spec: RsdmSpec, elapsed: int, count: int) -> tuple[Decimal, Decimal]:
     ``elapsed`` days after issue, before settlement."""
     quote = redemption_quote(spec, elapsed)
     tokens = Decimal(count)
-    return exact_mul(quote.residual.value, tokens), exact_mul(quote.payout.value, tokens)
+    return exact_mul(quote.residual, tokens), exact_mul(quote.payout, tokens)
 
 
 def _successor(state: LedgerState, event: LedgerEvent, writes: dict, series: dict) -> LedgerState:
@@ -449,14 +460,14 @@ def transfer(
 def redeem(
     state: LedgerState, party: str, series_id: str, token_count: int, day: int
 ) -> tuple[LedgerState, Quantity, LedgerEvent]:
-    """Redeem tokens for collateral; returns the settled payout in grams
-    along with the emitted event. The payout comes from checking the
-    event, so a redeem is checked and settled once."""
+    """Redeem tokens for collateral; returns the settled payout in grams,
+    as a ``Quantity``, and the emitted event. The payout comes from
+    checking the event, so a redeem is checked and settled once."""
     probe = LedgerEvent(state.last_sequence + 1, day, EventKind.REDEEM, series_id, party,
                         token_count=token_count)
     writes, series, payout = _effects(state, probe)
     event = replace(probe, payout_grams=payout)
-    return _successor(state, event, writes, series), Quantity(payout, GRAM), event
+    return _successor(state, event, writes, series), Quantity(payout), event
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +700,8 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
     """A snapshot's series must be as ``append_event`` leaves them. Every
     held balance (``held``: tokens per series) and per-series entry names
     one of them; a zero balance holds nothing and is let through, and the
-    offending balance is looked up only on error. Each series' balances
+    offending balance is looked up only on error. Each series has issued
+    fewer than 10^34 tokens, as an issue event leaves it, its balances
     hold at most the tokens issued, vault plus payouts weigh every token
     issued, and issuer accrual plus payouts every token redeemed."""
     stray = {sid for sid, tokens in held.items() if tokens} - state.specs.keys()
@@ -702,6 +714,8 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
             raise DomainError(f"{field} entry {min(stray)!r} names a series missing from \"series\"")
     for sid, spec in state.specs.items():
         issued = state.issued_tokens.get(sid, 0)
+        if issued >= _COUNT_LIMIT:
+            raise DomainError(f"issued_tokens {sid!r} must have at most {DEFAULT_PRECISION} digits")
         redeemed = issued - held.get(sid, 0)
         if redeemed < 0:
             raise DomainError(

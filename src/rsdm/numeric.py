@@ -1,4 +1,4 @@
-"""Exact decimal arithmetic, dimensioned quantities, and the input parsers.
+"""Exact decimal arithmetic and the input parsers.
 
 Conventions used across the package:
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import decimal
 import io
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Callable
 
@@ -249,92 +248,3 @@ def read_csv_table(text: str, what: str, header: list[str], build: Callable[[dic
         except (DomainError, ValueError, AttributeError) as exc:
             raise DomainError(f"{what} CSV line {reader.line_num}: {exc}") from exc
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Dimensioned quantities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Unit:
-    """A unit as integer powers of gram and of the accounting unit."""
-
-    gram: int = 0
-    account: int = 0
-
-    def __mul__(self, other: "Unit") -> "Unit":
-        return Unit(self.gram + other.gram, self.account + other.account)
-
-    def __str__(self) -> str:
-        if self == GRAM:
-            return "gram"
-        if self == ACCOUNTING_UNIT:
-            return "accounting-unit"
-        if self == DIMENSIONLESS:
-            return "dimensionless"
-        if self == PER_GRAM:
-            return "accounting-unit/gram"
-        return f"gram^{self.gram}*accounting-unit^{self.account}"
-
-
-GRAM = Unit(gram=1)
-ACCOUNTING_UNIT = Unit(account=1)
-DIMENSIONLESS = Unit()
-PER_GRAM = Unit(gram=-1, account=1)
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A finite decimal value tagged with a unit.
-
-    Arithmetic is exact (native ``Decimal``, never rounded) and
-    dimensionally checked: gram * dimensionless -> gram, while adding
-    grams to accounting units raises DomainError.
-    """
-
-    value: Decimal
-    unit: Unit
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_decimal(self.value))
-
-    def __mul__(self, other: "Quantity | Decimal | int | str") -> "Quantity":
-        if isinstance(other, Quantity):
-            return Quantity(exact_mul(self.value, other.value), self.unit * other.unit)
-        return Quantity(exact_mul(self.value, as_decimal(other)), self.unit)
-
-    __rmul__ = __mul__
-
-    def _require_same_unit(self, other: "Quantity", op: str) -> None:
-        if not isinstance(other, Quantity):
-            raise DomainError(f"cannot {op} {type(other).__name__} and Quantity")
-        if self.unit != other.unit:
-            raise DomainError(f"cannot {op} {self.unit} and {other.unit}")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_unit(other, "add")
-        return Quantity(exact_add(self.value, other.value), self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_unit(other, "subtract")
-        return Quantity(exact_sub(self.value, other.value), self.unit)
-
-    def __lt__(self, other: "Quantity") -> bool:
-        self._require_same_unit(other, "compare")
-        return self.value < other.value
-
-    def __le__(self, other: "Quantity") -> bool:
-        self._require_same_unit(other, "compare")
-        return self.value <= other.value
-
-    def settled(self) -> Decimal:
-        """The value on the 9-decimal settlement grid."""
-        return settle(self.value)
-
-    def __str__(self) -> str:
-        return f"{self.value} {self.unit}"
-
-
-def grams(value: str | int | Decimal) -> Quantity:
-    return Quantity(as_decimal(value), GRAM)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import CONTEXT, as_decimal, bounded_decimal, read_csv_table
+from rsdm.numeric import CONTEXT, DEFAULT_PRECISION, EXACT, as_decimal, bounded_decimal, read_csv_table
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -46,6 +46,8 @@ class RedemptionRecord:
                 raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
         if self.token_count <= 0:
             raise DomainError(f"token count must be positive, got {self.token_count}")
+        if self.token_count >= 10**DEFAULT_PRECISION:
+            raise DomainError(f"token count must have at most {DEFAULT_PRECISION} digits")
         if self.redemption_day is not None and self.redemption_day < self.purchase_day:
             raise DomainError(
                 f"redemption day {self.redemption_day} precedes purchase day "
@@ -155,10 +157,12 @@ class IssuerBook:
 
 
 def gross_profit(records: Iterable[RedemptionRecord], flat_fee: Decimal | str | int) -> Decimal:
-    """Total fee income: flat fee times token count, summed over customers."""
+    """Total fee income: flat fee times token count, summed over customers
+    exactly and rounded once, as ``simulate_issuer`` reports it."""
     fee = _nonneg(flat_fee, "flat fee")
-    with localcontext(CONTEXT):
-        return sum((fee * r.token_count for r in records), Decimal(0))
+    tokens = sum(r.token_count for r in records)
+    # the zero seed caps the exponent at 0, as in warehouse_cost
+    return CONTEXT.plus(EXACT.add(Decimal(0), EXACT.multiply(fee, tokens)))
 
 
 def warehouse_cost(
@@ -282,7 +286,8 @@ def simulate_issuer(
 
     One pass over the records fills a difference array of circulating
     tokens; one pass over the days sums it into exact integer token-days,
-    and each day's cost is the rate times those, rounded once.
+    and each day's cost is the rate times those, rounded once. Fee income
+    is summed exactly, and each day's is rounded once too.
     """
     if not records:
         return SolvencyTimeline(points=(), first_bankrupt_day=None)
@@ -296,23 +301,27 @@ def simulate_issuer(
             f"{MAX_SIMULATED_DAYS} days"
         )
 
-    income = [Decimal(0)] * (horizon_day - start + 1)
+    income: list[Decimal | None] = [None] * (horizon_day - start + 1)  # exact; None: no purchase
     step = [0] * (horizon_day - start + 2)  # tokens starting (+) and ending (-) storage
     points = []
-    profit = Decimal(0)
+    profit = reported = Decimal(0)
     active = token_days = 0
+    for r in ordered:
+        offset = r.purchase_day - start
+        fees = EXACT.multiply(schedule.fee_for(r), r.token_count)
+        income[offset] = fees if income[offset] is None else EXACT.add(income[offset], fees)
+        step[offset + 1] += r.token_count
+        if r.closed and r.redemption_day < horizon_day:
+            step[r.redemption_day - start + 1] -= r.token_count
     with localcontext(CONTEXT):
-        for r in ordered:
-            income[r.purchase_day - start] += schedule.fee_for(r) * r.token_count
-            step[r.purchase_day - start + 1] += r.token_count
-            if r.closed and r.redemption_day < horizon_day:
-                step[r.redemption_day - start + 1] -= r.token_count
         for day, fees, delta in zip(range(start, horizon_day + 1), income, step):
-            profit += fees
+            if fees is not None:
+                profit = EXACT.add(profit, fees)
+                reported = +profit
             active += delta
             token_days += active
             cost = Decimal(0) + schedule.warehouse_rate * token_days  # as in warehouse_cost
-            points.append(TimelinePoint(day, profit, cost, profit < cost))
+            points.append(TimelinePoint(day, reported, cost, reported < cost))
     first_bankrupt = next((p.day for p in points if p.bankrupt), None)
     return SolvencyTimeline(points=tuple(points), first_bankrupt_day=first_bankrupt)
 

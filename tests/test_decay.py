@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import fraction_residual
 from rsdm import decay
 from rsdm.errors import DomainError, ExpiredSeries
-from rsdm.numeric import GRAM, PER_GRAM, Quantity
+from rsdm.numeric import exact_add
 
 GOLD = decay.RsdmSpec(
     issue_date=date(2035, 1, 1),
@@ -37,21 +37,21 @@ fee_rates = st.decimals(min_value=Decimal("0"), max_value=Decimal("0.05"),
 
 class TestResidualWeight:
     def test_zero_elapsed(self):
-        assert decay.residual_weight(GOLD, 0).value == 1
+        assert decay.residual_weight(GOLD, 0) == 1
 
     def test_one_day(self):
-        assert decay.residual_weight(GOLD, 1).value == Decimal("0.99996")
+        assert decay.residual_weight(GOLD, 1) == Decimal("0.99996")
 
     def test_fifty_years_frozen_oracle(self):
         # exp/ln oracle at precision 60 (precomputed):
         # 0.99996^18250 = 0.481901954082682597286993320504...
-        value = decay.residual_weight(GOLD, 18250).value
+        value = decay.residual_weight(GOLD, 18250)
         with localcontext(Context(prec=50)):
             got = +value
         assert got == Decimal("0.48190195408268259728699332050418285055496562073778")
 
     def test_exact_against_rational_oracle(self):
-        value = decay.residual_weight(GOLD, 365).value
+        value = decay.residual_weight(GOLD, 365)
         assert Fraction(value) == fraction_residual(Decimal("0.99996"), 365, Decimal(1))
 
     def test_expired_rejected(self):
@@ -66,27 +66,27 @@ class TestResidualWeight:
     def test_multiplicative_composition(self, theta, d1, d2):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), theta, 1000,
                               Decimal("0"))
-        combined = decay.residual_weight(spec, d1 + d2).value
-        stepped = Fraction(decay.residual_weight(spec, d1).value) * Fraction(theta) ** d2
+        combined = decay.residual_weight(spec, d1 + d2)
+        stepped = Fraction(decay.residual_weight(spec, d1)) * Fraction(theta) ** d2
         assert Fraction(combined) == stepped
 
     @given(theta=thetas, d1=st.integers(0, 500))
     def test_monotone_decay(self, theta, d1):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), theta, 1000,
                               Decimal("0"))
-        assert decay.residual_weight(spec, d1).value > decay.residual_weight(spec, d1 + 1).value
+        assert decay.residual_weight(spec, d1) > decay.residual_weight(spec, d1 + 1)
 
     def test_no_decay_factor_is_constant(self):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), Decimal("1"),
                               1000, Decimal("0"))
-        assert decay.residual_weight(spec, 1000).value == 1
+        assert decay.residual_weight(spec, 1000) == 1
 
     @settings(max_examples=30)
     @given(theta=thetas, elapsed=st.integers(0, 3000))
     def test_against_exp_ln_oracle(self, theta, elapsed):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), theta, 3000,
                               Decimal("0"))
-        value = decay.residual_weight(spec, elapsed).value
+        value = decay.residual_weight(spec, elapsed)
         with localcontext(Context(prec=50)):
             oracle = (Decimal(elapsed) * theta.ln()).exp()
             assert abs(value / oracle - 1) < Decimal("1e-12")
@@ -95,13 +95,13 @@ class TestResidualWeight:
 class TestPurchasePrice:
     def test_no_decay_yet(self):
         price = decay.purchase_price(GOLD, 0, Decimal("100"))
-        assert price.value == 100 and price.unit.account == 1
+        assert price == 100
 
     def test_one_day(self):
-        assert decay.purchase_price(GOLD, 1, Decimal("100")).value == Decimal("99.996")
+        assert decay.purchase_price(GOLD, 1, Decimal("100")) == Decimal("99.996")
 
     def test_zero_price(self):
-        assert decay.purchase_price(GOLD, 10, Decimal("0")).value == 0
+        assert decay.purchase_price(GOLD, 10, Decimal("0")) == 0
 
     def test_negative_price_rejected(self):
         with pytest.raises(DomainError):
@@ -111,16 +111,7 @@ class TestPurchasePrice:
         with pytest.raises(ExpiredSeries):
             decay.purchase_price(GOLD, 20000, Decimal("100"))
 
-    def test_quantity_unit_checked(self):
-        with pytest.raises(DomainError, match="accounting-unit/gram"):
-            decay.purchase_price(GOLD, 0, Quantity(Decimal(100), GRAM))
-
-    def test_quantity_price_accepted(self):
-        price = decay.purchase_price(GOLD, 0, Quantity(Decimal(100), PER_GRAM))
-        assert price.value == 100
-
-    @pytest.mark.parametrize("price", ["1" * 5001, "1E+35", Quantity(Decimal("1" * 35), PER_GRAM)],
-                             ids=["5001-digit", "wide-exponent", "35-digit-quantity"])
+    @pytest.mark.parametrize("price", ["1" * 5001, "1E+35"], ids=["5001-digit", "wide-exponent"])
     def test_price_obeys_the_width_rule(self, price):
         # a 5,001-digit price once gave a 5,051-character price
         with pytest.raises(DomainError) as err:
@@ -129,37 +120,42 @@ class TestPurchasePrice:
 
     def test_widest_price_accepted(self):
         price = Decimal("9" * 34)
-        assert Fraction(decay.purchase_price(GOLD, 1, price).value) == Fraction(price) * Fraction("0.99996")
+        assert Fraction(decay.purchase_price(GOLD, 1, price)) == Fraction(price) * Fraction("0.99996")
 
 
 class TestRedemption:
+    def test_results_are_plain_decimals(self):
+        quote = decay.redemption_quote(GOLD, 30)
+        results = [decay.residual_weight(GOLD, 30), decay.purchase_price(GOLD, 30, 95),
+                   quote.payout, quote.fee, quote.residual]
+        assert [type(r) for r in results] == [Decimal] * 5
+
     def test_day_zero_fee_applied(self):
-        assert decay.redeemable_quantity(GOLD, 0).value == Decimal("0.997")
+        assert decay.redemption_quote(GOLD, 0).payout == Decimal("0.997")
 
     def test_one_day_frozen(self):
         # (1 - 0.003) * 0.99996 * 1 (rational oracle): 0.99696012
-        assert decay.redeemable_quantity(GOLD, 1).value == Decimal("0.99696012")
+        assert decay.redemption_quote(GOLD, 1).payout == Decimal("0.99696012")
 
     def test_zero_fee_equals_residual(self):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"),
                               Decimal("0.99996"), 18262, Decimal("0"))
         for elapsed in (0, 1, 500):
-            assert (decay.redeemable_quantity(spec, elapsed).value
-                    == decay.residual_weight(spec, elapsed).value)
+            assert decay.redemption_quote(spec, elapsed).payout == decay.residual_weight(spec, elapsed)
 
     @given(theta=thetas, lam=fee_rates, elapsed=st.integers(0, 800))
     def test_payout_plus_fee_is_residual(self, theta, lam, elapsed):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), theta, 1000, lam)
         quote = decay.redemption_quote(spec, elapsed)
-        assert (quote.payout + quote.fee).value == quote.residual.value  # exact addition
-        assert quote.payout.value <= quote.residual.value
+        assert exact_add(quote.payout, quote.fee) == quote.residual
+        assert quote.payout <= quote.residual
         if lam > 0:
-            assert quote.payout.value < quote.residual.value
+            assert quote.payout < quote.residual
 
     @given(theta=thetas, lam=fee_rates, elapsed=st.integers(0, 800))
     def test_payout_matches_rational_oracle(self, theta, lam, elapsed):
         spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1"), theta, 1000, lam)
-        payout = decay.redeemable_quantity(spec, elapsed).value
+        payout = decay.redemption_quote(spec, elapsed).payout
         oracle = (1 - Fraction(lam)) * Fraction(theta) ** elapsed
         assert Fraction(payout) == oracle
 

@@ -74,13 +74,13 @@ def reference_compute_redeem(state, event):
             f"before the redemption; tokens pay zero"
         )
     quote = decay.redemption_quote(spec, elapsed)
-    residual_total = exact_mul(quote.residual.value, Decimal(event.token_count))
+    residual_total = exact_mul(quote.residual, Decimal(event.token_count))
     if residual_total < spec.min_redemption_grams:
         raise BelowMinimumRedemption(
             f"residual {settle(residual_total):f} g is below the series minimum "
             f"of {spec.min_redemption_grams} g"
         )
-    payout = settle(exact_mul(quote.payout.value, Decimal(event.token_count)))
+    payout = settle(exact_mul(quote.payout, Decimal(event.token_count)))
     if event.payout_grams is not None and event.payout_grams != payout:
         raise LedgerError(
             f"redeem event states payout {event.payout_grams} g but the series "
@@ -218,6 +218,17 @@ class TestIssue:
         assert state.vault["AU35"] == 150
         assert state.issued_tokens["AU35"] == 150
 
+    @pytest.mark.parametrize("count", [1, 10**34 - 1])
+    def test_issued_tokens_stop_below_ten_to_the_34(self, count):
+        # two issues of 10**34 - 1 tokens once built a 35-digit balance
+        state = issued_state(10**34 - 1)
+        event = LedgerEvent(2, 1, EventKind.ISSUE, "AU35", "bob", token_count=count)
+        with pytest.raises(LedgerError) as err:
+            ledger.append_event(state, event)
+        assert type(err.value) is LedgerError
+        assert str(err.value) == (f"issuing {count} tokens would take the tokens issued of 'AU35' "
+                                  "past 34 digits")
+
 
 class TestTransfer:
     def test_moves_balance(self):
@@ -291,7 +302,7 @@ class TestRedeem:
         message = str(info.value)
         assert len(message) < 300
         assert "below the series minimum of 1000 g" in message
-        residual = decay.residual_weight(kilo, 18000).value * 1000
+        residual = exact_mul(decay.residual_weight(kilo, 18000), D(1000))
         assert f"residual {residual.quantize(D('1E-9')):f} g" in message
 
     def test_redeem_quotes_once(self, monkeypatch):
@@ -668,6 +679,15 @@ class TestMalformedDocuments:
         with pytest.raises(DomainError) as err:
             ledger.state_from_snapshot(json.dumps(doc))
         assert str(err.value) == f"malformed snapshot: {problem}"
+
+    @pytest.mark.parametrize("issued", [10**34, 10**600], ids=["35-digit", "601-digit"])
+    def test_snapshot_issued_tokens_stop_below_ten_to_the_34(self, issued):
+        # a snapshot holding 10**600 issued tokens, balance and vault once loaded
+        doc = {"series": {"AU35": GOLD.to_json_dict()}, "balances": {"alice": {"AU35": issued}},
+               "vault": {"AU35": str(issued)}, "issued_tokens": {"AU35": issued}}
+        with pytest.raises(DomainError) as err:
+            ledger.state_from_snapshot(json.dumps(doc))
+        assert str(err.value) == "malformed snapshot: issued_tokens 'AU35' must have at most 34 digits"
 
     def test_snapshot_keeping_conservation_loads(self):
         # a series with no payouts or accrual entries, as a book opened

@@ -1,4 +1,4 @@
-"""Exact-arithmetic primitives and dimensioned quantities."""
+"""Exact-arithmetic primitives, settlement and the input parsers."""
 
 import decimal
 import random
@@ -11,14 +11,9 @@ from hypothesis import strategies as st
 
 from rsdm.errors import DomainError
 from rsdm.numeric import (
-    ACCOUNTING_UNIT,
     CONTEXT,
     DEFAULT_PRECISION,
     EXACT,
-    DIMENSIONLESS,
-    GRAM,
-    PER_GRAM,
-    Quantity,
     as_decimal,
     bound_violation,
     exact_add,
@@ -273,6 +268,7 @@ class TestSettle:
 
     def test_nine_decimals(self):
         assert str(settle(Decimal("0.99996"))) == "0.999960000"
+        assert str(settle(Decimal("1.23456789012"))) == "1.234567890"
 
     def test_long_integer_part(self):
         value = Decimal("123456789012345678901234567890.1234567895")
@@ -425,27 +421,3 @@ class TestReadCsvTable:
         with pytest.raises(KeyError):
             read_csv_table("name,count\na,1\n", "tally", self.HEADER, build)
 
-
-class TestQuantity:
-    def test_gram_times_dimensionless(self):
-        q = Quantity(Decimal(2), GRAM) * Quantity(Decimal("0.5"), DIMENSIONLESS)
-        assert q.unit == GRAM and q.value == 1
-
-    def test_price_times_grams_gives_accounting(self):
-        q = Quantity(Decimal(100), PER_GRAM) * Quantity(Decimal(3), GRAM)
-        assert q.unit == ACCOUNTING_UNIT and q.value == 300
-
-    def test_mixed_addition_rejected(self):
-        with pytest.raises(DomainError, match="cannot add"):
-            Quantity(Decimal(1), GRAM) + Quantity(Decimal(1), ACCOUNTING_UNIT)
-
-    def test_same_unit_addition(self):
-        q = Quantity(Decimal("0.1"), GRAM) + Quantity(Decimal("0.2"), GRAM)
-        assert q.value == Decimal("0.3")
-
-    def test_comparison_requires_same_unit(self):
-        with pytest.raises(DomainError, match="compare"):
-            Quantity(Decimal(1), GRAM) < Quantity(Decimal(2), ACCOUNTING_UNIT)
-
-    def test_settled(self):
-        assert Quantity(Decimal("1.23456789012"), GRAM).settled() == Decimal("1.234567890")

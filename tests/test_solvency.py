@@ -343,6 +343,14 @@ class TestRecordInvariants:
         with pytest.raises(DomainError):
             RedemptionRecord("k", 0, 0, 1)
 
+    def test_token_count_stops_below_ten_to_the_34(self):
+        # a 601-digit count was once accepted
+        assert RedemptionRecord("k", 10**34 - 1, 0).token_count == 10**34 - 1
+        for count in (10**34, 10**600):
+            with pytest.raises(DomainError) as err:
+                RedemptionRecord("k", count, 0)
+            assert str(err.value) == "token count must have at most 34 digits"
+
     @pytest.mark.parametrize("field, what", [("token_count", "token count"),
                                              ("purchase_day", "purchase day"),
                                              ("redemption_day", "redemption day")])
@@ -543,8 +551,8 @@ def closed_by_horizon(draw):
     return records, horizon + draw(st.integers(0, 20))
 
 
-long_rates = st.builds(lambda m, e: Decimal(f"{m}E{e}"),
-                       st.integers(10**33, 10**34 - 1), st.integers(-40, -30))
+long_decimals = st.builds(lambda m, e: Decimal(f"{m}E{e}"),
+                          st.integers(10**33, 10**34 - 1), st.integers(-40, -30))
 
 
 class TestTimelineEndsAtTheTotals:
@@ -552,17 +560,20 @@ class TestTimelineEndsAtTheTotals:
     book's total fee income and storage cost."""
 
     @settings(deadline=None)
-    @given(book=closed_by_horizon(), rate=st.one_of(short_decimals, long_rates),
-           fee=short_decimals)
+    @given(book=closed_by_horizon(), rate=st.one_of(short_decimals, long_decimals),
+           fee=st.one_of(short_decimals, long_decimals))
     def test_last_point_is_the_totals(self, book, rate, fee):
+        # a 34-digit fee times a token count outgrows the working precision,
+        # so fee income summed with a rounding at each step drifts
         records, horizon = book
         last = solvency.simulate_issuer(records, FeeSchedule.flat(fee, rate), horizon).points[-1]
         assert last.day == horizon
         assert last.cum_cost == solvency.warehouse_cost(records, rate, horizon)
-        assert last.cum_profit == solvency.gross_profit(records, fee)
+        assert last.cum_profit == solvency.gross_profit(records, fee) == _rounded_once(
+            sum(Fraction(fee) * r.token_count for r in records))
 
     @settings(deadline=None)
-    @given(records=record_books(max_day=120), rate=st.one_of(short_decimals, long_rates),
+    @given(records=record_books(max_day=120), rate=st.one_of(short_decimals, long_decimals),
            extra=st.integers(0, 20))
     def test_every_day_is_the_warehouse_cost_to_date(self, records, rate, extra):
         # open records and redemptions after the day included
