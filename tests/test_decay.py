@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import fraction_residual
 from rsdm import decay
 from rsdm.errors import DomainError, ExpiredSeries
+from rsdm.ledger import Quantity
 from rsdm.numeric import exact_add
 
 GOLD = decay.RsdmSpec(
@@ -121,6 +122,12 @@ class TestPurchasePrice:
     def test_widest_price_accepted(self):
         price = Decimal("9" * 34)
         assert Fraction(decay.purchase_price(GOLD, 1, price)) == Fraction(price) * Fraction("0.99996")
+
+    @pytest.mark.parametrize("price", [100.0, Quantity(Decimal(100))], ids=["float", "quantity"])
+    def test_price_other_than_decimal_str_int_rejected(self, price):
+        # a price is read by as_decimal alone: no float, and no wrapped quantity
+        with pytest.raises(DomainError, match="float|cannot interpret"):
+            decay.purchase_price(GOLD, 1, price)
 
 
 class TestRedemption:

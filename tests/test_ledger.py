@@ -2,7 +2,7 @@
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -256,6 +256,15 @@ class TestRedeem:
         assert payout.value == D("996.960120000")
         assert state.vault["AU35"] == D(5000) - payout.value
         assert state.balance("alice", "AU35") == 4000
+
+    def test_payout_is_a_one_field_quantity_of_settled_grams(self):
+        # the benchmark reads redeem(...)[1].value
+        _, payout, _ = ledger.redeem(issued_state(), "alice", "AU35", 1000, 365)
+        assert type(payout) is ledger.Quantity
+        assert [f.name for f in fields(payout)] == ["value"]
+        assert type(payout.value) is Decimal and payout.value == settle(payout.value)
+        with pytest.raises(FrozenInstanceError):
+            payout.value = D(0)
 
     def test_conservation_after_redeem(self):
         state, payout, _ = ledger.redeem(issued_state(), "alice", "AU35", 1000, 1)
@@ -688,6 +697,12 @@ class TestMalformedDocuments:
         with pytest.raises(DomainError) as err:
             ledger.state_from_snapshot(json.dumps(doc))
         assert str(err.value) == "malformed snapshot: issued_tokens 'AU35' must have at most 34 digits"
+
+    def test_snapshot_widest_issued_tokens_load(self):
+        state = issued_state(10**34 - 1)
+        loaded = ledger.state_from_snapshot(ledger.state_to_snapshot(state))
+        assert loaded.issued_tokens["AU35"] == 10**34 - 1
+        assert loaded.balance("alice", "AU35") == 10**34 - 1
 
     def test_snapshot_keeping_conservation_loads(self):
         # a series with no payouts or accrual entries, as a book opened
