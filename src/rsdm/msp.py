@@ -24,15 +24,17 @@ objective comparison: the queries and a solver's reported numbers run
 in ``numeric.EXACT``, and the search runs on exact integers, each value
 a numerator over a common denominator.
 
-One include-first depth-first search sits behind the three solvers:
-``solve_exhaustive`` is its unbounded walk in instance order, the
-subset-enumeration oracle, while ``solve_branch_and_bound`` (linear) and
-``solve_saturating`` also cut on an objective bound. A node whose
-selection has reached ``max_parallel`` has one completion left, which
-excludes every remaining candidate: the search scores it at once, or
-drops the node if a mandatory candidate remains or a threshold is
-unmet. Among equal-objective optima the lexicographically smallest
-sorted id tuple wins, so results are schedule-independent.
+One include-first depth-first search, a loop over an explicit stack,
+sits behind the three solvers: ``solve_exhaustive`` is its unbounded
+walk in instance order, the subset-enumeration oracle, while
+``solve_branch_and_bound`` (linear) and ``solve_saturating`` also cut on
+an objective bound. A node with at most one pick left scores its
+completions at once: stopping there, or picking one remaining candidate,
+which must be the mandatory one if one remains (two remaining kill the
+node). Among equal-objective optima the lexicographically smallest
+sorted id tuple wins, so results are schedule-independent; the bounded
+solvers drop a node whose bound ties the incumbent once no completion
+can reach a smaller id tuple.
 
 An instance checks, once, when it is built, the invariants the cuts and
 sums rely on (nonnegative weights and penalty, coverage in [0, 1], a
@@ -51,6 +53,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from itertools import accumulate
 from math import lcm
+from operator import add, gt, sub
 from typing import Iterable, Mapping, Sequence
 
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
@@ -423,6 +426,14 @@ def _over(ratios: list[tuple[int, int]], denominator: int) -> list[int]:
     return [num * (denominator // den) for num, den in ratios]
 
 
+def _precedes(a: int, b: int) -> bool:
+    """Whether id-rank mask *a* sorts before *b* as a sorted id tuple: the
+    one holding the lowest id not in both does, unless the other holds no
+    larger id and so is a prefix of it."""
+    low = (a ^ b) & -(a ^ b)
+    return b >= low << 1 if a & low else a < low
+
+
 def _search(
     instance: MspInstance, kind: ObjectiveKind, bounded: bool
 ) -> MspSolution | Infeasible:
@@ -433,10 +444,14 @@ def _search(
     numerators over one common denominator; weighted scores, the penalty
     and 1 are numerators over another. So every comparison is the one
     exact decimals would make, and ``_solution`` reports the picked
-    selection in decimals. ``committed`` is the part of the objective
-    linear in the selection: the net marginals (linear) or minus the
-    penalty per currency (saturating, which adds the per-function
-    min(1, weighted coverage)).
+    selection in decimals.
+
+    A node is a frame ``(p, short, room, committed, chosen)`` on the
+    stack, rows before p decided: what each positive threshold still
+    lacks (no other can fail), what each weighted coverage lacks of 1,
+    the objective part linear in the selection (net marginals, or minus
+    the penalty per pick when saturating), and the selection as a mask of
+    id ranks, which the tie-break compares.
     """
     saturating = kind is ObjectiveKind.SATURATING
     functions = instance.functions
@@ -456,41 +471,52 @@ def _search(
     # puts it over ``one``
     weights = [w * (one // (raw_den * weight_den)) for w in _over(weight_ratios, weight_den)]
     thresholds = _over(threshold_ratios, raw_den)
+    checked = [k for k, t in enumerate(thresholds) if t > 0]
+    full = one * len(functions)
+    by_rank = sorted(c.id for c in instance.currencies)
+    ranks = {cid: r for r, cid in enumerate(by_rank)}
 
-    # (candidate, raw scores, weighted scores, net marginal), scores
-    # index-aligned with ``functions``
+    # (candidate, raw scores of the checked functions, weighted scores
+    # index-aligned with ``functions``, net marginal)
     rows = []
     for c, ratios in zip(instance.currencies, raw_ratios):
         raw_row = _over(ratios, raw_den)
         weighted_row = [w * u for w, u in zip(weights, raw_row)]
-        rows.append((c, raw_row, weighted_row, sum(weighted_row) - penalty))
+        rows.append((c, [raw_row[k] for k in checked], weighted_row, sum(weighted_row) - penalty))
     if bounded:
-        rows.sort(key=lambda r: (r[3], r[0].id), reverse=True)
+        # equal marginals in id order: the first optimum found among ties
+        # then holds small ids, so the tie cut below fires sooner
+        rows.sort(key=lambda r: (-r[3], r[0].id))
     n = len(rows)
+    candidates, raw_rows, weighted_rows, marginals = zip(*rows)
+    bits = [1 << ranks[c.id] for c in candidates]
     # sorted rows put the positive net marginals first, so a linear
     # bound's best picks from row p on are the positive ones among rows
     # p..p + budget - 1; gains[i] sums the first i positive ones
-    gains = list(accumulate((r[3] for r in rows if r[3] > 0), initial=0))
+    gains = list(accumulate((m for m in marginals if m > 0), initial=0))
     positives = len(gains) - 1
 
-    # suffix_raw[p]: raw coverage summed over rows p..n-1;
-    # suffix_mandatory[p]: whether one of them is mandatory
-    zeros = [0] * len(functions)
-    suffix_raw = [zeros]
-    suffix_mandatory = [False]
-    for c, raw_row, _, _ in reversed(rows):
-        suffix_raw.append([s + u for s, u in zip(suffix_raw[-1], raw_row)])
-        suffix_mandatory.append(suffix_mandatory[-1] or c.mandatory)
+    # over rows p..n-1: suffix_raw[p] sums the checked raw scores,
+    # ahead[p] holds the first two mandatory rows, remaining[p] the ids
+    no_raw = [0] * len(checked)
+    suffix_raw = [no_raw]
+    ahead: list[tuple[int, ...]] = [()]
+    remaining = [0]
+    for p in reversed(range(n)):
+        suffix_raw.append(list(map(add, suffix_raw[-1], raw_rows[p])))
+        ahead.append(((p,) + ahead[-1])[:2] if candidates[p].mandatory else ahead[-1])
+        remaining.append(remaining[-1] | bits[p])
     suffix_raw.reverse()
-    suffix_mandatory.reverse()
+    ahead.reverse()
+    remaining.reverse()
 
     # top[p][j][f]: the j largest weighted scores of function f among rows
     # p..n-1, summed, for j up to max_parallel (and n - p)
     top: list[list[list[int]]] = []
     if saturating and bounded:
         largest: list[list[int]] = [[] for _ in functions]  # ascending
-        top = [[zeros]]
-        for _, _, weighted_row, _ in reversed(rows):
+        top = [[[0] * len(functions)]]
+        for weighted_row in reversed(weighted_rows):
             for column, w in zip(largest, weighted_row):
                 insort(column, w)
                 if len(column) > max_parallel:
@@ -500,67 +526,78 @@ def _search(
         top.reverse()
 
     best_obj: int | None = None
-    best_sel: tuple[str, ...] | None = None
-    chosen: list[str] = []
-
-    def value(weighted: list[int], committed: int) -> int:
-        if saturating:
-            return sum(min(one, w) for w in weighted) + committed
-        return committed
-
-    def bound(p: int, weighted: list[int], committed: int, budget: int) -> int:
-        if not saturating:
-            return committed + gains[min(p + budget, positives)] - gains[min(p, positives)]
-        # j further picks cost j * penalty and add at most the top j
-        # scores of each function; the bracket is concave in j, so the
-        # first j that does not raise it ends the climb
-        tops = top[p]
-        best = sum(min(one, w) for w in weighted)
-        for j in range(1, min(budget, len(tops) - 1) + 1):
-            reach = sum(min(one, w + t) for w, t in zip(weighted, tops[j])) - j * penalty
-            if reach <= best:
-                break
-            best = reach
-        return committed + best
-
-    def node(p: int, raw: list[int], weighted: list[int], committed: int) -> None:
-        nonlocal best_obj, best_sel
-        if p == n or len(chosen) == max_parallel:
-            # the one completion left excludes every remaining candidate
-            if suffix_mandatory[p]:
-                return
-            for total, threshold in zip(raw, thresholds):
-                if total < threshold:
-                    return
-            obj = value(weighted, committed)
-            sel = tuple(sorted(chosen))
+    best = 0  # the incumbent's selection mask
+    stack = [(0, [thresholds[k] for k in checked], [one] * len(functions), 0, 0)]
+    while stack:
+        p, short, room, committed, chosen = stack.pop()
+        if any(map(gt, short, suffix_raw[p])):
+            continue  # a threshold is out of reach
+        budget = max_parallel - chosen.bit_count()
+        value = full - sum(room) + committed if saturating else committed
+        if bounded and best_obj is not None:
+            if saturating:
+                # j more picks cost j * penalty and add at most each
+                # function's top j scores, up to its room (see
+                # ``solve_saturating``)
+                tops = top[p]
+                j = min(budget, len(tops) - 1)
+                gain = sum(map(min, room, tops[j])) - j * penalty
+                while j:
+                    j -= 1
+                    lower = sum(map(min, room, tops[j])) - j * penalty
+                    if gain >= lower:
+                        break
+                    gain = lower
+                reach = value + gain
+            else:
+                reach = committed + gains[min(p + budget, positives)] - gains[min(p, positives)]
+            if reach < best_obj:
+                continue
+            if reach == best_obj and chosen:
+                # a tie wins only with a smaller id tuple; the smallest a
+                # completion can reach adds the budget smallest remaining
+                # ids below the selection's largest
+                below = remaining[p] & ((1 << (chosen.bit_length() - 1)) - 1)
+                if below.bit_count() > budget:
+                    least = 0
+                    for _ in range(budget):
+                        least |= below & -below
+                        below &= below - 1
+                    below = least
+                if not _precedes(chosen | below, best):
+                    continue
+        if budget > 1 and p < n:
+            # the include branch is pushed last, so it is searched first
+            if not candidates[p].mandatory:
+                stack.append((p + 1, short, room, committed, chosen))
+            stack.append((
+                p + 1,
+                list(map(sub, short, raw_rows[p])),
+                list(map(sub, room, map(min, room, weighted_rows[p]))) if saturating else room,
+                committed - penalty if saturating else committed + marginals[p],
+                chosen | bits[p],
+            ))
+            continue
+        # at most one pick left: the completions stop here or pick one
+        # remaining row, which must be the mandatory one if one is left
+        must = ahead[p]
+        if len(must) > 1:
+            continue
+        if not must and not any(map(gt, short, no_raw)):
             # the shared tie-break: on equal objective the smaller sorted id tuple wins
-            if best_obj is None or obj > best_obj or (obj == best_obj and sel < best_sel):
-                best_obj, best_sel = obj, sel
-            return
-        for total, rest, threshold in zip(raw, suffix_raw[p], thresholds):
-            if total + rest < threshold:
-                return
-        budget = max_parallel - len(chosen)
-        if bounded and best_obj is not None and bound(p, weighted, committed, budget) < best_obj:
-            return
-        c, raw_row, weighted_row, marginal = rows[p]
-        chosen.append(c.id)
-        node(
-            p + 1,
-            [a + u for a, u in zip(raw, raw_row)],
-            [a + w for a, w in zip(weighted, weighted_row)] if saturating else weighted,
-            committed - penalty if saturating else committed + marginal,
-        )
-        chosen.pop()
-        if not c.mandatory:
-            node(p + 1, raw, weighted, committed)
+            if best_obj is None or value > best_obj or (value == best_obj and _precedes(chosen, best)):
+                best_obj, best = value, chosen
+        for q in must or range(p, n):
+            if any(map(gt, short, raw_rows[q])):
+                continue
+            obj = (value - penalty + sum(map(min, room, weighted_rows[q])) if saturating
+                   else committed + marginals[q])
+            if best_obj is None or obj > best_obj or (obj == best_obj and _precedes(chosen | bits[q], best)):
+                best_obj, best = obj, chosen | bits[q]
 
-    node(0, zeros, zeros, 0)
-
-    if best_sel is None:
+    if best_obj is None:
         return Infeasible(_infeasibility_reasons(instance))
-    return _solution(instance, best_sel, kind)
+    return _solution(instance, tuple(cid for r, cid in enumerate(by_rank) if best >> r & 1), kind)
 
 
 def solve_exhaustive(
@@ -571,12 +608,12 @@ def solve_exhaustive(
 
     The walk skips subtrees that are infeasible for every completion (a
     mandatory currency excluded, or a threshold out of reach), and a
-    selection that has reached the cardinality bound goes straight to
-    its one completion, which excludes every remaining candidate. That
-    prunes no feasible subset, so the result is identical to full
-    enumeration plus filtering. The walk compares exact integers (see
-    the module docstring), and the reported objective and scores are
-    computed in exact decimals. Guarded to pools of at most 25.
+    node with at most one pick left scores each of its completions at
+    once (see the module docstring). That prunes no feasible subset, so
+    the result is identical to full enumeration plus filtering. The walk
+    compares exact integers (see the module docstring), and the reported
+    objective and scores are computed in exact decimals. Guarded to
+    pools of at most 25.
     """
     n = len(instance.currencies)
     if n > EXHAUSTIVE_POOL_LIMIT:
@@ -597,11 +634,13 @@ def solve_branch_and_bound(instance: MspInstance) -> MspSolution | Infeasible:
     allows (by that order, the largest left), admissible because
     marginal contributions are independent in the linear objective. A
     node is also cut when some function's threshold is unreachable even
-    by including every remaining candidate, and a node with no budget
-    left goes straight to its one completion, as in
-    ``solve_exhaustive``. Subtrees whose bound ties the incumbent are
-    still explored, so the tie-breaking rule sees every optimum. The
-    search compares exact integers; the reported numbers are decimals.
+    by including every remaining candidate, and a node with at most one
+    pick left is scored at once, as in ``solve_exhaustive``. A node
+    whose bound ties the incumbent is cut when its selection plus the
+    budget smallest remaining ids below its largest does not sort before
+    the incumbent: no completion reaches a smaller id tuple, so the
+    tie-breaking rule loses no optimum. The search compares exact
+    integers; the reported numbers are decimals.
     """
     return _search(instance, ObjectiveKind.LINEAR, bounded=True)
 
@@ -614,9 +653,9 @@ def solve_saturating(instance: MspInstance) -> MspSolution | Infeasible:
     maximizing sum(y_k) - penalty * selection size drives every y_k to
     the min of its two ceilings, so the linearized optimum equals the
     saturating one. The search is the same depth-first branch-and-bound
-    over the 0-1 currency variables, with the same cuts. Its bound at a
-    node with budget b left, committed weighted coverage c_k and
-    committed penalties P is
+    over the 0-1 currency variables, with the same cuts and tie cut. Its
+    bound at a node with budget b left, committed weighted coverage c_k
+    and committed penalties P is
 
         max over 0 <= j <= b of  sum_k min(1, c_k + top_k(j)) - j * penalty - P,
 
@@ -624,7 +663,9 @@ def solve_saturating(instance: MspInstance) -> MspSolution | Infeasible:
     among the unfixed candidates. It is admissible: j more currencies
     cost exactly j * penalty and add at most top_k(j) to each function.
     top_k is concave in j and min(1, .) keeps that, so the bracket is
-    concave, and its maximum is where it first stops rising.
+    concave: its maximum is at the largest j whose bracket is not below
+    j - 1's, found by walking down from b. A function already at 1 adds
+    exactly 1 whatever j is.
     """
     return _search(instance, ObjectiveKind.SATURATING, bounded=True)
 

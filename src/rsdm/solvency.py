@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import CONTEXT, DEFAULT_PRECISION, EXACT, as_decimal, bounded_decimal, read_csv_table
+from rsdm.numeric import (CONTEXT, DEFAULT_PRECISION, EXACT, as_decimal, bound_violation, bounded_decimal,
+                          read_csv_table)
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -98,6 +99,8 @@ class FeeSchedule:
             object.__setattr__(self, name, _nonneg(value, what))
         elif type(value) is not int:
             raise DomainError(f"deadline day must be an integer, got {type(value).__name__}")
+        elif abs(value) >= 10**DEFAULT_PRECISION:
+            raise DomainError(f"deadline day must have at most {DEFAULT_PRECISION} digits")
         object.__setattr__(self, "warehouse_rate", _nonneg(self.warehouse_rate, "warehouse rate"))
 
     @classmethod
@@ -220,14 +223,19 @@ def breakeven_horizon(flat_fee: Decimal | str | int, rate: Decimal | str | int) 
 def deadline_fee(
     purchase_day: int, deadline_day: int, rate: Decimal | str | int
 ) -> Decimal:
-    """Up-front fee prefunding storage from purchase to the token deadline."""
+    """Up-front fee prefunding storage from purchase to the token deadline;
+    DomainError if it breaks the width rule of ``bound_violation``, as
+    any other fee does."""
     alpha = _nonneg(rate, "warehouse rate")
     if deadline_day < purchase_day:
         raise DomainError(
             f"deadline day {deadline_day} precedes purchase day {purchase_day}"
         )
     with localcontext(CONTEXT):
-        return alpha * (deadline_day - purchase_day)
+        fee = alpha * (deadline_day - purchase_day)
+    if problem := bound_violation("per-token deadline fee", fee):
+        raise DomainError(problem)
+    return fee
 
 
 def mean_holding_fee(mean_days: Decimal | str | int, rate: Decimal | str | int) -> Decimal:

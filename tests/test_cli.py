@@ -171,6 +171,19 @@ class TestSolvencyCommands:
         assert err.startswith("error: ") and "exceeds the limit of 36525 days" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("rate, day, line", [
+        ("0.0001", "10000000000000000000000000000000000",
+         "error: deadline day must have at most 34 digits\n"),
+        ("1E+30", "100000000",
+         "error: per-token deadline fee must have at most 34 digits and an adjusted "
+         "exponent within ±34\n"),
+    ], ids=["day", "fee"])
+    def test_simulate_refuses_a_deadline_past_the_width_rule(self, rate, day, line, capsys):
+        # a deadline day of 10^4000 once printed about 4 KB per timeline line
+        code, out, err = run(capsys, "solvency", "simulate", "--records", "jiaozi_solvency.csv",
+                             "--rate", rate, "--horizon", "1500", "--deadline-day", day)
+        assert (code, out, err) == (1, "", line)
+
     def test_simulate_names_the_line_of_a_rejected_record(self, tmp_path, capsys):
         records = tmp_path / "records.csv"
         records.write_text("customer_id,token_count,purchase_day,redemption_day\n"

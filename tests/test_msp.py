@@ -1128,3 +1128,100 @@ class TestIntegerSearchMatchesTheDecimalSearch:
         assert msp.solve_branch_and_bound(inst).selection == ("a", "b", "c")
         assert msp.solve_saturating(inst).selection == ("a", "b", "c")
         assert_every_search_agrees(inst)
+
+
+@st.composite
+def grid_tie_instances(draw):
+    """Tie-heavy instances of up to 12 currencies: coverage, weights and
+    penalty on a 0.1 grid, candidates that copy another's coverage, every
+    threshold 0 and about one candidate in four mandatory, so many
+    selections share the optimum and the tie-break decides."""
+    n_functions = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    ids = [f"F{k}" for k in range(n_functions)]
+    tenths = st.integers(0, 10).map(lambda k: D(k).scaleb(-1))
+    coverages = []
+    for _ in range(n):
+        if coverages and draw(st.integers(0, 2)):
+            coverages.append(draw(st.sampled_from(coverages)))
+        else:
+            coverages.append({fid: draw(tenths) for fid in ids if draw(st.booleans())})
+    mandatory = [draw(st.integers(0, 3)) == 0 for _ in range(n)]
+    low = max(1, sum(mandatory))
+    return MspInstance(
+        functions=tuple(MonetaryFunction(fid, draw(st.sampled_from([D(1), D("0.5"), D("1.5")])))
+                        for fid in ids),
+        currencies=tuple(draw(st.permutations(
+            [CurrencyCandidate(f"C{i:02d}", CurrencyClass.OTHER, coverage, mandatory[i])
+             for i, coverage in enumerate(coverages)]))),
+        max_parallel=draw(st.integers(low, draw(st.sampled_from([max(low, 3), n + 2])))),
+        balance_penalty=draw(st.integers(0, 5).map(lambda k: D(k).scaleb(-1))),
+    )
+
+
+class TestTheStackSearch:
+    """The search is one loop over an explicit stack: it scores a node
+    with one pick left at once and cuts a tied node that cannot reach a
+    smaller id tuple than the incumbent's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=grid_tie_instances())
+    def test_tie_heavy_instances_match_the_reference_search(self, inst):
+        assert_every_search_agrees(inst)
+
+    @pytest.mark.parametrize("solve, selection", [
+        (msp.solve_branch_and_bound, tuple(f"C{i:04d}" for i in range(1100))),
+        (msp.solve_saturating, tuple(f"C{i:04d}" for i in range(1000))),
+    ], ids=["linear", "saturating"])
+    def test_a_pool_of_1100_raises_no_recursion_error(self, solve, selection):
+        # the recursive search this loop replaced raised RecursionError here
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1"),),
+            currencies=tuple(currency(f"C{i:04d}", {"k1": "0.001"}) for i in range(1100)),
+            max_parallel=1100,
+        )
+        result = solve(inst)
+        assert result.selection == selection
+        assert result.objective == (D("1.100") if solve is msp.solve_branch_and_bound else 1)
+
+    # Each instance reaches a node with one pick left (B included) while
+    # the rows after it hold no, one or two mandatory candidates, in
+    # instance order and in net-marginal order alike.
+    @pytest.mark.parametrize("mandatory, selection", [
+        ((), ("A", "B")),
+        (("M1",), ("B", "M1")),
+        (("M1", "M2"), ("M1", "M2")),
+    ], ids=["none-left", "one-left", "two-left"])
+    def test_the_last_pick_obeys_the_mandatory_rule(self, mandatory, selection):
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1"), MonetaryFunction("k2")),
+            currencies=(currency("B", {"k1": "0.9", "k2": "0.4"}),
+                        currency("A", {"k1": "0.5", "k2": "0.5"}),
+                        currency("M1", {"k1": "0.3"}, mandatory="M1" in mandatory),
+                        currency("M2", {"k2": "0.2"}, mandatory="M2" in mandatory)),
+            max_parallel=2,
+            balance_penalty=D("0.1"),
+        )
+        for solve, _, _ in SEARCHES:
+            assert solve(inst).selection == selection
+        assert_every_search_agrees(inst)
+
+    @pytest.mark.parametrize("coverages, selection", [
+        # Z alone saturates the function, so the search finds (A, Z)
+        # first; the tied subtree that excludes Z holds (A, B)
+        ({"B": {"k1": "0.5"}, "Z": {"k1": "1"}, "A": {"k1": "0.5"}}, ("A", "B")),
+        # Z, then Y, lead in marginal order, so the search finds (A, Z)
+        # first; the tied node that holds Y alone does not sort before
+        # it, but adding A from below Y does
+        ({"Z": {"k1": "1", "k2": "0.5"}, "Y": {"k1": "1", "k2": "0.4"}, "A": {"k2": "0.6"}},
+         ("A", "Y")),
+    ], ids=["empty-selection", "lower-id-ahead"])
+    def test_a_tied_subtree_holding_a_smaller_tuple_is_searched(self, coverages, selection):
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1"), MonetaryFunction("k2")),
+            currencies=tuple(currency(cid, coverage) for cid, coverage in coverages.items()),
+            max_parallel=2,
+        )
+        assert msp.solve_saturating(inst).selection == selection
+        assert msp.solve_exhaustive(inst, ObjectiveKind.SATURATING).selection == selection
+        assert_every_search_agrees(inst)

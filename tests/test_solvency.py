@@ -281,6 +281,32 @@ class TestFeeSchedule:
         with pytest.raises(DomainError, match="deadline day must be an integer"):
             FeeSchedule.deadline_based(day, Decimal("0.01"))
 
+    def test_deadline_day_stops_below_ten_to_the_34(self):
+        # a deadline of 10^4000 once printed about 4 KB per timeline line
+        for day in (10**34 - 1, -(10**34 - 1)):
+            assert FeeSchedule.deadline_based(day, Decimal("0")).deadline_day == day
+        for day in (10**34, 10**4000, -(10**34)):
+            with pytest.raises(DomainError) as err:
+                FeeSchedule.deadline_based(day, Decimal("0.01"))
+            assert str(err.value) == "deadline day must have at most 34 digits"
+
+    @pytest.mark.parametrize("deadline, rate", [(10**34 - 1, "100"), (10**6, "1E+30")],
+                             ids=["wide-day", "wide-rate"])
+    def test_a_deadline_fee_past_the_width_rule_is_refused(self, deadline, rate):
+        rec = RedemptionRecord("k", 1, 0, None)
+        schedule = FeeSchedule.deadline_based(deadline, rate)
+        for compute in (lambda: schedule.fee_for(rec),
+                        lambda: solvency.simulate_issuer([rec], schedule, 10)):
+            with pytest.raises(DomainError) as err:
+                compute()
+            assert str(err.value) == ("per-token deadline fee must have at most 34 digits and "
+                                      "an adjusted exponent within ±34")
+
+    def test_the_widest_deadline_fee_is_charged(self):
+        rec = RedemptionRecord("k", 1, 0, None)
+        assert FeeSchedule.deadline_based(10**4, "1E+30").fee_for(rec) == Decimal("1E+34")
+        assert FeeSchedule.deadline_based(10**31, "0.001").fee_for(rec) == Decimal("1E+28")
+
     def test_field_of_another_kind_rejected(self):
         with pytest.raises(DomainError, match="and no other fee field"):
             FeeSchedule(FeeKind.FLAT, Decimal("0.01"), flat_fee_per_token=Decimal("1"), deadline_day=5)
