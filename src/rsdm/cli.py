@@ -153,7 +153,7 @@ def _adhoc_spec(args) -> decay.RsdmSpec:
         initial_weight=numeric.as_decimal(args.w),
         daily_decay_factor=numeric.as_decimal(args.theta),
         expiry_days=expiry,
-        redemption_fee_rate=numeric.as_decimal(getattr(args, "fee_rate", "0") or "0"),
+        redemption_fee_rate=numeric.as_decimal(args.fee_rate),
     )
 
 
@@ -168,6 +168,8 @@ def cmd_decay_redeem_quote(args) -> int:
     from rsdm import decay
     if args.count < 1:
         raise DomainError(f"token count must be positive, got {args.count}")
+    if args.count >= 10**numeric.DEFAULT_PRECISION:
+        raise DomainError(f"token count must have at most {numeric.DEFAULT_PRECISION} digits")
     quote = decay.redemption_quote(_adhoc_spec(args), args.days)
     count = Decimal(args.count)
     doc = {
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     residual.add_argument("--w", required=True, help="initial weight in grams")
     residual.add_argument("--days", type=int, required=True)
     residual.add_argument("--expiry-days", type=int, default=None)
-    residual.set_defaults(handler=cmd_decay_residual)
+    residual.set_defaults(handler=cmd_decay_residual, fee_rate="0")
 
     quote = decay_sub.add_parser("redeem-quote", help="payout/fee split at redemption")
     quote.add_argument("--theta", required=True)

@@ -38,6 +38,11 @@ DAYS_PER_YEAR = 365
 #: Default minimum redeemable collateral: one kilogram.
 DEFAULT_MIN_REDEMPTION_GRAMS = Decimal(1000)
 
+#: Longest expiry a spec may set, in days: the century
+#: ``solvency.MAX_SIMULATED_DAYS`` replays. At the cap the exact power
+#: of a 34-digit decay factor has about 1.24 million digits.
+MAX_EXPIRY_DAYS = 36_525
+
 
 def epoch_day(d: date) -> int:
     """Whole UTC days since 1970-01-01."""
@@ -96,6 +101,8 @@ class RsdmSpec:
             violations.append(f"expiry days must be an integer, got {type(self.expiry_days).__name__}")
         elif self.expiry_days <= 0:
             violations.append("expiry must be a positive number of days")
+        elif self.expiry_days > MAX_EXPIRY_DAYS:
+            violations.append(f"expiry must be at most {MAX_EXPIRY_DAYS} days")
         if type(self.issue_size) is not int:
             violations.append(f"issue size must be an integer, got {type(self.issue_size).__name__}")
         elif self.issue_size < 0:

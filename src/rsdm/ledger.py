@@ -628,8 +628,14 @@ def events_from_jsonl(text: str) -> list[LedgerEvent]:
 
 
 def read_event_log(path) -> list[LedgerEvent]:
-    with open(path, encoding="utf-8") as fh:
-        return events_from_jsonl(fh.read())
+    """The events of the JSONL log at *path*; a log that is not UTF-8
+    raises DomainError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+    return events_from_jsonl(text)
 
 
 def append_event_line(path, event: LedgerEvent) -> None:

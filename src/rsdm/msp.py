@@ -26,15 +26,17 @@ a numerator over a common denominator.
 
 One include-first depth-first search, a loop over an explicit stack,
 sits behind the three solvers: ``solve_exhaustive`` is its unbounded
-walk in instance order, the subset-enumeration oracle, while
-``solve_branch_and_bound`` (linear) and ``solve_saturating`` also cut on
-an objective bound. A node with at most one pick left scores its
-completions at once: stopping there, or picking one remaining candidate,
-which must be the mandatory one if one remains (two remaining kill the
-node). Among equal-objective optima the lexicographically smallest
-sorted id tuple wins, so results are schedule-independent; the bounded
-solvers drop a node whose bound ties the incumbent once no completion
-can reach a smaller id tuple.
+walk, the subset-enumeration oracle, while ``solve_branch_and_bound``
+(linear) and ``solve_saturating`` also cut on an objective bound. Every
+walk takes the mandatory candidates first and only includes them, so
+they are decided on the one chain from the root, before any incumbent
+exists: no bound, tie cut or last-pick scoring ever sees one. A node
+with at most one pick left then scores its completions at once:
+stopping there, or picking one remaining candidate. Among
+equal-objective optima the lexicographically smallest sorted id tuple
+wins, so results are schedule-independent; the bounded solvers drop a
+node whose bound ties the incumbent once no completion can reach a
+smaller id tuple.
 
 An instance checks, once, when it is built, the invariants the cuts and
 sums rely on (nonnegative weights and penalty, coverage in [0, 1], a
@@ -390,11 +392,10 @@ def coverage_report(instance: MspInstance, selection: Iterable[str]) -> Coverage
 
 def _infeasibility_reasons(instance: MspInstance) -> tuple[str, ...]:
     reasons = []
+    pool = _Tally(instance, instance.currencies)
     with localcontext(EXACT):
-        for f in instance.functions:
-            scores = sorted((c.score(f.id) for c in instance.currencies), reverse=True)
-            total = sum(scores, _ZERO)
-            top = sum(scores[: instance.max_parallel], _ZERO)
+        for f, column, total in zip(instance.functions, pool.columns, pool.raw()):
+            top = sum(sorted(column, reverse=True)[: instance.max_parallel], _ZERO)
             if total < f.threshold:
                 reasons.append(
                     f"threshold {f.id}: {f.threshold} unreachable even selecting "
@@ -483,31 +484,28 @@ def _search(
         raw_row = _over(ratios, raw_den)
         weighted_row = [w * u for w, u in zip(weights, raw_row)]
         rows.append((c, [raw_row[k] for k in checked], weighted_row, sum(weighted_row) - penalty))
-    if bounded:
-        # equal marginals in id order: the first optimum found among ties
-        # then holds small ids, so the tie cut below fires sooner
-        rows.sort(key=lambda r: (-r[3], r[0].id))
+    # mandatory rows first, then equal marginals in id order when bounded:
+    # the first optimum found among ties then holds small ids, so the tie
+    # cut below fires sooner
+    rows.sort(key=lambda r: (not r[0].mandatory, -r[3], r[0].id) if bounded
+              else not r[0].mandatory)
     n = len(rows)
     candidates, raw_rows, weighted_rows, marginals = zip(*rows)
     bits = [1 << ranks[c.id] for c in candidates]
-    # sorted rows put the positive net marginals first, so a linear
-    # bound's best picks from row p on are the positive ones among rows
-    # p..p + budget - 1; gains[i] sums the first i positive ones
-    gains = list(accumulate((m for m in marginals if m > 0), initial=0))
-    positives = len(gains) - 1
+    # past the mandatory rows, sorted rows put the positive net marginals
+    # first, so a linear bound's best picks from row p on are the positive
+    # ones among rows p..p + budget - 1; gains[i] sums those of rows 0..i-1
+    gains = list(accumulate((max(m, 0) for m in marginals), initial=0))
 
     # over rows p..n-1: suffix_raw[p] sums the checked raw scores,
-    # ahead[p] holds the first two mandatory rows, remaining[p] the ids
+    # remaining[p] holds the ids
     no_raw = [0] * len(checked)
     suffix_raw = [no_raw]
-    ahead: list[tuple[int, ...]] = [()]
     remaining = [0]
     for p in reversed(range(n)):
         suffix_raw.append(list(map(add, suffix_raw[-1], raw_rows[p])))
-        ahead.append(((p,) + ahead[-1])[:2] if candidates[p].mandatory else ahead[-1])
         remaining.append(remaining[-1] | bits[p])
     suffix_raw.reverse()
-    ahead.reverse()
     remaining.reverse()
 
     # top[p][j][f]: the j largest weighted scores of function f among rows
@@ -550,7 +548,7 @@ def _search(
                     gain = lower
                 reach = value + gain
             else:
-                reach = committed + gains[min(p + budget, positives)] - gains[min(p, positives)]
+                reach = committed + gains[min(p + budget, n)] - gains[p]
             if reach < best_obj:
                 continue
             if reach == best_obj and chosen:
@@ -566,8 +564,10 @@ def _search(
                     below = least
                 if not _precedes(chosen | below, best):
                     continue
-        if budget > 1 and p < n:
-            # the include branch is pushed last, so it is searched first
+        if p < n and (budget > 1 or candidates[p].mandatory):
+            # the include branch is pushed last, so it is searched first; a
+            # mandatory row has no other, so the rows ahead of the first
+            # optional one are decided before any incumbent exists
             if not candidates[p].mandatory:
                 stack.append((p + 1, short, room, committed, chosen))
             stack.append((
@@ -578,16 +578,13 @@ def _search(
                 chosen | bits[p],
             ))
             continue
-        # at most one pick left: the completions stop here or pick one
-        # remaining row, which must be the mandatory one if one is left
-        must = ahead[p]
-        if len(must) > 1:
-            continue
-        if not must and not any(map(gt, short, no_raw)):
+        # at most one pick left and no mandatory row: the completions stop
+        # here or pick one remaining row
+        if not any(map(gt, short, no_raw)):
             # the shared tie-break: on equal objective the smaller sorted id tuple wins
             if best_obj is None or value > best_obj or (value == best_obj and _precedes(chosen, best)):
                 best_obj, best = value, chosen
-        for q in must or range(p, n):
+        for q in range(p, n) if budget else ():
             if any(map(gt, short, raw_rows[q])):
                 continue
             obj = (value - penalty + sum(map(min, room, weighted_rows[q])) if saturating
@@ -606,14 +603,15 @@ def solve_exhaustive(
     """Subset-enumeration oracle: walk every subset, keep the feasible
     ones, return the best under the shared tie-breaking rule.
 
-    The walk skips subtrees that are infeasible for every completion (a
-    mandatory currency excluded, or a threshold out of reach), and a
-    node with at most one pick left scores each of its completions at
-    once (see the module docstring). That prunes no feasible subset, so
-    the result is identical to full enumeration plus filtering. The walk
-    compares exact integers (see the module docstring), and the reported
-    objective and scores are computed in exact decimals. Guarded to
-    pools of at most 25.
+    The walk takes the mandatory candidates first, then the others in
+    instance order. It never excludes a mandatory candidate, skips
+    subtrees in which a threshold is out of reach, and scores each
+    completion of a node with at most one pick left at once (see the
+    module docstring). That prunes no feasible subset, so the result is
+    identical to full enumeration plus filtering. The walk compares exact
+    integers (see the module docstring), and the reported objective and
+    scores are computed in exact decimals. Guarded to pools of at most
+    25.
     """
     n = len(instance.currencies)
     if n > EXHAUSTIVE_POOL_LIMIT:
@@ -627,18 +625,20 @@ def solve_exhaustive(
 def solve_branch_and_bound(instance: MspInstance) -> MspSolution | Infeasible:
     """Exact depth-first branch-and-bound for the linear objective.
 
-    Nodes fix currencies one at a time (include branch first, candidates
-    ordered by descending net marginal). The upper bound at a node is
-    the committed objective plus the positive net marginals of the next
-    unfixed currencies, as many as the remaining cardinality budget
-    allows (by that order, the largest left), admissible because
-    marginal contributions are independent in the linear objective. A
-    node is also cut when some function's threshold is unreachable even
-    by including every remaining candidate, and a node with at most one
-    pick left is scored at once, as in ``solve_exhaustive``. A node
-    whose bound ties the incumbent is cut when its selection plus the
-    budget smallest remaining ids below its largest does not sort before
-    the incumbent: no completion reaches a smaller id tuple, so the
+    Nodes fix currencies one at a time (include branch first, mandatory
+    candidates first, then the others by descending net marginal). The
+    mandatory ones are decided before any incumbent exists (see the
+    module docstring). The upper bound at a node is the committed
+    objective plus the positive net marginals of the next unfixed
+    currencies, as many as the remaining cardinality budget allows (by
+    that order, the largest left), admissible because marginal
+    contributions are independent in the linear objective. A node is
+    also cut when some function's threshold is unreachable even by
+    including every remaining candidate, and a node with at most one
+    pick left is scored at once, as in ``solve_exhaustive``. A node whose
+    bound ties the incumbent is cut when its selection plus the budget
+    smallest remaining ids below its largest does not sort before the
+    incumbent: no completion reaches a smaller id tuple, so the
     tie-breaking rule loses no optimum. The search compares exact
     integers; the reported numbers are decimals.
     """
@@ -770,10 +770,6 @@ def instance_from_json_dict(data: object) -> MspInstance:
                 )
             )
 
-    max_parallel = data["max_parallel"]
-    if not isinstance(max_parallel, int) or isinstance(max_parallel, bool):
-        problems.append("/max_parallel: expected an integer")
-        max_parallel = 1
     balance_penalty = dec(data.get("balance_penalty", "0"), "/balance_penalty")
 
     if problems:
@@ -781,7 +777,7 @@ def instance_from_json_dict(data: object) -> MspInstance:
     return MspInstance(
         functions=tuple(functions),
         currencies=tuple(currencies),
-        max_parallel=max_parallel,
+        max_parallel=data["max_parallel"],
         balance_penalty=balance_penalty,
     )
 

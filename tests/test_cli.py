@@ -69,6 +69,30 @@ class TestDecayCommands:
         assert (code, out) == (1, "")
         assert err == f"error: token count must be positive, got {count}\n"
 
+    def test_redeem_quote_count_obeys_the_ledger_count_rule(self, capsys):
+        args = ["decay", "redeem-quote", "--theta", "0.99996", "--w", "1", "--days", "1",
+                "--fee-rate", "0.003", "--count"]
+        code, out, err = run(capsys, *args, "1" + "0" * 34)
+        assert (code, out) == (1, "")
+        assert err == "error: token count must have at most 34 digits\n"
+        code, out, _ = run(capsys, *args, "9" * 34)
+        assert code == 0
+        # 0.99696012 g a token, times 10^34 - 1 tokens
+        assert out.startswith("payout_g: 9969601199999999999999999999999999.003039880\n")
+
+    def test_an_empty_fee_rate_is_malformed(self, capsys):
+        code, out, err = run(capsys, "decay", "redeem-quote", "--theta", "0.99996",
+                             "--w", "1", "--days", "1", "--fee-rate", "")
+        assert (code, out) == (1, "")
+        assert err == "error: not a decimal number: ''\n"
+
+    def test_a_horizon_past_a_century_is_refused(self, capsys):
+        # unrefused, this exact power took seconds and hundreds of MiB
+        code, out, err = run(capsys, "decay", "residual", "--theta", "0.99996",
+                             "--w", "1", "--days", "16000000")
+        assert (code, out) == (1, "")
+        assert err == "error: invalid spec: expiry must be at most 36525 days\n"
+
     @pytest.mark.parametrize("flag, what", [("--daily", "daily factor"),
                                             ("--annual", "annual rate")])
     def test_convert_rate_rejects_wide_input(self, flag, what, capsys):

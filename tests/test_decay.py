@@ -288,6 +288,21 @@ class TestValidateSpec:
         assert str(err.value) == ("invalid spec: fee rate must be in [0, 1); expiry days must be "
                                   "an integer, got str; issue size must be nonnegative")
 
+    def test_expiry_past_a_century_is_refused(self):
+        with pytest.raises(DomainError) as err:
+            replace(GOLD, expiry_days=decay.MAX_EXPIRY_DAYS + 1)
+        assert str(err.value) == "invalid spec: expiry must be at most 36525 days"
+
+    def test_the_widest_expiry_is_accepted_and_decays(self):
+        theta = Decimal("0." + "9" * 33 + "7")
+        spec = replace(GOLD, initial_weight=Decimal(1), daily_decay_factor=theta,
+                       expiry_days=36_525)
+        with localcontext(Context(prec=10**7)):
+            expected = theta ** 36_525
+        assert decay.residual_weight(spec, 36_525) == expected
+        with pytest.raises(ExpiredSeries):
+            decay.residual_weight(spec, 36_526)
+
     def test_decimal_at_working_precision_accepted(self):
         spec = replace(GOLD, initial_weight=Decimal("1" * 34),
                        daily_decay_factor=Decimal("0." + "9" * 33),

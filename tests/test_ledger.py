@@ -582,6 +582,12 @@ class TestReplayAndPersistence:
         assert back.balances == {k: v for k, v in state.balances.items()}
         assert back.last_sequence == state.last_sequence
 
+    def test_a_log_that_is_not_utf8_names_its_path(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b'{"kind": "issue"\xff}\n')
+        with pytest.raises(DomainError, match=f"^{path} is not UTF-8 text: "):
+            ledger.read_event_log(path)
+
     def test_replay_idempotent(self):
         _, events = self._sample_log()
         once = ledger.replay(events)

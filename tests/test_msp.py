@@ -1225,3 +1225,49 @@ class TestTheStackSearch:
         assert msp.solve_saturating(inst).selection == selection
         assert msp.solve_exhaustive(inst, ObjectiveKind.SATURATING).selection == selection
         assert_every_search_agrees(inst)
+
+
+class TestMandatoryRowsFirst:
+    """Every walk decides the mandatory candidates first, on one chain of
+    include-only nodes, so they are all in before any incumbent exists."""
+
+    @pytest.mark.parametrize("max_parallel, selection", [
+        (2, ("Z1", "Z2")),
+        (3, ("A", "Z1", "Z2")),
+    ], ids=["budget-filled", "one-pick-left"])
+    def test_mandatory_rows_with_the_worst_marginals_and_the_last_ids(self, max_parallel, selection):
+        # the mandatory rows sort last by marginal and by id, and at
+        # max_parallel 2 they leave no budget for a pick
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1"), MonetaryFunction("k2")),
+            currencies=(currency("A", {"k1": "0.9", "k2": "0.8"}),
+                        currency("B", {"k1": "0.7", "k2": "0.6"}),
+                        currency("Z1", {"k1": "0.1"}, mandatory=True),
+                        currency("Z2", {}, mandatory=True)),
+            max_parallel=max_parallel,
+            balance_penalty=D("0.2"),
+        )
+        for solve, _, _ in SEARCHES:
+            assert solve(inst).selection == selection
+        assert_every_search_agrees(inst)
+
+    def test_mandatory_rows_alone_out_of_reach_of_a_threshold(self):
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1", threshold=D("0.5")),),
+            currencies=(currency("A", {"k1": "0.9"}),
+                        currency("M", {"k1": "0.1"}, mandatory=True)),
+            max_parallel=1,
+        )
+        for solve, _, _ in SEARCHES:
+            assert isinstance(solve(inst), Infeasible)
+        assert_every_search_agrees(inst)
+
+
+class TestMaxParallelIsAnInvariant:
+    def test_a_non_integer_max_parallel_is_listed_with_the_other_violations(self):
+        doc = instance_doc(max_parallel="2",
+                           currencies=[currency_doc(coverage={"k1": "1.5"})])
+        with pytest.raises(SchemaError) as err:
+            msp.instance_from_json_dict(doc)
+        assert err.value.problems == ["/max_parallel: expected an integer",
+                                      "/currencies/0/coverage/k1: coverage must lie in [0, 1]"]
