@@ -168,8 +168,8 @@ def cmd_decay_redeem_quote(args) -> int:
     from rsdm import decay
     if args.count < 1:
         raise DomainError(f"token count must be positive, got {args.count}")
-    if args.count >= 10**numeric.DEFAULT_PRECISION:
-        raise DomainError(f"token count must have at most {numeric.DEFAULT_PRECISION} digits")
+    if args.count >= numeric.COUNT_LIMIT:
+        raise DomainError(numeric.count_too_wide("token count"))
     quote = decay.redemption_quote(_adhoc_spec(args), args.days)
     count = Decimal(args.count)
     doc = {

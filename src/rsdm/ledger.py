@@ -57,16 +57,11 @@ from rsdm.errors import (
     UnknownSeries,
 )
 from rsdm.numeric import (
-    DEFAULT_PRECISION, SETTLEMENT_DECIMALS, as_decimal, bounded_decimal, exact_add,
-    exact_mul, exact_sub, pow_bounds, read_csv_table, settle,
+    COUNT_LIMIT, DEFAULT_PRECISION, SETTLEMENT_DECIMALS, as_decimal, bounded_decimal, count_too_wide,
+    exact_add, exact_mul, exact_sub, pow_bounds, read_csv_table, settle,
 )
 
 _ZERO = Decimal(0)
-
-#: Token counts, and the tokens issued of a series, stop below 10^34,
-#: the width rule's digit count, so the exact amounts an event writes
-#: stay short.
-_COUNT_LIMIT = 10**DEFAULT_PRECISION
 
 #: Digits a redeem's bounds on the decay factor's power carry past the
 #: payout's integer and grid digits. The bounds' relative width is about
@@ -309,8 +304,8 @@ def _effects(state, event: LedgerEvent):
         raise LedgerError(f"token count must be an integer, got {type(count).__name__}")
     if count <= 0:
         raise LedgerError(f"token count must be positive, got {count}")
-    if count >= _COUNT_LIMIT:
-        raise LedgerError(f"token count must have at most {DEFAULT_PRECISION} digits")
+    if count >= COUNT_LIMIT:
+        raise LedgerError(count_too_wide("token count"))
     sid = event.series_id
     key = (event.party, sid)
 
@@ -331,7 +326,7 @@ def _effects(state, event: LedgerEvent):
                 f"issuing {count} tokens would exceed the declared "
                 f"issue size {spec.issue_size} of {sid!r}"
             )
-        if total_issued >= _COUNT_LIMIT:
+        if total_issued >= COUNT_LIMIT:
             raise LedgerError(f"issuing {count} tokens would take the tokens issued of {sid!r} "
                               f"past {DEFAULT_PRECISION} digits")
         series["vault"] = exact_add(
@@ -720,8 +715,8 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
             raise DomainError(f"{field} entry {min(stray)!r} names a series missing from \"series\"")
     for sid, spec in state.specs.items():
         issued = state.issued_tokens.get(sid, 0)
-        if issued >= _COUNT_LIMIT:
-            raise DomainError(f"issued_tokens {sid!r} must have at most {DEFAULT_PRECISION} digits")
+        if issued >= COUNT_LIMIT:
+            raise DomainError(count_too_wide(f"issued_tokens {sid!r}"))
         redeemed = issued - held.get(sid, 0)
         if redeemed < 0:
             raise DomainError(

@@ -55,7 +55,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from itertools import accumulate
 from math import lcm
-from operator import add, gt, sub
+from operator import add, gt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
@@ -458,13 +458,17 @@ def _search(
     functions = instance.functions
     max_parallel = instance.max_parallel
 
-    raw_ratios = [[c.score(f.id).as_integer_ratio() for f in functions]
-                  for c in instance.currencies]
+    fids = [f.id for f in functions]
+    score_rows = [list(map(c.score, fids)) for c in instance.currencies]
+    # each distinct score converts once, however many rows hold it and
+    # however it is spelt (0.5 and 0.50 are one key)
+    score_ratios = {s: s.as_integer_ratio() for s in set().union(*score_rows)}
     threshold_ratios = [f.threshold.as_integer_ratio() for f in functions]
     weight_ratios = [f.weight.as_integer_ratio() for f in functions]
     penalty_num, penalty_den = instance.balance_penalty.as_integer_ratio()
-    raw_den = lcm(*{den for row in raw_ratios for _, den in row},
+    raw_den = lcm(*{den for _, den in score_ratios.values()},
                   *{den for _, den in threshold_ratios})
+    numerators = {s: num * (raw_den // den) for s, (num, den) in score_ratios.items()}
     weight_den = lcm(*{den for _, den in weight_ratios})
     one = lcm(raw_den * weight_den, penalty_den)
     penalty = penalty_num * (one // penalty_den)
@@ -480,9 +484,9 @@ def _search(
     # (candidate, raw scores of the checked functions, weighted scores
     # index-aligned with ``functions``, net marginal)
     rows = []
-    for c, ratios in zip(instance.currencies, raw_ratios):
-        raw_row = _over(ratios, raw_den)
-        weighted_row = [w * u for w, u in zip(weights, raw_row)]
+    for c, score_row in zip(instance.currencies, score_rows):
+        raw_row = list(map(numerators.__getitem__, score_row))
+        weighted_row = list(map(mul, weights, raw_row))
         rows.append((c, [raw_row[k] for k in checked], weighted_row, sum(weighted_row) - penalty))
     # mandatory rows first, then equal marginals in id order when bounded:
     # the first optimum found among ties then holds small ids, so the tie

@@ -93,6 +93,18 @@ def bound_violation(name: str, value: Decimal) -> str | None:
     return None
 
 
+#: Token counts, and the tokens issued of a series, stop below 10^34,
+#: the width rule's digit count, so the exact amounts they scale stay
+#: short. Callers compare against it and raise ``count_too_wide``'s
+#: message in their own error class.
+COUNT_LIMIT = 10**DEFAULT_PRECISION
+
+
+def count_too_wide(name: str) -> str:
+    """The complaint against an integer *name* of ``COUNT_LIMIT`` or more."""
+    return f"{name} must have at most {DEFAULT_PRECISION} digits"
+
+
 def bounded_decimal(name: str, value: str | int | Decimal) -> Decimal:
     """*value* read by ``as_decimal``; DomainError if it breaks the width rule."""
     result = as_decimal(value)

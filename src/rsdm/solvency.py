@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import (CONTEXT, DEFAULT_PRECISION, EXACT, as_decimal, bound_violation, bounded_decimal,
-                          read_csv_table)
+from rsdm.numeric import (CONTEXT, COUNT_LIMIT, EXACT, as_decimal, bound_violation, bounded_decimal,
+                          count_too_wide, read_csv_table)
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -47,8 +47,8 @@ class RedemptionRecord:
                 raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
         if self.token_count <= 0:
             raise DomainError(f"token count must be positive, got {self.token_count}")
-        if self.token_count >= 10**DEFAULT_PRECISION:
-            raise DomainError(f"token count must have at most {DEFAULT_PRECISION} digits")
+        if self.token_count >= COUNT_LIMIT:
+            raise DomainError(count_too_wide("token count"))
         if self.redemption_day is not None and self.redemption_day < self.purchase_day:
             raise DomainError(
                 f"redemption day {self.redemption_day} precedes purchase day "
@@ -99,8 +99,8 @@ class FeeSchedule:
             object.__setattr__(self, name, _nonneg(value, what))
         elif type(value) is not int:
             raise DomainError(f"deadline day must be an integer, got {type(value).__name__}")
-        elif abs(value) >= 10**DEFAULT_PRECISION:
-            raise DomainError(f"deadline day must have at most {DEFAULT_PRECISION} digits")
+        elif abs(value) >= COUNT_LIMIT:
+            raise DomainError(count_too_wide("deadline day"))
         object.__setattr__(self, "warehouse_rate", _nonneg(self.warehouse_rate, "warehouse rate"))
 
     @classmethod
@@ -258,8 +258,10 @@ def case3_insolvent(book: IssuerBook) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimelinePoint:
+class TimelinePoint(NamedTuple):
+    """One day of ``simulate_issuer``: an immutable named tuple, the one
+    object the replay builds per day."""
+
     day: int
     cum_profit: Decimal
     cum_cost: Decimal
@@ -312,7 +314,9 @@ def simulate_issuer(
     income: list[Decimal | None] = [None] * (horizon_day - start + 1)  # exact; None: no purchase
     step = [0] * (horizon_day - start + 2)  # tokens starting (+) and ending (-) storage
     points = []
-    profit = reported = Decimal(0)
+    append = points.append
+    rate = schedule.warehouse_rate
+    zero = profit = reported = Decimal(0)
     active = token_days = 0
     for r in ordered:
         offset = r.purchase_day - start
@@ -328,8 +332,8 @@ def simulate_issuer(
                 reported = +profit
             active += delta
             token_days += active
-            cost = Decimal(0) + schedule.warehouse_rate * token_days  # as in warehouse_cost
-            points.append(TimelinePoint(day, reported, cost, reported < cost))
+            cost = zero + rate * token_days  # as in warehouse_cost
+            append(TimelinePoint(day, reported, cost, reported < cost))
     first_bankrupt = next((p.day for p in points if p.bankrupt), None)
     return SolvencyTimeline(points=tuple(points), first_bankrupt_day=first_bankrupt)
 

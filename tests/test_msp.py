@@ -1263,6 +1263,28 @@ class TestMandatoryRowsFirst:
         assert_every_search_agrees(inst)
 
 
+class TestEqualScoresSpeltApart:
+    """The search converts each distinct score once, keyed by value, so
+    equal scores spelt differently share one conversion; every document
+    still matches the decimal reference, which keeps each spelling."""
+
+    @pytest.mark.parametrize("max_parallel, penalty", [(1, "0"), (2, "0.1"), (3, "0.50"), (4, "5E-1")])
+    def test_every_solver_under_both_objectives(self, max_parallel, penalty):
+        inst = MspInstance(
+            functions=(MonetaryFunction("k1", D("1"), D("0.50")),
+                       MonetaryFunction("k2", D("1.0"), D("5E-1")),
+                       MonetaryFunction("k3", D("2"), D("0"))),
+            currencies=(currency("A", {"k1": "0.5", "k2": "0.50", "k3": "0.00"}),
+                        currency("B", {"k1": "0.50", "k2": "5E-1"}),
+                        currency("C", {"k1": "5E-1", "k2": "0.5", "k3": "0E-3"}),
+                        currency("D", {"k2": "0.500", "k3": "0.25"}),
+                        currency("E", {"k1": "50E-2", "k3": "2.5E-1"})),
+            max_parallel=max_parallel,
+            balance_penalty=D(penalty),
+        )
+        assert_every_search_agrees(inst)
+
+
 class TestMaxParallelIsAnInvariant:
     def test_a_non_integer_max_parallel_is_listed_with_the_other_violations(self):
         doc = instance_doc(max_parallel="2",

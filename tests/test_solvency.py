@@ -254,6 +254,16 @@ class TestSimulateIssuer:
             solvency.simulate_issuer(recs, schedule, 100 + solvency.MAX_SIMULATED_DAYS)
 
 
+    def test_a_point_is_immutable_and_hashable(self):
+        recs = [RedemptionRecord("k", 1, 0, 2)]
+        schedule = FeeSchedule.flat(Decimal("1"), Decimal("0.1"))
+        point = solvency.simulate_issuer(recs, schedule, 2).points[1]
+        with pytest.raises(AttributeError):
+            point.bankrupt = True
+        assert point == TimelinePoint(1, Decimal("1"), Decimal("0.1"), False)
+        assert {point: "day 1"}[TimelinePoint(1, Decimal("1"), Decimal("0.1"), False)] == "day 1"
+
+
 class TestFeeSchedule:
     def test_flat_requires_nonnegative(self):
         with pytest.raises(DomainError):
@@ -552,6 +562,24 @@ class TestSweepMatchesReference:
         expected = _outcome(reference_simulate_issuer, records, schedule, 20)
         assert expected == ["error: deadline day 5 precedes purchase day 7"]
         assert _outcome(solvency.simulate_issuer, records, schedule, 20) == expected
+
+    @pytest.mark.parametrize("schedule", _schedules(Decimal("0.0001"), Decimal("0.03"), 40_000,
+                                                     Decimal("365")),
+                             ids=["flat", "deadline", "mean-holding"])
+    def test_the_widest_horizon(self, schedule):
+        # first purchase to horizon spans exactly MAX_SIMULATED_DAYS days
+        start = -7
+        horizon = start + solvency.MAX_SIMULATED_DAYS - 1
+        records = [RedemptionRecord("a", 3, start, None),
+                   RedemptionRecord("b", 10**9, 500, 20_000),
+                   RedemptionRecord("c", 7, horizon, horizon)]
+        timeline = solvency.simulate_issuer(records, schedule, horizon)
+        assert len(timeline.points) == solvency.MAX_SIMULATED_DAYS
+        reference = reference_simulate_issuer(records, schedule, horizon)
+        # line by line, ends kept: byte for byte, without a 36k-line diff
+        assert _first_difference(timeline.to_csv().splitlines(keepends=True),
+                                 reference.to_csv().splitlines(keepends=True)) is None
+        assert timeline.first_bankrupt_day == reference.first_bankrupt_day
 
     def test_long_rate_costs_round_once(self):
         rate = Decimal("0.1234567890123456789012345678901234")  # 34 digits
