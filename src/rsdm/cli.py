@@ -10,12 +10,13 @@ Subcommand map::
 
 Each handler imports the one library module it runs, so a command loads
 that module, ``demand`` (the parser reads its ``Unknown`` choices) and
-what they import, never the other groups' modules. It reads its files through
-``read_text`` and the library's text parsers, computes, and hands the
-result to ``emit``, which prints it in the ``--format`` (table, JSON or
-CSV). A file's content (timeline, snapshot) and status lines print the
-same in every format. A file argument not found in the working directory
-is looked up in ``RSDM_DATA_DIR`` or the shipped presets.
+what they import, never the other groups' modules. It reads its files
+through ``numeric.read_text`` and the library's text parsers, computes,
+and hands the result to ``emit``, which prints it in the ``--format``
+(table, JSON or CSV). A file's content (timeline, snapshot) and status
+lines print the same in every format. A file argument not found in the
+working directory is looked up in ``RSDM_DATA_DIR`` or the shipped
+presets.
 
 Exit status: 0 success, 1 domain/validation error, 2 usage error
 (argparse's, which also enforces each either-or flag group).
@@ -60,15 +61,6 @@ def resolve_path(name: str) -> Path:
     raise DomainError(f"no such file: {name!r} (also tried {candidate})")
 
 
-def read_text(path: Path) -> str:
-    """The one way an input file is read. An unreadable path raises
-    ``OSError``, which ``main`` reports."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
 def parse_json(text: str, source: object) -> object:
     try:
         return json.loads(text)
@@ -85,7 +77,7 @@ def load_instance(name: str) -> msp.MspInstance:
     """
     from rsdm import msp
     path = resolve_path(name)
-    instance = msp.instance_from_json_dict(parse_json(read_text(path), path))
+    instance = msp.instance_from_json_dict(parse_json(numeric.read_text(path), path))
     for warning in msp.validate_instance(instance):
         print(f"{path}: {warning}", file=sys.stderr)
     return instance
@@ -94,12 +86,12 @@ def load_instance(name: str) -> msp.MspInstance:
 def load_scenario(name: str) -> demand.DemandScenario:
     from rsdm import demand
     path = resolve_path(name)
-    return demand.DemandScenario.from_json_dict(parse_json(read_text(path), path))
+    return demand.DemandScenario.from_json_dict(parse_json(numeric.read_text(path), path))
 
 
 def replay_log(name: str) -> ledger.LedgerState:
     from rsdm import ledger
-    return ledger.replay(ledger.events_from_jsonl(read_text(Path(name))))
+    return ledger.replay(ledger.read_event_log(Path(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +158,8 @@ def cmd_decay_residual(args) -> int:
 
 def cmd_decay_redeem_quote(args) -> int:
     from rsdm import decay
-    if args.count < 1:
-        raise DomainError(f"token count must be positive, got {args.count}")
-    if args.count >= numeric.COUNT_LIMIT:
-        raise DomainError(numeric.count_too_wide("token count"))
+    if problem := numeric.count_violation("token count", args.count):
+        raise DomainError(problem)
     quote = decay.redemption_quote(_adhoc_spec(args), args.days)
     count = Decimal(args.count)
     doc = {
@@ -219,7 +209,7 @@ def _schedule_from_args(args) -> solvency.FeeSchedule:
 
 def cmd_solvency_simulate(args) -> int:
     from rsdm import solvency
-    records = solvency.records_from_csv(read_text(resolve_path(args.records)))
+    records = solvency.records_from_csv(numeric.read_text(resolve_path(args.records)))
     timeline = solvency.simulate_issuer(records, _schedule_from_args(args), args.horizon)
     write_or_print(timeline.to_csv(), args.out, "timeline")
     if timeline.first_bankrupt_day is not None:
@@ -341,7 +331,7 @@ def cmd_ledger_append(args) -> int:
     if args.event is not None:
         doc = parse_json(args.event, "--event")
     else:
-        doc = parse_json(read_text(Path(args.event_file)), args.event_file)
+        doc = parse_json(numeric.read_text(Path(args.event_file)), args.event_file)
     event = ledger.LedgerEvent.from_json_dict(doc)
     ledger.append_event(replay_log(args.log), event)  # raises on any rejection
     ledger.append_event_line(path, event)
@@ -362,7 +352,7 @@ _HOLDING_FIELDS = ["series_id", "token_count", "residual_g", "redeemable_g",
 def cmd_ledger_value(args) -> int:
     from rsdm import ledger
     state = replay_log(args.log)
-    quotes = ledger.quotes_from_csv(read_text(resolve_path(args.quotes)))
+    quotes = ledger.quotes_from_csv(numeric.read_text(resolve_path(args.quotes)))
     report = ledger.holdings_valuation(state, quotes, args.party, args.day)
     holdings = [
         dict(zip(_HOLDING_FIELDS, (

@@ -162,6 +162,8 @@ def _json_int(value: object, field: str) -> int:
 
 
 def _check_elapsed(spec: RsdmSpec, elapsed_days: int) -> None:
+    if type(elapsed_days) is not int:
+        raise DomainError(f"elapsed days must be an integer, got {type(elapsed_days).__name__}")
     if elapsed_days < 0:
         raise DomainError(f"elapsed days must be nonnegative, got {elapsed_days}")
     if elapsed_days > spec.expiry_days:

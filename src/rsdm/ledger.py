@@ -58,7 +58,7 @@ from rsdm.errors import (
 )
 from rsdm.numeric import (
     COUNT_LIMIT, DEFAULT_PRECISION, SETTLEMENT_DECIMALS, as_decimal, bounded_decimal, count_too_wide,
-    exact_add, exact_mul, exact_sub, pow_bounds, read_csv_table, settle,
+    count_violation, exact_add, exact_mul, exact_sub, pow_bounds, read_csv_table, read_text, settle,
 )
 
 _ZERO = Decimal(0)
@@ -300,12 +300,8 @@ def _effects(state, event: LedgerEvent):
             f"expected sequence {state.last_sequence + 1}, got {event.sequence}"
         )
     count = event.token_count
-    if type(count) is not int:
-        raise LedgerError(f"token count must be an integer, got {type(count).__name__}")
-    if count <= 0:
-        raise LedgerError(f"token count must be positive, got {count}")
-    if count >= COUNT_LIMIT:
-        raise LedgerError(count_too_wide("token count"))
+    if problem := count_violation("token count", count):
+        raise LedgerError(problem)
     sid = event.series_id
     key = (event.party, sid)
 
@@ -623,14 +619,8 @@ def events_from_jsonl(text: str) -> list[LedgerEvent]:
 
 
 def read_event_log(path) -> list[LedgerEvent]:
-    """The events of the JSONL log at *path*; a log that is not UTF-8
-    raises DomainError naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
-    return events_from_jsonl(text)
+    """The events of the JSONL log at *path*, read by ``read_text``."""
+    return events_from_jsonl(read_text(path))
 
 
 def append_event_line(path, event: LedgerEvent) -> None:

@@ -5,7 +5,8 @@ Conventions used across the package:
 * All weights, prices and rates are ``decimal.Decimal``; floats are
   rejected at the boundary so binary rounding can never leak in. The
   boundary parsers live here: ``as_decimal`` and ``bounded_decimal``
-  read one value, ``read_csv_table`` a CSV table.
+  read one value, ``count_violation`` checks a token count,
+  ``read_text`` reads a file and ``read_csv_table`` a CSV table.
 * General-purpose arithmetic runs in a 34-significant-digit context
   with banker's rounding (ROUND_HALF_EVEN).
 * Face-value decay uses *exact* arithmetic: addition, multiplication
@@ -95,14 +96,24 @@ def bound_violation(name: str, value: Decimal) -> str | None:
 
 #: Token counts, and the tokens issued of a series, stop below 10^34,
 #: the width rule's digit count, so the exact amounts they scale stay
-#: short. Callers compare against it and raise ``count_too_wide``'s
-#: message in their own error class.
+#: short. Callers raise ``count_violation``'s complaint, or for a total
+#: ``count_too_wide``'s, in their own error class.
 COUNT_LIMIT = 10**DEFAULT_PRECISION
 
 
 def count_too_wide(name: str) -> str:
     """The complaint against an integer *name* of ``COUNT_LIMIT`` or more."""
     return f"{name} must have at most {DEFAULT_PRECISION} digits"
+
+
+def count_violation(name: str, count: object) -> str | None:
+    """The first complaint against a token *count* (not an integer, a bool
+    included; not positive; ``COUNT_LIMIT`` or more), else None."""
+    if type(count) is not int:
+        return f"{name} must be an integer, got {type(count).__name__}"
+    if count <= 0:
+        return f"{name} must be positive, got {count}"
+    return count_too_wide(name) if count >= COUNT_LIMIT else None
 
 
 def bounded_decimal(name: str, value: str | int | Decimal) -> Decimal:
@@ -148,23 +159,15 @@ def exact_pow(base: Decimal, exponent: int) -> Decimal:
     """
     if exponent < 0:
         raise DomainError("exact_pow requires a nonnegative integer exponent")
-    if exponent == 0:
-        return Decimal(1)
-    multiply = EXACT.multiply
-    result = base
-    for bit in bin(exponent)[3:]:
-        result = multiply(result, result)
-        if bit == "1":
-            result = multiply(result, base)
-    return _unsigned_zero(result)
+    return _unsigned_zero(_power(EXACT, base, exponent))
 
 
 def pow_bounds(base: Decimal, exponent: int, digits: int) -> tuple[Decimal, Decimal]:
     """Bounds ``low <= base**exponent <= high`` for a positive base and a
     nonnegative integer exponent, each rounded to ``digits`` digits.
 
-    The square-and-multiply chain of ``exact_pow`` runs once rounding
-    every product down and once rounding every product up. Every operand
+    The square-and-multiply chain of ``exact_pow`` runs once rounding the
+    base and every product down, and once rounding them up. Every operand
     is positive, so the first chain stays at or below the power and the
     second at or above it. When the first chain rounds nothing, its value
     is the power itself and stands for both bounds. Each chain's relative
@@ -172,23 +175,24 @@ def pow_bounds(base: Decimal, exponent: int, digits: int) -> tuple[Decimal, Deci
     """
     if exponent < 0:
         raise DomainError("pow_bounds requires a nonnegative integer exponent")
-    low, inexact = _directed_pow(base, exponent, digits, decimal.ROUND_FLOOR)
-    if not inexact:
+    ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_FLOOR, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    low = _power(ctx, base, exponent)
+    if not ctx.flags[decimal.Inexact]:
         return low, low
-    return low, _directed_pow(base, exponent, digits, decimal.ROUND_CEILING)[0]
+    ctx.rounding = decimal.ROUND_CEILING
+    return low, _power(ctx, base, exponent)
 
 
-def _directed_pow(base: Decimal, exponent: int, digits: int, rounding: str) -> tuple[Decimal, bool]:
-    """base**exponent by ``exact_pow``'s chain, each product rounded to
-    ``digits`` digits in the direction ``rounding``; and whether any was."""
-    ctx = decimal.Context(prec=digits, rounding=rounding, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+def _power(ctx: decimal.Context, base: Decimal, exponent: int) -> Decimal:
+    """base**exponent for a nonnegative exponent by left-to-right
+    square-and-multiply, the base and each product taken in ``ctx``."""
     multiply = ctx.multiply
-    result = base if exponent else Decimal(1)
+    result = ctx.plus(base) if exponent else Decimal(1)
     for bit in bin(exponent)[3:]:
         result = multiply(result, result)
         if bit == "1":
             result = multiply(result, base)
-    return result, bool(ctx.flags[decimal.Inexact])
+    return result
 
 
 def settle(value: Decimal) -> Decimal:
@@ -240,6 +244,16 @@ def nth_root(value: Decimal, n: int) -> Decimal:
         y = half  # the root is the half-way point itself
     with localcontext(CONTEXT):
         return +y  # round back into the working precision
+
+
+def read_text(path) -> str:
+    """The text of the file at *path*, the one way an input file is read:
+    DomainError naming *path* if it is not UTF-8, ``OSError`` if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def read_csv_table(text: str, what: str, header: list[str], build: Callable[[dict], object]) -> list:

@@ -14,8 +14,6 @@ scale the rate linearly).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
@@ -24,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
 from rsdm.numeric import (CONTEXT, COUNT_LIMIT, EXACT, as_decimal, bound_violation, bounded_decimal,
-                          count_too_wide, read_csv_table)
+                          count_too_wide, count_violation, read_csv_table)
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -45,10 +43,8 @@ class RedemptionRecord:
                             ("redemption day", self.redemption_day if self.closed else 0)):
             if type(value) is not int:
                 raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
-        if self.token_count <= 0:
-            raise DomainError(f"token count must be positive, got {self.token_count}")
-        if self.token_count >= COUNT_LIMIT:
-            raise DomainError(count_too_wide("token count"))
+        if problem := count_violation("token count", self.token_count):
+            raise DomainError(problem)
         if self.redemption_day is not None and self.redemption_day < self.purchase_day:
             raise DomainError(
                 f"redemption day {self.redemption_day} precedes purchase day "
@@ -82,6 +78,7 @@ class FeeSchedule:
     Exactly the active kind's fee field is set, and each decimal passes
     ``_nonneg``, or construction raises DomainError. The ``flat`` /
     ``deadline_based`` / ``mean_holding_based`` constructors pick the kind.
+    The fields are checked once, here; ``fee_for`` charges from them.
     """
 
     kind: FeeKind
@@ -118,12 +115,13 @@ class FeeSchedule:
         return cls(FeeKind.MEAN_HOLDING_BASED, rate, mean_holding_days=mean_days)
 
     def fee_for(self, record: RedemptionRecord) -> Decimal:
-        """Per-token fee charged to this customer under the active kind."""
+        """Per-token fee charged to this customer under the active kind;
+        only the deadline rules that depend on the record are checked."""
         if self.kind is FeeKind.FLAT:
             return self.flat_fee_per_token
         if self.kind is FeeKind.DEADLINE_BASED:
-            return deadline_fee(record.purchase_day, self.deadline_day, self.warehouse_rate)
-        return mean_holding_fee(self.mean_holding_days, self.warehouse_rate)
+            return _deadline_fee(record.purchase_day, self.deadline_day, self.warehouse_rate)
+        return _mean_holding_fee(self.mean_holding_days, self.warehouse_rate)
 
 
 def _nonneg(value: Decimal | str | int, what: str) -> Decimal:
@@ -164,8 +162,9 @@ def gross_profit(records: Iterable[RedemptionRecord], flat_fee: Decimal | str | 
     exactly and rounded once, as ``simulate_issuer`` reports it."""
     fee = _nonneg(flat_fee, "flat fee")
     tokens = sum(r.token_count for r in records)
-    # the zero seed caps the exponent at 0, as in warehouse_cost
-    return CONTEXT.plus(EXACT.add(Decimal(0), EXACT.multiply(fee, tokens)))
+    with localcontext(CONTEXT):
+        # the zero seed caps the exponent at 0, as in warehouse_cost
+        return +EXACT.add(Decimal(0), EXACT.multiply(fee, tokens))
 
 
 def warehouse_cost(
@@ -181,6 +180,8 @@ def warehouse_cost(
     multiplied by the rate once.
     """
     alpha = _nonneg(rate, "warehouse rate")
+    if type(as_of_day) is not int:
+        raise DomainError(f"as-of day must be an integer, got {type(as_of_day).__name__}")
     records = list(records)
     if not records:
         return Decimal(0)
@@ -226,7 +227,12 @@ def deadline_fee(
     """Up-front fee prefunding storage from purchase to the token deadline;
     DomainError if it breaks the width rule of ``bound_violation``, as
     any other fee does."""
-    alpha = _nonneg(rate, "warehouse rate")
+    return _deadline_fee(purchase_day, deadline_day, _nonneg(rate, "warehouse rate"))
+
+
+def _deadline_fee(purchase_day: int, deadline_day: int, alpha: Decimal) -> Decimal:
+    """``deadline_fee`` at a checked rate: the rules that depend on the
+    purchase day."""
     if deadline_day < purchase_day:
         raise DomainError(
             f"deadline day {deadline_day} precedes purchase day {purchase_day}"
@@ -240,8 +246,10 @@ def deadline_fee(
 
 def mean_holding_fee(mean_days: Decimal | str | int, rate: Decimal | str | int) -> Decimal:
     """Up-front fee prefunding storage for the predicted mean holding time."""
-    mean = _nonneg(mean_days, "mean holding duration")
-    alpha = _nonneg(rate, "warehouse rate")
+    return _mean_holding_fee(_nonneg(mean_days, "mean holding duration"), _nonneg(rate, "warehouse rate"))
+
+
+def _mean_holding_fee(mean: Decimal, alpha: Decimal) -> Decimal:
     with localcontext(CONTEXT):
         return mean * alpha
 
@@ -274,13 +282,11 @@ class SolvencyTimeline:
     first_bankrupt_day: int | None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["day", "cum_profit", "cum_cost", "bankrupt"])
-        for p in self.points:
-            writer.writerow([p.day, format(p.cum_profit, "f"), format(p.cum_cost, "f"),
-                             str(p.bankrupt).lower()])
-        return buf.getvalue()
+        """One line per point; no field can hold a comma, a quote or a
+        line break, so none is quoted."""
+        return "day,cum_profit,cum_cost,bankrupt\n" + "".join(
+            f"{day},{profit:f},{cost:f},{'true' if bankrupt else 'false'}\n"
+            for day, profit, cost, bankrupt in self.points)
 
 
 def simulate_issuer(
@@ -299,6 +305,8 @@ def simulate_issuer(
     and each day's cost is the rate times those, rounded once. Fee income
     is summed exactly, and each day's is rounded once too.
     """
+    if type(horizon_day) is not int:
+        raise DomainError(f"horizon day must be an integer, got {type(horizon_day).__name__}")
     if not records:
         return SolvencyTimeline(points=(), first_bankrupt_day=None)
     ordered = sorted(records, key=lambda r: r.purchase_day)

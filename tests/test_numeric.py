@@ -16,11 +16,13 @@ from rsdm.numeric import (
     EXACT,
     as_decimal,
     bound_violation,
+    count_violation,
     exact_add,
     exact_mul,
     exact_pow,
     exact_sub,
     nth_root,
+    pow_bounds,
     read_csv_table,
     settle,
 )
@@ -93,6 +95,66 @@ class TestExactOps:
         # 5-digit mantissa to the 18250th: tens of thousands of digits
         value = exact_pow(Decimal("0.99996"), 18250)
         assert Fraction(value) == Fraction(99996, 100000) ** 18250
+
+
+class TestPowBounds:
+    # a short θ, and the 34-digit θ of a -2% annual rate
+    THETAS = [Decimal("0.99996"), Decimal("0.9999446516487148190054778441331853")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.sampled_from(THETAS), exponent=st.integers(min_value=0, max_value=2_000),
+           digits=st.integers(min_value=1, max_value=60))
+    @example(theta=THETAS[1], exponent=1, digits=3)
+    @example(theta=THETAS[0], exponent=2, digits=10)
+    def test_brackets_the_exact_power_in_digits_digits(self, theta, exponent, digits):
+        exact = exact_pow(theta, exponent)
+        low, high = pow_bounds(theta, exponent, digits)
+        assert low <= exact <= high  # Decimal comparison is exact
+        assert len(low.as_tuple().digits) <= digits and len(high.as_tuple().digits) <= digits
+        if len(exact.as_tuple().digits) <= digits:
+            assert low is high and low == exact
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(DomainError, match="^pow_bounds requires a nonnegative integer exponent$"):
+            pow_bounds(Decimal("0.5"), -1, 10)
+
+
+class TestCountViolation:
+    @pytest.mark.parametrize("count, problem", [
+        (True, "token count must be an integer, got bool"),
+        (5.0, "token count must be an integer, got float"),
+        ("5", "token count must be an integer, got str"),
+        (None, "token count must be an integer, got NoneType"),
+        (0, "token count must be positive, got 0"),
+        (-1, "token count must be positive, got -1"),
+        (10**34, "token count must have at most 34 digits"),
+        (10**50, "token count must have at most 34 digits"),
+        (1, None),
+        (10**34 - 1, None),
+    ])
+    def test_each_branch(self, count, problem):
+        assert count_violation("token count", count) == problem
+
+    def test_names_its_field(self):
+        assert count_violation("issued", 0) == "issued must be positive, got 0"
+
+    @pytest.mark.parametrize("count", [0, -1, 10**34])
+    def test_ledger_record_and_cli_say_the_same(self, count, capsys):
+        from rsdm import cli, ledger, solvency
+        from rsdm.errors import LedgerError
+        event = ledger.LedgerEvent(1, 0, ledger.EventKind.TRANSFER, "AU35", "alice", "bob",
+                                   token_count=count)
+        with pytest.raises(LedgerError) as from_ledger:
+            ledger.append_event(ledger.empty_state(), event)
+        with pytest.raises(DomainError) as from_record:
+            solvency.RedemptionRecord("k", count, 0, None)
+        code = cli.main(["decay", "redeem-quote", "--theta", "0.99996", "--w", "1", "--days", "1",
+                         "--fee-rate", "0", "--count", str(count)])
+        printed = capsys.readouterr()
+        problem = count_violation("token count", count)
+        assert type(from_ledger.value) is LedgerError and type(from_record.value) is DomainError
+        assert str(from_ledger.value) == str(from_record.value) == problem
+        assert (code, printed.out, printed.err) == (1, "", f"error: {problem}\n")
 
 
 # ---------------------------------------------------------------------------

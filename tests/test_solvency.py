@@ -1,5 +1,8 @@
 """Issuer fee-vs-storage economics: profit, cost, bankruptcy, breakeven."""
 
+import csv
+import io
+from datetime import date
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -9,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsdm import solvency
+from rsdm import decay, solvency
 from rsdm.errors import DomainError, NeverBankrupt
-from rsdm.numeric import CONTEXT
+from rsdm.numeric import CONTEXT, EXACT
 from rsdm.solvency import (
     FeeKind,
     FeeSchedule,
@@ -42,6 +45,16 @@ class TestGrossProfit:
     def test_negative_fee_rejected(self):
         with pytest.raises(DomainError):
             solvency.gross_profit([], Decimal("-1"))
+
+    def test_leaves_the_shared_contexts_unflagged(self):
+        # the 41-digit income rounds, and CONTEXT is documented as never mutated
+        CONTEXT.clear_flags()
+        EXACT.clear_flags()
+        fee = "0.1234567890123456789012345678901234"
+        profit = solvency.gross_profit([RedemptionRecord("a", 7777777, 0, None)], fee)
+        assert profit == _rounded_once(Fraction(fee) * 7777777)
+        assert [s for s, on in CONTEXT.flags.items() if on] == []
+        assert [s for s, on in EXACT.flags.items() if on] == []
 
     def test_additive_over_disjoint_lists(self):
         a = [RedemptionRecord("a", 3, 0, 1)]
@@ -246,6 +259,21 @@ class TestSimulateIssuer:
         assert lines[1].startswith("0,1,0")
         assert len(lines) == 4
 
+    def test_timeline_csv_is_what_a_csv_writer_writes(self):
+        # negative days, a 1E-30 rate written out in full, and both bankrupt values
+        recs = [RedemptionRecord("a", 3, -5, -2), RedemptionRecord("b", 10**9, -4, None)]
+        timeline = solvency.simulate_issuer(recs, FeeSchedule.flat("0", "1E-30"), 3)
+        assert {p.bankrupt for p in timeline.points} == {False, True}
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["day", "cum_profit", "cum_cost", "bankrupt"])
+        for p in timeline.points:
+            writer.writerow([p.day, format(p.cum_profit, "f"), format(p.cum_cost, "f"),
+                             str(p.bankrupt).lower()])
+        assert timeline.to_csv() == buf.getvalue()
+        zero, tiny = format(Decimal("0E-30"), "f"), format(Decimal("3E-30"), "f")
+        assert f"\n-5,0,{zero},false\n-4,0,{tiny},true\n" in buf.getvalue()
+
     def test_span_past_the_limit_is_rejected(self):
         # the span counts from the first purchase day, both ends included
         recs = [RedemptionRecord("k", 1, 100, None)]
@@ -329,6 +357,16 @@ class TestFeeSchedule:
         # unchecked, the timeline's cost ran negative
         with pytest.raises(DomainError, match=f"{what} must be nonnegative"):
             FeeSchedule(FeeKind.FLAT, **fields)
+
+    def test_fee_for_does_not_check_the_schedule_again(self, monkeypatch):
+        recs = [RedemptionRecord("a", 3, 0, 4), RedemptionRecord("b", 2, 5, None)]
+        schedules = _schedules(Decimal("0.01"), Decimal("1"), 30, Decimal("12.5"))
+        checked = []
+        real = solvency._nonneg
+        monkeypatch.setattr(solvency, "_nonneg", lambda *args: checked.append(args) or real(*args))
+        for schedule in schedules:
+            solvency.simulate_issuer(recs, schedule, 10)
+        assert checked == []
 
     def test_fee_for_dispatch(self):
         rec = RedemptionRecord("k", 1, 10, None)
@@ -640,3 +678,49 @@ class TestTimelineEndsAtTheTotals:
     def test_empty_book_costs_plain_zero(self):
         cost = solvency.warehouse_cost([], Decimal("0.01"), 10)
         assert cost == 0 and str(cost) == "0"
+
+
+class TestFeeForMatchesTheFeeFunctions:
+    @settings(deadline=None)
+    @given(rate=st.one_of(short_decimals, long_decimals), mean_days=st.one_of(short_decimals, long_decimals),
+           purchase=st.integers(-10**6, 10**6), deadline=st.integers(-10**6, 10**6))
+    @example(rate=Decimal("1E+30"), mean_days=Decimal("1"), purchase=0, deadline=10**6)
+    def test_fee_for_charges_what_the_fee_functions_charge(self, rate, mean_days, purchase, deadline):
+        rec = RedemptionRecord("k", 1, purchase, None)
+        for schedule, fee in [
+            (FeeSchedule.deadline_based(deadline, rate), lambda: solvency.deadline_fee(purchase, deadline, rate)),
+            (FeeSchedule.mean_holding_based(mean_days, rate), lambda: solvency.mean_holding_fee(mean_days, rate)),
+        ]:
+            outcomes = []
+            for charge in (lambda: schedule.fee_for(rec), fee):
+                try:
+                    value = charge()
+                    outcomes.append((str(value), value))
+                except DomainError as exc:
+                    outcomes.append(("error", str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+
+_SPEC = decay.RsdmSpec(issue_date=date(2035, 1, 1), collateral_id="XAU", initial_weight=Decimal("1"),
+                       daily_decay_factor=Decimal("0.99996"), expiry_days=100,
+                       redemption_fee_rate=Decimal("0.003"))
+_BOOK = [RedemptionRecord("k", 1, 0, 5)]
+
+
+@pytest.mark.parametrize("call, what, day", [
+    (lambda day: solvency.simulate_issuer(_BOOK, FeeSchedule.flat("1", "0.1"), day), "horizon day", 10.5),
+    (lambda day: solvency.simulate_issuer([], FeeSchedule.flat("1", "0.1"), day), "horizon day", 10.5),
+    (lambda day: solvency.simulate_issuer(_BOOK, FeeSchedule.flat("1", "0.1"), day), "horizon day", True),
+    (lambda day: solvency.warehouse_cost(_BOOK, "0.1", day), "as-of day", 10.5),
+    (lambda day: solvency.warehouse_cost(_BOOK, "0.1", day), "as-of day", True),
+    (lambda day: decay.residual_weight(_SPEC, day), "elapsed days", 1.5),
+    (lambda day: decay.redemption_quote(_SPEC, day), "elapsed days", "5"),
+    (lambda day: decay.redemption_quote(_SPEC, day), "elapsed days", False),
+], ids=["simulate-float", "simulate-empty-book", "simulate-bool", "warehouse-float", "warehouse-bool",
+        "residual-float", "quote-str", "quote-bool"])
+def test_a_day_must_be_an_integer(call, what, day):
+    # a float day would reach the day arithmetic, or raise a bare TypeError there
+    with pytest.raises(DomainError) as err:
+        call(day)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"{what} must be an integer, got {type(day).__name__}"
