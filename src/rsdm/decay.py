@@ -28,6 +28,8 @@ from rsdm.numeric import (
     exact_mul,
     exact_pow,
     exact_sub,
+    integer_violation,
+    json_int,
     nth_root,
 )
 
@@ -97,14 +99,14 @@ class RsdmSpec:
             violations.append("decay factor must be in (0, 1]")
         if not (0 <= self.redemption_fee_rate < 1):
             violations.append("fee rate must be in [0, 1)")
-        if type(self.expiry_days) is not int:
-            violations.append(f"expiry days must be an integer, got {type(self.expiry_days).__name__}")
+        if problem := integer_violation("expiry days", self.expiry_days):
+            violations.append(problem)
         elif self.expiry_days <= 0:
             violations.append("expiry must be a positive number of days")
         elif self.expiry_days > MAX_EXPIRY_DAYS:
             violations.append(f"expiry must be at most {MAX_EXPIRY_DAYS} days")
-        if type(self.issue_size) is not int:
-            violations.append(f"issue size must be an integer, got {type(self.issue_size).__name__}")
+        if problem := integer_violation("issue size", self.issue_size):
+            violations.append(problem)
         elif self.issue_size < 0:
             violations.append("issue size must be nonnegative")
         if not self.min_redemption_grams > 0:
@@ -139,9 +141,9 @@ class RsdmSpec:
                 collateral_id=str(data["collateral_id"]),
                 initial_weight=as_decimal(data["initial_weight_g"]),
                 daily_decay_factor=as_decimal(data["daily_decay_factor"]),
-                expiry_days=_json_int(data["expiry_days"], "expiry_days"),
+                expiry_days=json_int(data["expiry_days"], "expiry_days"),
                 redemption_fee_rate=as_decimal(data["redemption_fee_rate"]),
-                issue_size=_json_int(data.get("issue_size", 0), "issue_size"),
+                issue_size=json_int(data.get("issue_size", 0), "issue_size"),
                 inspection_fee=as_decimal(data.get("inspection_fee", "0")),
                 min_redemption_grams=as_decimal(
                     data.get("min_redemption_g", str(DEFAULT_MIN_REDEMPTION_GRAMS))
@@ -153,17 +155,9 @@ class RsdmSpec:
             raise DomainError(f"malformed series spec: {exc}") from exc
 
 
-def _json_int(value: object, field: str) -> int:
-    """A JSON integer field: a real ``int``, not a float or a bool, and
-    never a string converted on the way (``int()`` reads 1.5 as 1)."""
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, got {type(value).__name__}")
-    return value
-
-
 def _check_elapsed(spec: RsdmSpec, elapsed_days: int) -> None:
-    if type(elapsed_days) is not int:
-        raise DomainError(f"elapsed days must be an integer, got {type(elapsed_days).__name__}")
+    if problem := integer_violation("elapsed days", elapsed_days):
+        raise DomainError(problem)
     if elapsed_days < 0:
         raise DomainError(f"elapsed days must be nonnegative, got {elapsed_days}")
     if elapsed_days > spec.expiry_days:

@@ -5,8 +5,9 @@ Conventions used across the package:
 * All weights, prices and rates are ``decimal.Decimal``; floats are
   rejected at the boundary so binary rounding can never leak in. The
   boundary parsers live here: ``as_decimal`` and ``bounded_decimal``
-  read one value, ``count_violation`` checks a token count,
-  ``read_text`` reads a file and ``read_csv_table`` a CSV table.
+  read one value, ``integer_violation`` and ``json_int`` check an
+  ``int``, ``count_violation`` a token count, ``read_text`` reads a
+  file and ``read_csv_table`` a CSV table.
 * General-purpose arithmetic runs in a 34-significant-digit context
   with banker's rounding (ROUND_HALF_EVEN).
 * Face-value decay uses *exact* arithmetic: addition, multiplication
@@ -106,11 +107,25 @@ def count_too_wide(name: str) -> str:
     return f"{name} must have at most {DEFAULT_PRECISION} digits"
 
 
+def integer_violation(name: str, value: object) -> str | None:
+    """The complaint against *value* if its type is not exactly ``int`` (so a bool is refused), else None."""
+    kind = type(value)
+    return None if kind is int else f"{name} must be an integer, got {kind.__name__}"
+
+
+def json_int(value: object, field: str) -> int:
+    """A JSON integer field, never converted on the way (``int()`` reads 1.5 as 1):
+    TypeError with ``integer_violation``'s complaint if it is not an ``int``."""
+    if problem := integer_violation(field, value):
+        raise TypeError(problem)
+    return value
+
+
 def count_violation(name: str, count: object) -> str | None:
     """The first complaint against a token *count* (not an integer, a bool
     included; not positive; ``COUNT_LIMIT`` or more), else None."""
-    if type(count) is not int:
-        return f"{name} must be an integer, got {type(count).__name__}"
+    if problem := integer_violation(name, count):
+        return problem
     if count <= 0:
         return f"{name} must be positive, got {count}"
     return count_too_wide(name) if count >= COUNT_LIMIT else None
@@ -157,7 +172,7 @@ def exact_pow(base: Decimal, exponent: int) -> Decimal:
     only. A decay factor with a short mantissa stays cheap even for
     multi-decade day counts.
     """
-    if exponent < 0:
+    if integer_violation("exponent", exponent) or exponent < 0:
         raise DomainError("exact_pow requires a nonnegative integer exponent")
     return _unsigned_zero(_power(EXACT, base, exponent))
 
@@ -173,7 +188,7 @@ def pow_bounds(base: Decimal, exponent: int, digits: int) -> tuple[Decimal, Deci
     is the power itself and stands for both bounds. Each chain's relative
     error is at most about 2 * exponent * 10**(1 - digits).
     """
-    if exponent < 0:
+    if integer_violation("exponent", exponent) or exponent < 0:
         raise DomainError("pow_bounds requires a nonnegative integer exponent")
     ctx = decimal.Context(prec=digits, rounding=decimal.ROUND_FLOOR, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
     low = _power(ctx, base, exponent)
@@ -221,7 +236,7 @@ def nth_root(value: Decimal, n: int) -> Decimal:
     within the width rule of ``bound_violation`` meets.
     ``tests/test_numeric.py`` checks the result against Newton steps.
     """
-    if n <= 0:
+    if integer_violation("root order", n) or n <= 0:
         raise DomainError("root order must be a positive integer")
     if value <= 0:
         raise DomainError(f"n-th root requires a positive value, got {value}")

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from rsdm.errors import DomainError, NeverBankrupt
 from rsdm.numeric import (CONTEXT, COUNT_LIMIT, EXACT, as_decimal, bound_violation, bounded_decimal,
-                          count_too_wide, count_violation, read_csv_table)
+                          count_too_wide, count_violation, integer_violation, read_csv_table)
 
 #: Longest span ``simulate_issuer`` replays, in days: a century (the
 #: timeline holds one point per day).
@@ -41,8 +41,8 @@ class RedemptionRecord:
     def __post_init__(self) -> None:
         for what, value in (("token count", self.token_count), ("purchase day", self.purchase_day),
                             ("redemption day", self.redemption_day if self.closed else 0)):
-            if type(value) is not int:
-                raise DomainError(f"{what} must be an integer, got {type(value).__name__}")
+            if problem := integer_violation(what, value):
+                raise DomainError(problem)
         if problem := count_violation("token count", self.token_count):
             raise DomainError(problem)
         if self.redemption_day is not None and self.redemption_day < self.purchase_day:
@@ -94,8 +94,8 @@ class FeeSchedule:
         value = getattr(self, name)
         if what:
             object.__setattr__(self, name, _nonneg(value, what))
-        elif type(value) is not int:
-            raise DomainError(f"deadline day must be an integer, got {type(value).__name__}")
+        elif problem := integer_violation("deadline day", value):
+            raise DomainError(problem)
         elif abs(value) >= COUNT_LIMIT:
             raise DomainError(count_too_wide("deadline day"))
         object.__setattr__(self, "warehouse_rate", _nonneg(self.warehouse_rate, "warehouse rate"))
@@ -180,8 +180,8 @@ def warehouse_cost(
     multiplied by the rate once.
     """
     alpha = _nonneg(rate, "warehouse rate")
-    if type(as_of_day) is not int:
-        raise DomainError(f"as-of day must be an integer, got {type(as_of_day).__name__}")
+    if problem := integer_violation("as-of day", as_of_day):
+        raise DomainError(problem)
     records = list(records)
     if not records:
         return Decimal(0)
@@ -305,8 +305,8 @@ def simulate_issuer(
     and each day's cost is the rate times those, rounded once. Fee income
     is summed exactly, and each day's is rounded once too.
     """
-    if type(horizon_day) is not int:
-        raise DomainError(f"horizon day must be an integer, got {type(horizon_day).__name__}")
+    if problem := integer_violation("horizon day", horizon_day):
+        raise DomainError(problem)
     if not records:
         return SolvencyTimeline(points=(), first_bankrupt_day=None)
     ordered = sorted(records, key=lambda r: r.purchase_day)

@@ -3,6 +3,7 @@
 import decimal
 import random
 from decimal import Decimal, localcontext
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from rsdm.numeric import (
     exact_mul,
     exact_pow,
     exact_sub,
+    integer_violation,
+    json_int,
     nth_root,
     pow_bounds,
     read_csv_table,
@@ -155,6 +158,61 @@ class TestCountViolation:
         assert type(from_ledger.value) is LedgerError and type(from_record.value) is DomainError
         assert str(from_ledger.value) == str(from_record.value) == problem
         assert (code, printed.out, printed.err) == (1, "", f"error: {problem}\n")
+
+
+class _Days(IntEnum):
+    ONE = 1
+
+
+class TestIntegerViolation:
+    @pytest.mark.parametrize("value, problem", [
+        (0, None),
+        (-7, None),
+        (10**50, None),
+        (True, "day must be an integer, got bool"),
+        (1.5, "day must be an integer, got float"),
+        ("5", "day must be an integer, got str"),
+        (None, "day must be an integer, got NoneType"),
+        (_Days.ONE, "day must be an integer, got _Days"),
+    ])
+    def test_only_an_int_passes(self, value, problem):
+        assert integer_violation("day", value) == problem
+
+    @pytest.mark.parametrize("value", [True, 1.5, "5", None, _Days.ONE])
+    def test_json_int_raises_the_same_text_as_a_type_error(self, value):
+        with pytest.raises(TypeError) as raised:
+            json_int(value, "day")
+        assert type(raised.value) is TypeError and str(raised.value) == integer_violation("day", value)
+
+    def test_a_numpy_integer_is_refused(self):
+        # numpy is no dependency of rsdm; an int64 is an integer that is
+        # not an int subclass, which the stdlib cases above do not cover
+        numpy = pytest.importorskip("numpy")
+        assert integer_violation("day", numpy.int64(5)) == "day must be an integer, got int64"
+        with pytest.raises(TypeError, match="^day must be an integer, got int64$"):
+            json_int(numpy.int64(5), "day")
+
+
+_POWERS_AND_ROOTS = [
+    (lambda n: exact_pow(Decimal("0.9"), n), "exact_pow requires a nonnegative integer exponent"),
+    (lambda n: pow_bounds(Decimal("0.9"), n, 10), "pow_bounds requires a nonnegative integer exponent"),
+    (lambda n: nth_root(Decimal(2), n), "root order must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("call, message", _POWERS_AND_ROOTS, ids=["exact_pow", "pow_bounds", "nth_root"])
+class TestExponentsMustBeIntegers:
+    @pytest.mark.parametrize("bad", [2.5, True, False, "2", _Days.ONE],
+                             ids=["float", "True", "False", "str", "IntEnum"])
+    def test_a_non_int_is_refused_with_the_domain_message(self, call, message, bad):
+        with pytest.raises(DomainError) as raised:
+            call(bad)
+        assert type(raised.value) is DomainError and str(raised.value) == message
+
+    def test_a_numpy_integer_is_refused(self, call, message):
+        numpy = pytest.importorskip("numpy")  # see TestIntegerViolation
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call(numpy.int64(2))
 
 
 # ---------------------------------------------------------------------------
