@@ -22,7 +22,8 @@ Exit status: 0 success, 1 domain/validation error, 2 usage error
 (argparse's, which also enforces each either-or flag group).
 ``main`` is the one error boundary: an ``RsdmError``, a path that cannot
 be read or written, or a file that is not UTF-8 prints ``error: ...`` on
-stderr and exits 1, never with a traceback.
+stderr and exits 1, never with a traceback. A reader that closes stdout
+early (``| head``) ends the run with exit 1 and nothing on stderr.
 Decimal flags are parsed as exact decimal strings, never through binary
 floating point; numeric output is rendered as decimal strings at the
 settlement precision (9 decimal places).
@@ -158,15 +159,8 @@ def cmd_decay_residual(args) -> int:
 
 def cmd_decay_redeem_quote(args) -> int:
     from rsdm import decay
-    if problem := numeric.count_violation("token count", args.count):
-        raise DomainError(problem)
-    quote = decay.redemption_quote(_adhoc_spec(args), args.days)
-    count = Decimal(args.count)
-    doc = {
-        "payout_g": fmt(numeric.exact_mul(quote.payout, count)),
-        "fee_g": fmt(numeric.exact_mul(quote.fee, count)),
-        "residual_g": fmt(numeric.exact_mul(quote.residual, count)),
-    }
+    quote = decay.redemption_quote(_adhoc_spec(args), args.days, args.count)
+    doc = {"payout_g": fmt(quote.payout), "fee_g": fmt(quote.fee), "residual_g": fmt(quote.residual)}
     emit(args.format, doc, [f"{key}: {value}" for key, value in doc.items()])
     return 0
 
@@ -516,7 +510,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the exit flush goes to devnull, and cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -24,6 +24,7 @@ from rsdm.numeric import (
     as_decimal,
     bound_violation,
     bounded_decimal,
+    count_violation,
     exact_add,
     exact_mul,
     exact_pow,
@@ -193,7 +194,7 @@ def purchase_price(spec: RsdmSpec, elapsed_days: int, unit_price: Decimal | str 
 
 @dataclass(frozen=True)
 class RedemptionQuote:
-    """Split of one token's residual weight at redemption, in grams.
+    """Split of the residual weight of the tokens redeemed, in grams.
 
     payout + fee == residual exactly: the issuer's fee take is the
     residual times the fee rate, and the customer receives the rest.
@@ -204,11 +205,15 @@ class RedemptionQuote:
     residual: Decimal
 
 
-def redemption_quote(spec: RsdmSpec, elapsed_days: int) -> RedemptionQuote:
-    """Customer payout and issuer fee for redeeming one token, unrounded:
-    the payout is (1 - fee rate) * decay_factor**elapsed_days *
-    initial_weight grams."""
-    residual = residual_weight(spec, elapsed_days)
+def redemption_quote(spec: RsdmSpec, elapsed_days: int, count: int = 1) -> RedemptionQuote:
+    """Customer payout and issuer fee for redeeming ``count`` tokens,
+    unrounded: the residual is count * initial_weight *
+    decay_factor**elapsed_days grams, and the payout is (1 - fee rate)
+    times it. A bad count raises DomainError with ``count_violation``'s
+    complaint."""
+    if problem := count_violation("token count", count):
+        raise DomainError(problem)
+    residual = exact_mul(residual_weight(spec, elapsed_days), Decimal(count))
     fee = exact_mul(spec.redemption_fee_rate, residual)
     payout = exact_mul(exact_sub(Decimal(1), spec.redemption_fee_rate), residual)
     return RedemptionQuote(payout=payout, fee=fee, residual=residual)

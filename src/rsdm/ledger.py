@@ -382,21 +382,13 @@ def _settled_claim(spec: RsdmSpec, elapsed: int, count: int, weight: Decimal) ->
         payout = settle(exact_mul(net, low))
         if payout == settle(exact_mul(net, high)):
             return payout
-    residual, redeemable = _claim(spec, elapsed, count)
-    if residual < spec.min_redemption_grams:
+    claim = redemption_quote(spec, elapsed, count)
+    if claim.residual < spec.min_redemption_grams:
         raise BelowMinimumRedemption(
-            f"residual {settle(residual):f} g is below the series minimum "
+            f"residual {settle(claim.residual):f} g is below the series minimum "
             f"of {spec.min_redemption_grams} g"
         )
-    return settle(redeemable)
-
-
-def _claim(spec: RsdmSpec, elapsed: int, count: int) -> tuple[Decimal, Decimal]:
-    """The exact residual and redeemable grams of ``count`` tokens
-    ``elapsed`` days after issue, before settlement."""
-    quote = redemption_quote(spec, elapsed)
-    tokens = Decimal(count)
-    return exact_mul(quote.residual, tokens), exact_mul(quote.payout, tokens)
+    return settle(claim.payout)
 
 
 def _successor(state: LedgerState, event: LedgerEvent, writes: dict, series: dict) -> LedgerState:
@@ -556,15 +548,15 @@ def holdings_valuation(
         if days < 0:
             raise DomainError(f"valuation day {day} precedes the issue date of {series!r}")
         quote = latest[spec.collateral_id]
-        residual_g, redeemable_g = _claim(spec, days, count)
-        residual_v = exact_mul(residual_g, quote.price)
-        redeemable_v = exact_mul(redeemable_g, quote.price)
+        claim = redemption_quote(spec, days, count)
+        residual_v = exact_mul(claim.residual, quote.price)
+        redeemable_v = exact_mul(claim.payout, quote.price)
         rows.append(
             HoldingValuation(
                 series_id=series,
                 token_count=count,
-                residual_grams=residual_g,
-                redeemable_grams=redeemable_g,
+                residual_grams=claim.residual,
+                redeemable_grams=claim.payout,
                 quote_day=quote.day,
                 price_per_gram=quote.price,
                 residual_value=residual_v,

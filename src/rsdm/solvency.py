@@ -14,7 +14,7 @@ scale the rate linearly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -78,7 +78,8 @@ class FeeSchedule:
     Exactly the active kind's fee field is set, and each decimal passes
     ``_nonneg``, or construction raises DomainError. The ``flat`` /
     ``deadline_based`` / ``mean_holding_based`` constructors pick the kind.
-    The fields are checked once, here; ``fee_for`` charges from them.
+    The fields are checked, and a flat or mean-holding fee (no record
+    changes it) is fixed, once, here; ``fee_for`` charges from them.
     """
 
     kind: FeeKind
@@ -86,6 +87,7 @@ class FeeSchedule:
     flat_fee_per_token: Decimal | None = None
     deadline_day: int | None = None
     mean_holding_days: Decimal | None = None
+    _fixed_fee: Decimal | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         name, what = _KIND_FIELD[self.kind]
@@ -99,6 +101,10 @@ class FeeSchedule:
         elif abs(value) >= COUNT_LIMIT:
             raise DomainError(count_too_wide("deadline day"))
         object.__setattr__(self, "warehouse_rate", _nonneg(self.warehouse_rate, "warehouse rate"))
+        if self.kind is FeeKind.FLAT:
+            object.__setattr__(self, "_fixed_fee", self.flat_fee_per_token)
+        elif self.kind is FeeKind.MEAN_HOLDING_BASED:
+            object.__setattr__(self, "_fixed_fee", _mean_holding_fee(self.mean_holding_days, self.warehouse_rate))
 
     @classmethod
     def flat(cls, fee_per_token: Decimal | str | int, rate: Decimal | str | int) -> "FeeSchedule":
@@ -117,11 +123,9 @@ class FeeSchedule:
     def fee_for(self, record: RedemptionRecord) -> Decimal:
         """Per-token fee charged to this customer under the active kind;
         only the deadline rules that depend on the record are checked."""
-        if self.kind is FeeKind.FLAT:
-            return self.flat_fee_per_token
         if self.kind is FeeKind.DEADLINE_BASED:
             return _deadline_fee(record.purchase_day, self.deadline_day, self.warehouse_rate)
-        return _mean_holding_fee(self.mean_holding_days, self.warehouse_rate)
+        return self._fixed_fee
 
 
 def _nonneg(value: Decimal | str | int, what: str) -> Decimal:

@@ -177,6 +177,18 @@ class TestSolvencyCommands:
         assert out.splitlines()[0] == "day,cum_profit,cum_cost,bankrupt"
         assert "first bankrupt day:" in err
 
+    def test_simulate_a_mean_holding_schedule(self, capsys):
+        from rsdm import solvency
+        code, out, err = run(capsys, "solvency", "simulate", "--mean-days", "250",
+                             "--rate", "0.0002", "--horizon", "400",
+                             "--records", "jiaozi_solvency.csv")
+        records = solvency.records_from_csv(
+            numeric.read_text(Path(solvency.__file__).with_name("presets") / "jiaozi_solvency.csv"))
+        timeline = solvency.simulate_issuer(
+            records, solvency.FeeSchedule.mean_holding_based("250", "0.0002"), 400)
+        assert (code, err) == (0, "first bankrupt day: 302\n")
+        assert out == timeline.to_csv()
+
     def test_simulate_prints_the_timeline_in_plain_notation(self, capsys):
         code, out, err = run(capsys, "solvency", "simulate",
                              "--records", "jiaozi_solvency.csv",
@@ -677,6 +689,37 @@ class TestModulesLoaded:
         code, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0
         assert loaded == [f"rsdm.{m}" for m in closure]
+
+
+class TestClosedPipe:
+    """A reader that closes stdout first ends the run with exit 1 and a
+    silent stderr, whether each write flushes or only the last does."""
+
+    ISSUE = {"sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35", "party": "alice",
+             "token_count": 5000,
+             "series_spec": {"issue_date": "1970-01-01", "collateral_id": "XAU",
+                             "initial_weight_g": "1", "daily_decay_factor": "0.99996",
+                             "expiry_days": 18262, "redemption_fee_rate": "0.003"}}
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["msp-solve", "ledger-replay"])
+    def test_a_closed_pipe_exits_1_quietly(self, command, unbuffered, tmp_path):
+        log = tmp_path / "events.jsonl"
+        log.write_text(json.dumps(self.ISSUE) + "\n", encoding="utf-8")
+        argv = {"msp-solve": ["msp", "solve", "triple_monetary.json", "--objective", "saturating"],
+                "ledger-replay": ["ledger", "replay", "--log", str(log)]}[command]
+        env = {k: v for k, v in os.environ.items() if k != "RSDM_DATA_DIR"}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rsdm.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestStderrLines:

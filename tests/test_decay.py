@@ -11,14 +11,14 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_residual
-from rsdm import decay
+from rsdm import decay, solvency
 from rsdm.errors import DomainError, ExpiredSeries
 from rsdm.ledger import Quantity
-from rsdm.numeric import exact_add
+from rsdm.numeric import EXACT, count_violation, exact_add, exact_mul, exact_sub, settle
 
 GOLD = decay.RsdmSpec(
     issue_date=date(2035, 1, 1),
@@ -167,6 +167,58 @@ class TestRedemption:
         assert Fraction(payout) == oracle
 
 
+def one_token_times_count(spec, elapsed, count):
+    """Payout, fee and residual of ``count`` tokens as each one-token
+    figure times the count: the formula before ``redemption_quote`` took
+    a count, kept as its oracle."""
+    residual = decay.residual_weight(spec, elapsed)
+    one_token = (exact_mul(exact_sub(Decimal(1), spec.redemption_fee_rate), residual),
+                 exact_mul(spec.redemption_fee_rate, residual), residual)
+    return [exact_mul(figure, Decimal(count)) for figure in one_token]
+
+
+class TestRedemptionOfManyTokens:
+    THETA_34 = decay.daily_factor_from_annual_rate("-0.02")  # a 34-digit daily factor
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.sampled_from((Decimal("0.99996"), THETA_34, Decimal("1"), Decimal("0.5"))),
+           elapsed=st.one_of(st.integers(0, 60), st.integers(0, decay.MAX_EXPIRY_DAYS)),
+           count=st.one_of(st.integers(1, 1000), st.integers(1, 10**33)),
+           weight=st.one_of(
+               st.sampled_from((Decimal("1"), Decimal("1.0"), Decimal("1.000"), Decimal("31.1034768"))),
+               st.builds(lambda m, k: EXACT.scaleb(Decimal(m), -k),
+                         st.integers(1, 10**34 - 1), st.integers(0, 34))),
+           fee=st.sampled_from((Decimal("0"), Decimal("0.000"), Decimal("0.5"), Decimal("0." + "9" * 33))))
+    @example(theta=THETA_34, elapsed=decay.MAX_EXPIRY_DAYS, count=10**33, weight=Decimal("1.000"),
+             fee=Decimal("0." + "9" * 33))  # the deepest claim: 1.24 million digits
+    def test_equals_one_token_times_the_count(self, theta, elapsed, count, weight, fee):
+        spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", weight, theta, decay.MAX_EXPIRY_DAYS, fee)
+        quote = decay.redemption_quote(spec, elapsed, count)
+        got = [quote.payout, quote.fee, quote.residual]
+        want = one_token_times_count(spec, elapsed, count)
+        assert got == want
+        assert exact_add(quote.payout, quote.fee) == quote.residual
+        assert [str(settle(g)) for g in got] == [str(settle(w)) for w in want]
+        if count == 1:
+            # one token is spelt as before, trailing zeros included
+            assert [str(g) for g in got] == [str(w) for w in want]
+
+    def test_a_product_of_one_may_drop_trailing_zeros(self):
+        # exact_mul returns the other factor of a product by 1 as it is spelt:
+        # here the residual of 2 tokens is 1.0, so the payout is 0.997 * 1.0 =
+        # 0.997, where the one-token payout 0.4985 times 2 is spelt 0.9970
+        spec = decay.RsdmSpec(date(2035, 1, 1), "XAU", Decimal("1.000"), Decimal("0.5"), 10,
+                              Decimal("0.003"))
+        assert str(decay.redemption_quote(spec, 1, 2).payout) == "0.997"
+        assert str(one_token_times_count(spec, 1, 2)[0]) == "0.9970"
+
+    @pytest.mark.parametrize("count", [0, -1, 10**34, True, 1.5])
+    def test_a_bad_count_is_refused(self, count):
+        with pytest.raises(DomainError) as err:
+            decay.redemption_quote(GOLD, 1, count)
+        assert str(err.value) == count_violation("token count", count)
+
+
 class TestRateConversions:
     def test_zero_rate(self):
         assert decay.daily_factor_from_annual_rate(Decimal("0")) == 1
@@ -199,6 +251,11 @@ class TestRateConversions:
         rate = decay.annual_rate_from_daily_factor(Decimal("1.2"))
         assert rate.adjusted() == 28
         assert decay.daily_factor_from_annual_rate(rate) > 1
+
+    def test_a_daily_factor_of_zero_is_refused(self):
+        with pytest.raises(DomainError) as err:
+            decay.annual_rate_from_daily_factor("0")
+        assert str(err.value) == "daily factor must be positive, got 0"
 
     def test_rate_below_total_loss_rejected(self):
         with pytest.raises(DomainError):
@@ -287,6 +344,14 @@ class TestValidateSpec:
             replace(GOLD, redemption_fee_rate=Decimal(1), expiry_days="100", issue_size=-1)
         assert str(err.value) == ("invalid spec: fee rate must be in [0, 1); expiry days must be "
                                   "an integer, got str; issue size must be nonnegative")
+
+    def test_a_minimum_redemption_of_zero_is_refused(self):
+        with pytest.raises(DomainError) as err:
+            replace(GOLD, min_redemption_grams=Decimal(0))
+        assert str(err.value) == "invalid spec: minimum redemption must be > 0 grams"
+
+    def test_the_longest_expiry_is_the_century_solvency_replays(self):
+        assert decay.MAX_EXPIRY_DAYS == solvency.MAX_SIMULATED_DAYS
 
     def test_expiry_past_a_century_is_refused(self):
         with pytest.raises(DomainError) as err:

@@ -204,6 +204,11 @@ class TestHouseholdStorability:
         with pytest.raises(DomainError):
             demand.household_storability(D("1"), D("0"), D("2"))
 
+    def test_zero_threshold_rejected(self):
+        with pytest.raises(DomainError) as err:
+            demand.household_storability(D("1"), D("1"), D("0"))
+        assert str(err.value) == "storage threshold must be positive"
+
     @pytest.mark.parametrize("args", [("1E+999999", "1E-999999", "2"), ("1", "1", "1E+999999")])
     def test_inputs_obey_the_width_rule(self, args):
         with pytest.raises(DomainError, match="must have at most 34 digits"):

@@ -437,7 +437,7 @@ class TestSettledClaim:
         """Counts, per redeem, of the exact-power branch (the rounded-down
         chain rounded nothing), the bracket branch and the exact fallback."""
         seen = {"exact power": 0, "bracket": 0, "fallback": 0}
-        bounds, claim = ledger.pow_bounds, ledger._claim
+        bounds, claim = ledger.pow_bounds, ledger.redemption_quote
 
         def counting_bounds(*args):
             low, high = bounds(*args)
@@ -449,7 +449,7 @@ class TestSettledClaim:
             return claim(*args)
 
         monkeypatch.setattr(ledger, "pow_bounds", counting_bounds)
-        monkeypatch.setattr(ledger, "_claim", counting_claim)
+        monkeypatch.setattr(ledger, "redemption_quote", counting_claim)
         return seen
 
     @pytest.mark.parametrize("theta", [D("0.99996"), THETA_34, D("1"), D("0.5")],

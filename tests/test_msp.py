@@ -91,6 +91,11 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="unknown currency"):
             msp.evaluate_linear_objective(desk_instance(), {"NOPE"})
 
+    def test_currency_lookup_of_an_unknown_id(self):
+        with pytest.raises(DomainError) as err:
+            desk_instance().currency("nope")
+        assert str(err.value) == "unknown currency id 'nope'"
+
     @settings(max_examples=40)
     @given(seed=st.integers(0, 10**6))
     def test_saturating_never_exceeds_linear_when_sums_small(self, seed):

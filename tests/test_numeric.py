@@ -47,6 +47,11 @@ class TestAsDecimal:
         with pytest.raises(DomainError, match="float"):
             as_decimal(0.1)
 
+    def test_bool_rejected(self):
+        with pytest.raises(DomainError) as err:
+            as_decimal(True)
+        assert str(err.value) == "cannot interpret True as a decimal"
+
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             as_decimal("NaN")

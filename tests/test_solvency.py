@@ -368,6 +368,17 @@ class TestFeeSchedule:
             solvency.simulate_issuer(recs, schedule, 10)
         assert checked == []
 
+    def test_a_mean_holding_fee_is_computed_when_the_schedule_is_built(self, monkeypatch):
+        recs = [RedemptionRecord(f"c{i}", 1 + i, i, None if i % 3 else i + 7) for i in range(120)]
+        schedule = FeeSchedule.mean_holding_based(Decimal("12.5"), Decimal("0.0003"))
+        calls = []
+        real = solvency._mean_holding_fee
+        monkeypatch.setattr(solvency, "_mean_holding_fee", lambda *args: calls.append(args) or real(*args))
+        solvency.simulate_issuer(recs, schedule, 200)
+        assert calls == []
+        fee = schedule.fee_for(recs[0])
+        assert str(fee) == str(solvency.mean_holding_fee("12.5", "0.0003")) == "0.00375"
+
     def test_fee_for_dispatch(self):
         rec = RedemptionRecord("k", 1, 10, None)
         assert FeeSchedule.flat(Decimal("2"), Decimal("0")).fee_for(rec) == 2
