@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from rsdm import numeric
-from rsdm.errors import DomainError, NeverBankrupt, RsdmError, SchemaError
+from rsdm.errors import DomainError, RsdmError, SchemaError
 
 if TYPE_CHECKING:
     from rsdm import decay, demand, ledger, msp, solvency
@@ -184,10 +184,7 @@ def cmd_decay_convert_rate(args) -> int:
 
 def cmd_solvency_breakeven(args) -> int:
     from rsdm import solvency
-    try:
-        days = solvency.breakeven_horizon(args.beta, args.alpha)
-    except NeverBankrupt:
-        days = None
+    days = solvency.breakeven_horizon(args.beta, args.alpha)
     emit(args.format, {"breakeven_days": days}, ["never" if days is None else str(days)])
     return 0
 

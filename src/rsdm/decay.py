@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 from rsdm.errors import DomainError, ExpiredSeries
 from rsdm.numeric import (
@@ -192,8 +193,7 @@ def purchase_price(spec: RsdmSpec, elapsed_days: int, unit_price: Decimal | str 
     return exact_mul(price, residual_weight(spec, elapsed_days))
 
 
-@dataclass(frozen=True)
-class RedemptionQuote:
+class RedemptionQuote(NamedTuple):
     """Split of the residual weight of the tokens redeemed, in grams.
 
     payout + fee == residual exactly: the issuer's fee take is the

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from enum import Enum
+from typing import NamedTuple
 
 from rsdm.errors import DomainError, SchemaError
 from rsdm.numeric import CONTEXT, as_decimal, bounded_decimal
@@ -104,8 +105,7 @@ class Unknown(Enum):
     MARSHALLIAN_K = "marshallian_k"
 
 
-@dataclass(frozen=True)
-class UnknownSolution:
+class UnknownSolution(NamedTuple):
     """Value restoring equilibrium; flagged when it comes out negative
     (economically infeasible but mathematically determined)."""
 
@@ -175,8 +175,7 @@ class Storability(Enum):
     NOT_STORABLE = "NotStorable"
 
 
-@dataclass(frozen=True)
-class StorabilityResult:
+class StorabilityResult(NamedTuple):
     classification: Storability
     mass_kg: Decimal
 

@@ -19,10 +19,6 @@ class ExpiredSeries(RsdmError):
     """
 
 
-class NeverBankrupt(RsdmError):
-    """Signal: with zero storage cost the breakeven horizon is infinite."""
-
-
 class SizeGuardError(RsdmError):
     """The currency pool is too large for exhaustive subset enumeration."""
 

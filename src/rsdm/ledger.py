@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from rsdm.decay import RsdmSpec, epoch_day, redemption_quote
 from rsdm.errors import (
@@ -477,8 +477,7 @@ def replay(events: Iterable[LedgerEvent]) -> LedgerState:
     return fold
 
 
-@dataclass(frozen=True)
-class HoldingValuation:
+class HoldingValuation(NamedTuple):
     series_id: str
     token_count: int
     residual_grams: Decimal
@@ -490,8 +489,7 @@ class HoldingValuation:
     expired: bool = False
 
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     party: str
     day: int
     holdings: tuple[HoldingValuation, ...]
@@ -509,6 +507,8 @@ def holdings_valuation(
     series with no applicable quote raises MissingQuote listing every
     uncovered series.
     """
+    if problem := integer_violation("valuation day", day):
+        raise DomainError(problem)
     holdings = state.holdings_of(party)
     latest: dict[str, PriceQuote] = {}
     for q in quotes:

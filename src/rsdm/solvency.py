@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from rsdm.errors import DomainError, NeverBankrupt
+from rsdm.errors import DomainError
 from rsdm.numeric import (CONTEXT, COUNT_LIMIT, EXACT, as_decimal, bound_violation, bounded_decimal,
                           count_too_wide, count_violation, integer_violation, read_csv_table)
 
@@ -211,16 +211,17 @@ def is_bankrupt(profit: Decimal | str | int, cost: Decimal | str | int) -> bool:
     return as_decimal(profit) < as_decimal(cost)
 
 
-def breakeven_horizon(flat_fee: Decimal | str | int, rate: Decimal | str | int) -> int:
+def breakeven_horizon(flat_fee: Decimal | str | int, rate: Decimal | str | int) -> int | None:
     """First holding duration (days) at which a flat fee stops covering
-    storage: the smallest integer strictly greater than fee/rate.
+    storage: the smallest integer strictly greater than fee/rate, or
+    None at a zero rate, when no holding duration bankrupts the issuer.
 
     Exact rational comparison; no floating point.
     """
     fee = _nonneg(flat_fee, "flat fee")
     alpha = _nonneg(rate, "warehouse rate")
     if alpha == 0:
-        raise NeverBankrupt("zero storage rate: no holding duration triggers bankruptcy")
+        return None
     ratio = Fraction(fee) / Fraction(alpha)
     return int(ratio) + 1  # floor + 1 == smallest integer strictly above (ratio >= 0)
 
@@ -229,9 +230,13 @@ def deadline_fee(
     purchase_day: int, deadline_day: int, rate: Decimal | str | int
 ) -> Decimal:
     """Up-front fee prefunding storage from purchase to the token deadline;
-    DomainError if it breaks the width rule of ``bound_violation``, as
-    any other fee does."""
-    return _deadline_fee(purchase_day, deadline_day, _nonneg(rate, "warehouse rate"))
+    DomainError if a day is not an ``int``, or if the fee breaks the
+    width rule of ``bound_violation``, as any other fee does."""
+    alpha = _nonneg(rate, "warehouse rate")
+    for name, day in (("purchase day", purchase_day), ("deadline day", deadline_day)):
+        if problem := integer_violation(name, day):
+            raise DomainError(problem)
+    return _deadline_fee(purchase_day, deadline_day, alpha)
 
 
 def _deadline_fee(purchase_day: int, deadline_day: int, alpha: Decimal) -> Decimal:
@@ -280,8 +285,7 @@ class TimelinePoint(NamedTuple):
     bankrupt: bool
 
 
-@dataclass(frozen=True)
-class SolvencyTimeline:
+class SolvencyTimeline(NamedTuple):
     points: tuple[TimelinePoint, ...]
     first_bankrupt_day: int | None
 

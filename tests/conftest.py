@@ -8,6 +8,8 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from rsdm import decay, msp
 
 
@@ -101,3 +103,17 @@ def make_series_pool() -> list[tuple[str, decay.RsdmSpec]]:
                            Decimal("0.005"), min_redemption_grams=Decimal("1")),
         ),
     ]
+
+
+def check_result_record(record, field_names: tuple[str, ...], text: str) -> None:
+    """A record that only carries a result is a named tuple: these
+    fields in this order, immutable, hashable, equal to the plain tuple
+    of its fields, and printed as ``text``."""
+    assert issubclass(type(record), tuple)
+    assert type(record)._fields == field_names
+    for name in field_names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    hash(record)
+    assert record == tuple(record)
+    assert repr(record) == text

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_residual
+from conftest import check_result_record, fraction_residual
 from rsdm import decay, solvency
 from rsdm.errors import DomainError, ExpiredSeries
 from rsdm.ledger import Quantity
@@ -136,6 +136,12 @@ class TestRedemption:
         results = [decay.residual_weight(GOLD, 30), decay.purchase_price(GOLD, 30, 95),
                    quote.payout, quote.fee, quote.residual]
         assert [type(r) for r in results] == [Decimal] * 5
+
+    def test_a_quote_is_a_plain_named_tuple(self):
+        check_result_record(
+            decay.redemption_quote(GOLD, 1), ("payout", "fee", "residual"),
+            "RedemptionQuote(payout=Decimal('0.99696012'), fee=Decimal('0.00299988'), "
+            "residual=Decimal('0.99996'))")
 
     def test_day_zero_fee_applied(self):
         assert decay.redemption_quote(GOLD, 0).payout == Decimal("0.997")

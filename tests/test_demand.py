@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import check_result_record
 from rsdm import demand
 from rsdm.demand import DemandScenario, Storability, Unknown
 from rsdm.errors import DomainError, SchemaError
@@ -111,6 +112,13 @@ class TestSolveUnknown:
                                                              restored.gdp))
                 assert abs(residual) <= bound
 
+    def test_a_solution_is_a_plain_named_tuple(self):
+        s = DemandScenario(D("0.7"), D("120"), D("5"), D("8"), D("8"), D("5"), D("4"))
+        check_result_record(
+            demand.solve_unknown(s, "other_supply"), ("unknown", "value", "negative"),
+            "UnknownSolution(unknown=<Unknown.OTHER_SUPPLY: 'other_supply'>, value=Decimal('4.0'), "
+            "negative=False)")
+
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError, match="cannot solve"):
             demand.solve_unknown(scenario(), "gdp")
@@ -199,6 +207,11 @@ class TestHouseholdStorability:
     def test_zero_value_storable(self):
         result = demand.household_storability(D("0"), D("100"), D("2"))
         assert result.storable and result.mass_kg == 0
+
+    def test_a_result_is_a_plain_named_tuple(self):
+        check_result_record(
+            demand.household_storability(D("100000"), D("100000"), D("2")), ("classification", "mass_kg"),
+            "StorabilityResult(classification=<Storability.STORABLE: 'Storable'>, mass_kg=Decimal('1'))")
 
     def test_zero_price_rejected(self):
         with pytest.raises(DomainError):

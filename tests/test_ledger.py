@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from conftest import make_series_pool
+from conftest import check_result_record, make_series_pool
 from rsdm import decay, ledger
 from rsdm.decay import epoch_day
 from rsdm.numeric import CONTEXT, EXACT, exact_add, exact_mul, exact_pow, exact_sub, settle
@@ -898,6 +898,36 @@ class TestValuation:
                                            "alice", 60)
         row = report.holdings[0]
         assert row.expired and row.residual_value == 0
+
+    def test_a_report_and_its_rows_are_plain_named_tuples(self):
+        short = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("0.99996"), 1, D("0.003"),
+                               min_redemption_grams=D("1"))
+        state, _ = ledger.issue(ledger.empty_state(), "AU35", GOLD, "alice", 10, 0)
+        state, _ = ledger.issue(state, "SHORT", short, "alice", 2, 0)
+        report = ledger.holdings_valuation(state, [PriceQuote(0, "XAU", D("100"))], "alice", 2)
+        live = ("HoldingValuation(series_id='AU35', token_count=10, residual_grams=Decimal('9.9992000160'), "
+                "redeemable_grams=Decimal('9.9692024159520'), quote_day=0, price_per_gram=Decimal('100'), "
+                "residual_value=Decimal('999.9200016000'), redeemable_value=Decimal('996.9202415952000'), "
+                "expired=False)")
+        expired = ("HoldingValuation(series_id='SHORT', token_count=2, residual_grams=Decimal('0'), "
+                   "redeemable_grams=Decimal('0'), quote_day=None, price_per_gram=None, "
+                   "residual_value=Decimal('0'), redeemable_value=Decimal('0'), expired=True)")
+        row_fields = ("series_id", "token_count", "residual_grams", "redeemable_grams", "quote_day",
+                      "price_per_gram", "residual_value", "redeemable_value", "expired")
+        check_result_record(report.holdings[0], row_fields, live)
+        check_result_record(report.holdings[1], row_fields, expired)
+        check_result_record(
+            report, ("party", "day", "holdings", "total_residual_value", "total_redeemable_value"),
+            f"ValuationReport(party='alice', day=2, holdings=({live}, {expired}), "
+            "total_residual_value=Decimal('999.9200016000'), "
+            "total_redeemable_value=Decimal('996.9202415952000'))")
+
+    @pytest.mark.parametrize("day, kind", [(True, "bool"), (10.0, "float"), ("10", "str"),
+                                           (None, "NoneType")])
+    def test_valuation_day_must_be_an_integer(self, day, kind):
+        with pytest.raises(DomainError) as err:
+            ledger.holdings_valuation(issued_state(), [PriceQuote(0, "XAU", D("100"))], "alice", day)
+        assert str(err.value) == f"valuation day must be an integer, got {kind}"
 
 
 class TestRandomizedConservation:

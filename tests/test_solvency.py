@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import check_result_record
 from rsdm import decay, solvency
-from rsdm.errors import DomainError, NeverBankrupt
+from rsdm.errors import DomainError
 from rsdm.numeric import CONTEXT, EXACT
 from rsdm.solvency import (
     FeeKind,
@@ -116,8 +117,7 @@ class TestBreakevenHorizon:
         assert solvency.breakeven_horizon(Decimal("0.295"), Decimal("0.01")) == 30
 
     def test_zero_rate_never_bankrupt(self):
-        with pytest.raises(NeverBankrupt):
-            solvency.breakeven_horizon(Decimal("1"), Decimal("0"))
+        assert solvency.breakeven_horizon(Decimal("1"), Decimal("0")) is None
 
     @pytest.mark.parametrize("fee, rate", [("1", "1E-999999"), ("1E+9999999", "1"),
                                            ("1" * 35, "1"), ("1", "0E-35")])
@@ -166,6 +166,18 @@ class TestPrepaidFees:
     def test_deadline_before_purchase_rejected(self):
         with pytest.raises(DomainError):
             solvency.deadline_fee(100, 50, Decimal("0.01"))
+
+    @pytest.mark.parametrize("args, message", [
+        ((True, 10, "0.1"), "purchase day must be an integer, got bool"),
+        ((0, 10.5, "0.1"), "deadline day must be an integer, got float"),
+        (("0", 10, "0.1"), "purchase day must be an integer, got str"),
+        ((0, None, "0.1"), "deadline day must be an integer, got NoneType"),
+        ((True, 10.5, "-1"), "warehouse rate must be nonnegative"),
+    ])
+    def test_deadline_fee_checks_its_days(self, args, message):
+        with pytest.raises(DomainError) as err:
+            solvency.deadline_fee(*args)
+        assert str(err.value) == message
 
     def test_mean_holding_fee(self):
         assert solvency.mean_holding_fee(Decimal("0"), Decimal("0.01")) == 0
@@ -290,6 +302,16 @@ class TestSimulateIssuer:
             point.bankrupt = True
         assert point == TimelinePoint(1, Decimal("1"), Decimal("0.1"), False)
         assert {point: "day 1"}[TimelinePoint(1, Decimal("1"), Decimal("0.1"), False)] == "day 1"
+
+    def test_a_timeline_is_a_plain_named_tuple(self):
+        timeline = solvency.simulate_issuer([RedemptionRecord("k", 1, 0, 2)],
+                                            FeeSchedule.flat(Decimal("1"), Decimal("0.1")), 2)
+        check_result_record(
+            timeline, ("points", "first_bankrupt_day"),
+            "SolvencyTimeline(points=(TimelinePoint(day=0, cum_profit=Decimal('1'), cum_cost=Decimal('0.0'), "
+            "bankrupt=False), TimelinePoint(day=1, cum_profit=Decimal('1'), cum_cost=Decimal('0.1'), "
+            "bankrupt=False), TimelinePoint(day=2, cum_profit=Decimal('1'), cum_cost=Decimal('0.2'), "
+            "bankrupt=False)), first_bankrupt_day=None)")
 
 
 class TestFeeSchedule:
