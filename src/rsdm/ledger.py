@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import decimal
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from math import isqrt
@@ -93,8 +93,7 @@ class EventKind(Enum):
     REDEEM = "redeem"
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
+class LedgerEvent(NamedTuple):
     """One ledger entry. ``payout_grams`` is set on redeem events only;
     ``series_spec`` on the first issue event of a series."""
 
@@ -440,7 +439,7 @@ def redeem(
     probe = LedgerEvent(state.last_sequence + 1, day, EventKind.REDEEM, series_id, party,
                         token_count=token_count)
     writes, series, payout = _effects(state, probe)
-    event = replace(probe, payout_grams=payout)
+    event = probe._replace(payout_grams=payout)
     return _successor(state, event, writes, series), Quantity(payout), event
 
 
@@ -664,6 +663,8 @@ def state_from_snapshot(text: str) -> LedgerState:
             },
             last_sequence=json_int(doc.get("last_sequence", 0), "last_sequence"),
         )
+        if state.last_sequence < 0:
+            raise DomainError("last_sequence must be nonnegative")
         _check_series(state, held)
         return state
     except (DomainError, ValueError, TypeError, AttributeError) as exc:
@@ -674,8 +675,8 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
     """A snapshot's series must be as ``append_event`` leaves them. Every
     held balance (``held``: tokens per series) and per-series entry names
     one of them; a zero balance holds nothing and is let through, and the
-    offending balance is looked up only on error. Each series has issued
-    fewer than 10^34 tokens, as an issue event leaves it, its balances
+    offending balance is looked up only on error. No amount or count is
+    negative, each series has issued fewer than 10^34 tokens, its balances
     hold at most the tokens issued, vault plus payouts weigh every token
     issued, and issuer accrual plus payouts every token redeemed."""
     stray = {sid for sid, tokens in held.items() if tokens} - state.specs.keys()
@@ -686,6 +687,10 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
         stray = getattr(state, field).keys() - state.specs.keys()
         if stray:
             raise DomainError(f"{field} entry {min(stray)!r} names a series missing from \"series\"")
+    for field in (*_AMOUNTS, "issued_tokens"):
+        for sid, value in getattr(state, field).items():
+            if value < 0:
+                raise DomainError(f"{field} {sid!r} must be nonnegative")
     for sid, spec in state.specs.items():
         issued = state.issued_tokens.get(sid, 0)
         if issued >= COUNT_LIMIT:

@@ -56,7 +56,7 @@ from enum import Enum
 from itertools import accumulate
 from math import lcm
 from operator import add, gt, mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
 from rsdm.numeric import EXACT, as_decimal, bound_violation
@@ -141,29 +141,25 @@ class MspInstance:
         raise DomainError(f"unknown currency id {currency_id!r}")
 
 
-@dataclass(frozen=True)
-class MspSolution:
+class MspSolution(NamedTuple):
     selection: tuple[str, ...]  # sorted currency ids
     objective: Decimal
     objective_kind: ObjectiveKind
     per_function_score: dict[str, Decimal]  # raw coverage sums
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """First-class result: no selection satisfies the constraints."""
 
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     feasible: bool
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FunctionCoverage:
+class FunctionCoverage(NamedTuple):
     function_id: str
     achieved: Decimal  # raw coverage sum over the selection
     threshold: Decimal
@@ -171,8 +167,7 @@ class FunctionCoverage:
     covered: bool  # achieved >= threshold
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     rows: tuple[FunctionCoverage, ...]
     all_covered: bool
 

@@ -105,15 +105,20 @@ def make_series_pool() -> list[tuple[str, decay.RsdmSpec]]:
     ]
 
 
-def check_result_record(record, field_names: tuple[str, ...], text: str) -> None:
+def check_result_record(record, field_names: tuple[str, ...], text: str, hashable: bool = True) -> None:
     """A record that only carries a result is a named tuple: these
-    fields in this order, immutable, hashable, equal to the plain tuple
-    of its fields, and printed as ``text``."""
+    fields in this order, immutable, hashable unless ``hashable`` is
+    false (a field holds a dict), equal to the plain tuple of its
+    fields, and printed as ``text``."""
     assert issubclass(type(record), tuple)
     assert type(record)._fields == field_names
     for name in field_names:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
-    hash(record)
+    if hashable:
+        hash(record)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
     assert record == tuple(record)
     assert repr(record) == text

@@ -266,6 +266,30 @@ class TestRedeem:
         with pytest.raises(FrozenInstanceError):
             payout.value = D(0)
 
+    def test_each_event_is_a_named_tuple(self):
+        state, issued = ledger.issue(ledger.empty_state(), "AU35", GOLD, "alice", 5000, 0)
+        state, moved = ledger.transfer(state, "alice", "bob", "AU35", 700, 3)
+        _, _, redeemed = ledger.redeem(state, "alice", "AU35", 1000, 365)
+        names = ("sequence", "day", "kind", "series_id", "party", "counterparty", "token_count",
+                 "payout_grams", "series_spec")
+        check_result_record(
+            issued, names,
+            "LedgerEvent(sequence=1, day=0, kind=<EventKind.ISSUE: 'issue'>, series_id='AU35', "
+            "party='alice', counterparty=None, token_count=5000, payout_grams=None, "
+            "series_spec=RsdmSpec(issue_date=datetime.date(1970, 1, 1), collateral_id='XAU', "
+            "initial_weight=Decimal('1'), daily_decay_factor=Decimal('0.99996'), expiry_days=18262, "
+            "redemption_fee_rate=Decimal('0.003'), issue_size=0, inspection_fee=Decimal('0'), "
+            "min_redemption_grams=Decimal('500')))")
+        check_result_record(
+            moved, names,
+            "LedgerEvent(sequence=2, day=3, kind=<EventKind.TRANSFER: 'transfer'>, series_id='AU35', "
+            "party='alice', counterparty='bob', token_count=700, payout_grams=None, series_spec=None)")
+        check_result_record(
+            redeemed, names,
+            "LedgerEvent(sequence=3, day=365, kind=<EventKind.REDEEM: 'redeem'>, series_id='AU35', "
+            "party='alice', counterparty=None, token_count=1000, payout_grams=Decimal('982.549258097'), "
+            "series_spec=None)")
+
     def test_conservation_after_redeem(self):
         state, payout, _ = ledger.redeem(issued_state(), "alice", "AU35", 1000, 1)
         assert state.vault["AU35"] + state.cumulative_payouts["AU35"] == 5000
@@ -391,7 +415,7 @@ class TestRedeem:
         event = LedgerEvent(2, 10, kind, "AU35", "alice", "bob", token_count=5)
         value = cast(getattr(event, field))
         with pytest.raises(LedgerError) as err:
-            ledger.append_event(issued_state(), replace(event, **{field: value}))
+            ledger.append_event(issued_state(), event._replace(**{field: value}))
         assert type(err.value) is LedgerError
         assert str(err.value) == f"{field} must be an integer, got {type(value).__name__}"
 
@@ -722,6 +746,50 @@ class TestMalformedDocuments:
     def test_snapshot_zero_balance_loads(self):
         state = ledger.state_from_snapshot('{"balances": {"a": {"S": 0}}}')
         assert state.balances == {("a", "S"): 0}
+
+    ONE_GRAM = decay.RsdmSpec(date(1970, 1, 1), "XAU", D("1"), D("0.99996"), 18262, D("0.003"),
+                              min_redemption_grams=D("1"))
+
+    def one_gram_snapshot(self, issued):
+        """The snapshot document of series AU, 1 g a token, with ``issued``
+        tokens issued to alice."""
+        if not issued:
+            return {"series": {"AU": self.ONE_GRAM.to_json_dict()}}
+        state, _ = ledger.issue(ledger.empty_state(), "AU", self.ONE_GRAM, "alice", issued, 0)
+        return json.loads(ledger.state_to_snapshot(state))
+
+    @pytest.mark.parametrize("issued, change, problem", [
+        (10, {"last_sequence": -1}, "last_sequence must be nonnegative"),
+        (10, {"vault": {"AU": "11"}, "cumulative_payouts": {"AU": "-1"}, "issuer_accrual": {"AU": "1"}},
+         "cumulative_payouts 'AU' must be nonnegative"),
+        (0, {"vault": {"AU": "-1"}, "cumulative_payouts": {"AU": "1"}, "issuer_accrual": {"AU": "-1"}},
+         "vault 'AU' must be nonnegative"),
+        (0, {"vault": {"AU": "0"}, "cumulative_payouts": {"AU": "1"}, "issuer_accrual": {"AU": "-1"}},
+         "issuer_accrual 'AU' must be nonnegative"),
+        (0, {"issued_tokens": {"AU": -1}}, "issued_tokens 'AU' must be nonnegative"),
+    ], ids=["last-sequence", "payouts", "vault", "accrual", "issued"])
+    def test_snapshot_holding_a_negative_figure(self, issued, change, problem):
+        # each once loaded: a sequence-0 transfer appended after -1, a
+        # negative payout, or a vault and accrual below zero
+        doc = {**self.one_gram_snapshot(issued), **change}
+        with pytest.raises(DomainError) as err:
+            ledger.state_from_snapshot(json.dumps(doc))
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"malformed snapshot: {problem}"
+
+    def test_snapshot_negative_zero_amounts_load(self):
+        doc = {**self.one_gram_snapshot(0),
+               **{field: {"AU": "-0"} for field in ("vault", "issuer_accrual", "cumulative_payouts")}}
+        assert ledger.state_from_snapshot(json.dumps(doc)).vault == {"AU": D("-0")}
+
+    def test_snapshot_of_a_zero_fee_series_redeemed_to_the_last_token_loads(self):
+        spec = replace(self.ONE_GRAM, daily_decay_factor=D("1"), redemption_fee_rate=D("0"))
+        state, _ = ledger.issue(ledger.empty_state(), "AU", spec, "alice", 10, 0)
+        state, _, _ = ledger.redeem(state, "alice", "AU", 10, 5)
+        text = ledger.state_to_snapshot(state)
+        doc = json.loads(text)
+        assert doc["vault"] == doc["issuer_accrual"] == {"AU": "0E-9"}
+        assert ledger.state_to_snapshot(ledger.state_from_snapshot(text)) == text
 
     INVALID_SPEC = "invalid spec: decay factor must be in (0, 1]"
 

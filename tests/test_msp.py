@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_optimum, make_random_instance
-from rsdm import cli, msp
+from conftest import brute_force_optimum, check_result_record, make_random_instance
+from rsdm import cli, decay, demand, ledger, msp, solvency
 from rsdm.errors import DomainError, SchemaError, SizeGuardError
 from rsdm.msp import (
     CurrencyCandidate,
@@ -770,6 +770,8 @@ def exact(value):
         return value.as_tuple()
     if is_dataclass(value):
         return (type(value).__name__, [exact(getattr(value, f.name)) for f in fields(value)])
+    if hasattr(value, "_fields"):
+        return (type(value).__name__, [exact(v) for v in value])
     if isinstance(value, dict):
         return [(k, exact(v)) for k, v in value.items()]
     if isinstance(value, (list, tuple)):
@@ -1298,3 +1300,51 @@ class TestMaxParallelIsAnInvariant:
             msp.instance_from_json_dict(doc)
         assert err.value.problems == ["/max_parallel: expected an integer",
                                       "/currencies/0/coverage/k1: coverage must lie in [0, 1]"]
+
+
+class TestResultRecords:
+    """A record is a frozen dataclass only when its ``__post_init__``
+    checks or coerces it; every other record is a named tuple."""
+
+    def test_only_a_record_that_checks_itself_is_a_dataclass(self):
+        unchecked = {cls.__qualname__
+                     for module in (decay, demand, ledger, msp, solvency)
+                     for cls in vars(module).values()
+                     if isinstance(cls, type) and cls.__module__ == module.__name__
+                     and is_dataclass(cls) and "__post_init__" not in vars(cls)}
+        # ledger.Quantity stays until redeem returns its payout as a bare Decimal
+        assert unchecked == {"Quantity"}
+
+    def test_a_solution_is_a_named_tuple(self):
+        check_result_record(
+            msp.solve_saturating(desk_instance()),
+            ("selection", "objective", "objective_kind", "per_function_score"),
+            "MspSolution(selection=('FIAT', 'GOLD'), objective=Decimal('2.8'), "
+            "objective_kind=<ObjectiveKind.SATURATING: 'saturating'>, "
+            "per_function_score={'k1': Decimal('1'), 'k2': Decimal('1.2'), 'k3': Decimal('1')})",
+            hashable=False)
+
+    def test_an_infeasible_answer_is_a_named_tuple(self):
+        inst = MspInstance(functions=(MonetaryFunction("k1", D(1), D("1.5")),),
+                           currencies=(currency("c1", {"k1": "1"}), currency("c2", {"k1": "0.4"})),
+                           max_parallel=1, balance_penalty=D(0))
+        check_result_record(
+            msp.solve_branch_and_bound(inst), ("reasons",),
+            "Infeasible(reasons=('threshold k1: 1.5 unreachable even selecting every candidate "
+            "(total coverage 1.4)',))")
+
+    def test_a_verdict_is_a_named_tuple(self):
+        check_result_record(
+            msp.check_feasible(desk_instance(), ("GOLD", "BTC")), ("feasible", "violations"),
+            "FeasibilityVerdict(feasible=False, violations=('threshold k1: achieved 0.2, required 0.5', "
+            "'mandatory: FIAT must be included in the monetary system'))")
+
+    def test_a_coverage_report_and_its_rows_are_named_tuples(self):
+        report = msp.coverage_report(desk_instance(), ("FIAT", "RSDM"))
+        rows = [f"FunctionCoverage(function_id='{fid}', achieved=Decimal('{achieved}'), "
+                "threshold=Decimal('0.5'), saturated_value=Decimal('1'), covered=True)"
+                for fid, achieved in (("k1", "1.6"), ("k2", "1.8"), ("k3", "1"))]
+        check_result_record(
+            report.rows[0], ("function_id", "achieved", "threshold", "saturated_value", "covered"), rows[0])
+        check_result_record(report, ("rows", "all_covered"),
+                            f"CoverageReport(rows=({', '.join(rows)}), all_covered=True)")
