@@ -684,11 +684,11 @@ def _check_series(state: LedgerState, held: Mapping[str, int]) -> None:
         key = min(key for key, count in state.balances.items() if key[1] in stray and count)
         raise DomainError(f"balance {key} names series {key[1]!r}, missing from \"series\"")
     for field in (*_AMOUNTS, "issued_tokens"):
-        stray = getattr(state, field).keys() - state.specs.keys()
+        entries = getattr(state, field)
+        stray = entries.keys() - state.specs.keys()
         if stray:
             raise DomainError(f"{field} entry {min(stray)!r} names a series missing from \"series\"")
-    for field in (*_AMOUNTS, "issued_tokens"):
-        for sid, value in getattr(state, field).items():
+        for sid, value in entries.items():
             if value < 0:
                 raise DomainError(f"{field} {sid!r} must be nonnegative")
     for sid, spec in state.specs.items():

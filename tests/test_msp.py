@@ -6,7 +6,7 @@ all sixteen subsets before the solvers were written and frozen here.
 
 import json
 import random
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import is_dataclass, replace
 from decimal import Decimal, localcontext
 
 import pytest
@@ -768,8 +768,6 @@ def exact(value):
     or key order compares unequal."""
     if isinstance(value, Decimal):
         return value.as_tuple()
-    if is_dataclass(value):
-        return (type(value).__name__, [exact(getattr(value, f.name)) for f in fields(value)])
     if hasattr(value, "_fields"):
         return (type(value).__name__, [exact(v) for v in value])
     if isinstance(value, dict):
