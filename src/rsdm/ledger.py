@@ -606,8 +606,14 @@ def read_event_log(path) -> list[LedgerEvent]:
 
 
 def append_event_line(path, event: LedgerEvent) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(events_to_jsonl([event]))
+    """Append *event* to the JSONL log at *path* on a line of its own,
+    ending the log's last line first if it has no newline."""
+    with open(path, "a+b") as fh:
+        if fh.tell():
+            fh.seek(-1, 2)  # from the end
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
+        fh.write(events_to_jsonl([event]).encode("utf-8"))
 
 
 def state_to_snapshot(state: LedgerState) -> str:

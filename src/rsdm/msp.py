@@ -21,18 +21,18 @@ reads one coverage tally of its per-function sums. No sum or product
 rounds, so a number does not depend on the order of addition, and the
 solvers, the queries and ``check_feasible`` agree on every threshold and
 objective comparison: the queries and a solver's reported numbers run
-in ``numeric.EXACT``, and the search runs on exact integers, each value
-a numerator over a common denominator.
+in ``numeric.EXACT``, and the search runs on the exact integers of
+``_integer_rows``, each value a numerator over a common denominator.
 
-One include-first depth-first search, a loop over an explicit stack,
-sits behind the three solvers: ``solve_exhaustive`` is its unbounded
-walk, the subset-enumeration oracle, while ``solve_branch_and_bound``
-(linear) and ``solve_saturating`` also cut on an objective bound. Every
-walk takes the mandatory candidates first and only includes them, so
-they are decided on the one chain from the root, before any incumbent
-exists: no bound, tie cut or last-pick scoring ever sees one. A node
-with at most one pick left then scores its completions at once:
-stopping there, or picking one remaining candidate. Among
+One include-first depth-first search, ``_walk``'s loop over an explicit
+stack, sits behind the three solvers: ``solve_exhaustive`` is its
+unbounded walk, the subset-enumeration oracle, while
+``solve_branch_and_bound`` (linear) and ``solve_saturating`` also cut on
+an objective bound. Every walk takes the mandatory candidates first and
+only includes them, so they are decided on the one chain from the root,
+before any incumbent exists: no bound, tie cut or last-pick scoring ever
+sees one. A node with at most one pick left then scores its completions
+at once: stopping there, or picking one remaining candidate. Among
 equal-objective optima the lexicographically smallest sorted id tuple
 wins, so results are schedule-independent; the bounded solvers drop a
 node whose bound ties the incumbent once no completion can reach a
@@ -430,29 +430,17 @@ def _precedes(a: int, b: int) -> bool:
     return b >= low << 1 if a & low else a < low
 
 
-def _search(
-    instance: MspInstance, kind: ObjectiveKind, bounded: bool
-) -> MspSolution | Infeasible:
-    """The depth-first search behind every solver (see the module
-    docstring); its cuts rely on the invariants every instance keeps.
+def _integer_rows(instance: MspInstance) -> tuple[list[tuple], list[int], int, int]:
+    """The instance on exact integers: rows ``(candidate, raw scores of the
+    positive-threshold functions, weighted scores, net marginal)`` in pool
+    order, those thresholds, ``one`` and the penalty.
 
-    The search runs on exact integers. Raw scores and thresholds are
-    numerators over one common denominator; weighted scores, the penalty
-    and 1 are numerators over another. So every comparison is the one
-    exact decimals would make, and ``_solution`` reports the picked
-    selection in decimals.
-
-    A node is a frame ``(p, short, room, committed, chosen)`` on the
-    stack, rows before p decided: what each positive threshold still
-    lacks (no other can fail), what each weighted coverage lacks of 1,
-    the objective part linear in the selection (net marginals, or minus
-    the penalty per pick when saturating), and the selection as a mask of
-    id ranks, which the tie-break compares.
+    Raw scores and thresholds are numerators over one common denominator;
+    weighted scores, the penalty and 1 are numerators over another. So
+    every comparison is the one exact decimals would make, and
+    ``_solution`` reports the picked selection in decimals.
     """
-    saturating = kind is ObjectiveKind.SATURATING
     functions = instance.functions
-    max_parallel = instance.max_parallel
-
     fids = [f.id for f in functions]
     score_rows = [list(map(c.score, fids)) for c in instance.currencies]
     # each distinct score converts once, however many rows hold it and
@@ -472,24 +460,35 @@ def _search(
     weights = [w * (one // (raw_den * weight_den)) for w in _over(weight_ratios, weight_den)]
     thresholds = _over(threshold_ratios, raw_den)
     checked = [k for k, t in enumerate(thresholds) if t > 0]
-    full = one * len(functions)
-    by_rank = sorted(c.id for c in instance.currencies)
-    ranks = {cid: r for r, cid in enumerate(by_rank)}
 
-    # (candidate, raw scores of the checked functions, weighted scores
-    # index-aligned with ``functions``, net marginal)
     rows = []
     for c, score_row in zip(instance.currencies, score_rows):
         raw_row = list(map(numerators.__getitem__, score_row))
         weighted_row = list(map(mul, weights, raw_row))
         rows.append((c, [raw_row[k] for k in checked], weighted_row, sum(weighted_row) - penalty))
-    # mandatory rows first, then equal marginals in id order when bounded:
-    # the first optimum found among ties then holds small ids, so the tie
-    # cut below fires sooner
-    rows.sort(key=lambda r: (not r[0].mandatory, -r[3], r[0].id) if bounded
-              else not r[0].mandatory)
+    return rows, [thresholds[k] for k in checked], one, penalty
+
+
+def _walk(rows: Sequence[tuple], thresholds: list[int], one: int, penalty: int,
+          max_parallel: int, saturating: bool, bounded: bool) -> tuple[str, ...] | None:
+    """The best selection's sorted ids over *rows*, or None if none is
+    feasible. Its cuts rely on the instance invariants and on mandatory
+    rows first (see the module docstring); only the linear bound, which
+    sums the next ``budget`` positive marginals, needs the rest descending.
+
+    A node is a frame ``(p, short, room, committed, chosen)`` on the
+    stack, rows before p decided: what each positive threshold still
+    lacks (no other can fail), what each weighted coverage lacks of 1,
+    the objective part linear in the selection (net marginals, or minus
+    the penalty per pick when saturating), and the selection as a mask of
+    id ranks, which the tie-break compares.
+    """
     n = len(rows)
     candidates, raw_rows, weighted_rows, marginals = zip(*rows)
+    n_functions = len(weighted_rows[0])
+    full = one * n_functions
+    by_rank = sorted(c.id for c in candidates)
+    ranks = {cid: r for r, cid in enumerate(by_rank)}
     bits = [1 << ranks[c.id] for c in candidates]
     # past the mandatory rows, sorted rows put the positive net marginals
     # first, so a linear bound's best picks from row p on are the positive
@@ -498,7 +497,7 @@ def _search(
 
     # over rows p..n-1: suffix_raw[p] sums the checked raw scores,
     # remaining[p] holds the ids
-    no_raw = [0] * len(checked)
+    no_raw = [0] * len(thresholds)
     suffix_raw = [no_raw]
     remaining = [0]
     for p in reversed(range(n)):
@@ -511,8 +510,8 @@ def _search(
     # p..n-1, summed, for j up to max_parallel (and n - p)
     top: list[list[list[int]]] = []
     if saturating and bounded:
-        largest: list[list[int]] = [[] for _ in functions]  # ascending
-        top = [[[0] * len(functions)]]
+        largest: list[list[int]] = [[] for _ in range(n_functions)]  # ascending
+        top = [[[0] * n_functions]]
         for weighted_row in reversed(weighted_rows):
             for column, w in zip(largest, weighted_row):
                 insort(column, w)
@@ -524,7 +523,7 @@ def _search(
 
     best_obj: int | None = None
     best = 0  # the incumbent's selection mask
-    stack = [(0, [thresholds[k] for k in checked], [one] * len(functions), 0, 0)]
+    stack = [(0, thresholds, [one] * n_functions, 0, 0)]
     while stack:
         p, short, room, committed, chosen = stack.pop()
         if any(map(gt, short, suffix_raw[p])):
@@ -592,8 +591,22 @@ def _search(
                 best_obj, best = obj, chosen | bits[q]
 
     if best_obj is None:
+        return None
+    return tuple(cid for r, cid in enumerate(by_rank) if best >> r & 1)
+
+
+def _search(instance: MspInstance, kind: ObjectiveKind, bounded: bool) -> MspSolution | Infeasible:
+    rows, thresholds, one, penalty = _integer_rows(instance)
+    # mandatory rows first, then equal marginals in id order when bounded:
+    # the first optimum found among ties then holds small ids, so the tie
+    # cut fires sooner
+    rows.sort(key=lambda r: (not r[0].mandatory, -r[3], r[0].id) if bounded
+              else not r[0].mandatory)
+    selection = _walk(rows, thresholds, one, penalty, instance.max_parallel,
+                      kind is ObjectiveKind.SATURATING, bounded)
+    if selection is None:
         return Infeasible(_infeasibility_reasons(instance))
-    return _solution(instance, tuple(cid for r, cid in enumerate(by_rank) if best >> r & 1), kind)
+    return _solution(instance, selection, kind)
 
 
 def solve_exhaustive(

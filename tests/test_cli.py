@@ -535,6 +535,26 @@ class TestLedgerCommands:
         assert code == 0
         assert json.loads(out)["balances"]["5"] == {"AU35": 10}
 
+    def test_append_to_a_log_without_a_final_newline(self, tmp_path, capsys):
+        # the issue line is read back without its newline; the appended
+        # transfer must start a line of its own, not extend that one
+        log = tmp_path / "events.jsonl"
+        issue_event = {
+            "sequence": 1, "day": 0, "kind": "issue", "series_id": "AU35",
+            "party": "alice", "token_count": 5000, "series_spec": self._gold_spec_doc(),
+        }
+        log.write_text(json.dumps(issue_event), encoding="utf-8")
+        transfer_event = {"sequence": 2, "day": 0, "kind": "transfer", "series_id": "AU35",
+                          "party": "alice", "counterparty": "bob", "token_count": 10}
+        code, out, _ = run(capsys, "ledger", "append", "--log", str(log),
+                           "--event", json.dumps(transfer_event))
+        assert (code, out) == (0, "appended event 2 (transfer)\n")
+        code, out, _ = run(capsys, "ledger", "replay", "--log", str(log))
+        assert code == 0
+        snapshot = json.loads(out)
+        assert snapshot["last_sequence"] == 2
+        assert snapshot["balances"]["bob"] == {"AU35": 10}
+
 
 SIMULATE = ["solvency", "simulate", "--flat-fee", "0.03", "--rate", "0.0001", "--horizon", "400"]
 

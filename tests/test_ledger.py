@@ -618,6 +618,22 @@ class TestReplayAndPersistence:
         twice = ledger.replay(events)
         assert ledger.state_to_snapshot(once) == ledger.state_to_snapshot(twice)
 
+    @pytest.mark.parametrize("head", ["no final newline", "empty", "ending in a newline",
+                                      "one blank line"])
+    def test_an_appended_event_starts_a_line_of_its_own(self, tmp_path, head):
+        _, events = self._sample_log()
+        first = ledger.events_to_jsonl(events[:2])
+        before = {"no final newline": first[:-1], "empty": "",
+                  "ending in a newline": first, "one blank line": "\n"}[head]
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(before.encode("utf-8"))
+        ledger.append_event_line(path, events[2])
+        # only an unterminated last line gains a newline
+        end = "" if before.endswith("\n") or not before else "\n"
+        assert path.read_bytes() == (before + end + ledger.events_to_jsonl(events[2:3])).encode("utf-8")
+        kept = events[:2] if before.strip() else []
+        assert ledger.read_event_log(path) == [*kept, events[2]]
+
 
 class TestMalformedDocuments:
     """Malformed events and snapshots raise DomainError, never a raw

@@ -1290,6 +1290,70 @@ class TestEqualScoresSpeltApart:
         assert_every_search_agrees(inst)
 
 
+class TestTheWalkOrderContract:
+    """``_walk`` takes the rows in its caller's order: mandatory rows
+    first, then any order for the unbounded walk and the saturating
+    bound. The linear bound sums the next rows' positive marginals, so it
+    is given them by descending marginal only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=st.one_of(tie_instances(), grid_tie_instances()), seed=st.integers(0, 2**32 - 1))
+    def test_every_order_of_the_optional_rows_reaches_the_oracle(self, inst, seed):
+        rows, thresholds, one, penalty = msp._integer_rows(inst)
+        optional = [r for r in rows if not r[0].mandatory]
+        random.Random(seed).shuffle(optional)
+        shuffled = [r for r in rows if r[0].mandatory] + optional
+        # stable, so equal marginals keep their shuffled order
+        by_marginal = sorted(shuffled, key=lambda r: (not r[0].mandatory, -r[3]))
+        walks = ((shuffled, ObjectiveKind.LINEAR, False), (shuffled, ObjectiveKind.SATURATING, False),
+                 (shuffled, ObjectiveKind.SATURATING, True), (by_marginal, ObjectiveKind.LINEAR, True))
+        for order, kind, bounded in walks:
+            expected = msp.solve_exhaustive(inst, kind)
+            selection = msp._walk(order, thresholds, one, penalty, inst.max_parallel,
+                                  kind is ObjectiveKind.SATURATING, bounded)
+            assert selection == (None if isinstance(expected, Infeasible) else expected.selection)
+
+
+def planted_instance(rng: random.Random, pool: int) -> MspInstance:
+    """A pool in the shape of the benchmark's fixed set: 12 functions,
+    coverage on a 0.01 grid at about 70% density, 3 or 4 picks, and
+    thresholds on about 4 functions in 10 that one planted selection
+    meets, one of whose candidates is mandatory half the time."""
+    ids = [f"F{k:02d}" for k in range(12)]
+    max_parallel = rng.randint(3, 4)
+    coverages = [{fid: D(rng.randint(0, 100)).scaleb(-2) for fid in ids if rng.random() < 0.7}
+                 for _ in range(pool)]
+    planted = rng.sample(range(pool), max_parallel)
+    functions = []
+    for fid in ids:
+        reach = sum(coverages[i].get(fid, D(0)) for i in planted)
+        tenths = int(reach * 10 * rng.randint(20, 90) / 100) if rng.random() < 0.4 else 0
+        functions.append(MonetaryFunction(fid, D(rng.randint(5, 15)).scaleb(-1), D(tenths).scaleb(-1)))
+    mandatory = planted[0] if rng.random() < 0.5 else None
+    currencies = [CurrencyCandidate(f"C{i:03d}", CurrencyClass.OTHER, coverage, i == mandatory)
+                  for i, coverage in enumerate(coverages)]
+    rng.shuffle(currencies)
+    return MspInstance(functions=tuple(functions), currencies=tuple(currencies),
+                       max_parallel=max_parallel, balance_penalty=D(rng.randint(0, 30)).scaleb(-2))
+
+
+class TestLargePoolsMatchTheDecimalSearch:
+    """Pools past the brute-force sizes, where a refactor could pick
+    another of several tied optima and still pass a local-optimality
+    check: each bounded solver's document is the decimal search's."""
+
+    @pytest.mark.parametrize("draw", [0, 1])
+    @pytest.mark.parametrize("solve, kind, pool", [
+        *((msp.solve_branch_and_bound, ObjectiveKind.LINEAR, pool) for pool in range(20, 81, 10)),
+        *((msp.solve_saturating, ObjectiveKind.SATURATING, pool) for pool in (22, 24, 26, 28)),
+    ])
+    def test_the_solution_document(self, solve, kind, pool, draw):
+        inst = planted_instance(random.Random(f"planted {pool} {draw}"), pool)
+        result = msp.solution_to_json_dict(solve(inst))
+        assert "selection" in result
+        assert result == msp.solution_to_json_dict(reference_search(inst, kind, True))
+
+
 class TestMaxParallelIsAnInvariant:
     def test_a_non_integer_max_parallel_is_listed_with_the_other_violations(self):
         doc = instance_doc(max_parallel="2",
